@@ -316,7 +316,7 @@ def main(argv=None):
     except (SolverFailure, ScalingDiverged) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except StepGraphonError as exc:
+    except (StepGraphonError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

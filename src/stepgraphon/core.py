@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricValues,
+    MarginalMismatch,
     PartitionMismatch,
     ResolutionIncompatible,
     ValueOutOfRange,

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stepgraphon import StepGraphon, SignedStepKernel
+
+# Property tests replay the same examples on every run and carry no per-example
+# deadline, so machine load can neither change nor fail them.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_graphon(rng, k=None, equal_mass=False):

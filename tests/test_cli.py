@@ -153,6 +153,24 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["order", "envelope", "--w", "{w}", "--n", "8", "--count", "-1"],
+    ["wstar", "--u", "{u}", "--w", "{w}", "--depth", "-1"],
+    ["multiway", "sample", "--w", "{w}", "--a", "0.5,abc"],
+], ids=["envelope-count", "wstar-depth", "multiway-masses"])
+def test_bad_values_exit_one_without_traceback(tmp_path, capsys, args):
+    paths = {"u": tmp_path / "u.json", "w": tmp_path / "w.json"}
+    run_cli(["build", "--name", "constant", "--c", "0.5", "--out", str(paths["u"])], capsys)
+    run_cli(["build", "--name", "bipartite", "--out", str(paths["w"])], capsys)
+    cmd = [sys.executable, "-m", "stepgraphon.cli"]
+    cmd += [arg.format(**{key: str(path) for key, path in paths.items()}) for arg in args]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_determinism_byte_identical():
     cmd = [sys.executable, "-m", "stepgraphon.cli", "reproduce",
            "--which", "multiway", "--seed", "3", "--json"]

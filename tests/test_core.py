@@ -5,6 +5,7 @@ import pytest
 
 from stepgraphon import (
     AsymmetricValues,
+    MarginalMismatch,
     PartitionMismatch,
     PartitionSpec,
     ResolutionIncompatible,
@@ -227,8 +228,10 @@ def test_common_refinement_product():
 def test_common_refinement_marginal_mismatch():
     u = StepGraphon([0.4, 0.6], [[0.1, 0.2], [0.2, 0.3]])
     w = bipartite_graphon()
-    with pytest.raises(Exception):
+    with pytest.raises(MarginalMismatch):
         common_refinement(u, w, Coupling.diagonal([0.5, 0.5]))
+    with pytest.raises(MarginalMismatch):
+        common_refinement(w, w, None)
 
 
 # ------------------------------------------------------------------- versions

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stepgraphon import (
     Coupling,
@@ -121,6 +122,92 @@ def test_cut_norm_rearrangement_invariance(rng):
 def test_cut_norm_drops_zero_weight_blocks():
     y = SignedStepKernel([0.5, 0.0, 0.5], [[-0.5, 1, 0.5], [1, 1, 1], [0.5, 1, -0.5]])
     assert cut_norm(y, mode="exact").value == 0.125
+
+
+def reference_cut_norm(kernel):
+    """Plain enumeration: every 0/1 row s, greedy t, both signs."""
+    a = kernel.weights
+    ay = np.outer(a, a) * kernel.values
+    k = len(a)
+    best = 0.0
+    for base in range(0, 1 << k, 1 << 14):
+        idx = np.arange(base, min(base + (1 << 14), 1 << k))
+        s = ((idx[:, None] >> np.arange(k)) & 1).astype(float)
+        cols = s @ ay
+        best = max(best, np.maximum(cols, 0.0).sum(axis=1).max(),
+                   np.maximum(-cols, 0.0).sum(axis=1).max())
+    return float(best)
+
+
+def assert_exact_matches_reference(kernel):
+    res = cut_norm(kernel, mode="exact")
+    assert abs(res.value - reference_cut_norm(kernel)) <= 1e-12
+    a = kernel.weights
+    achieved = abs((a * res.witness_s) @ kernel.values @ (a * res.witness_t))
+    assert abs(achieved - res.value) <= 1e-12
+    return res
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 13, 16, 19])
+def test_cut_norm_exact_matches_reference_enumeration(k):
+    # up to 12 blocks the enumeration runs in one pass, from 13 on in split halves
+    rng = np.random.default_rng(k)
+    assert_exact_matches_reference(random_kernel(rng, k=k))
+
+
+def test_cut_norm_exact_negative_branch():
+    # an all-negative kernel peaks on the last pattern, s = t = every block
+    rng = np.random.default_rng(3)
+    for k in (5, 15, 24):
+        v = -rng.uniform(0.1, 1.0, (k, k))
+        kernel = SignedStepKernel(rng.dirichlet(np.ones(k)), (v + v.T) / 2)
+        res = cut_norm(kernel, mode="exact")
+        a = kernel.weights
+        assert res.value == pytest.approx(-(a @ kernel.values @ a), rel=1e-12)
+        assert res.witness_s.tolist() == [1] * k
+        assert res.witness_t.tolist() == [1] * k
+
+
+def test_cut_norm_exact_zero_weight_blocks():
+    rng = np.random.default_rng(4)
+    for k in (6, 16):
+        w = rng.dirichlet(np.ones(k))
+        w[::3] = 0.0
+        v = rng.uniform(-1, 1, (k, k))
+        kernel = SignedStepKernel(w / w.sum(), (v + v.T) / 2)
+        res = assert_exact_matches_reference(kernel)
+        assert not res.witness_s[::3].any() and not res.witness_t[::3].any()
+
+
+def test_cut_norm_exact_rank_one_at_cap():
+    # values x x^T give s @ ay @ t = (s.u)(t.u) with u = a x, so the cut norm is
+    # max(positive mass of u, negative mass of u)^2
+    rng = np.random.default_rng(5)
+    k = 24
+    a = rng.dirichlet(np.ones(k))
+    x = rng.uniform(-1, 1, k)
+    res = cut_norm(SignedStepKernel(a, np.outer(x, x)), mode="exact")
+    u = a * x
+    expected = max(u[u > 0].sum(), -u[u < 0].sum()) ** 2
+    assert res.value == pytest.approx(expected, rel=1e-12)
+    achieved = abs((u * res.witness_s).sum() * (u * res.witness_t).sum())
+    assert achieved == pytest.approx(res.value, rel=1e-12)
+
+
+@st.composite
+def small_kernels(draw):
+    k = draw(st.integers(1, 6))
+    w = np.array(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)), dtype=float)
+    w[draw(st.integers(0, k - 1))] += 1.0
+    values = st.floats(-1.0, 1.0, allow_nan=False)
+    v = np.array(draw(st.lists(values, min_size=k * k, max_size=k * k))).reshape(k, k)
+    return SignedStepKernel(w / w.sum(), (v + v.T) / 2)
+
+
+@given(small_kernels())
+def test_cut_norm_exact_equals_brute_force(kernel):
+    assert cut_norm(kernel, mode="exact").value == pytest.approx(
+        brute_force_cut_norm(kernel), abs=1e-12)
 
 
 # --------------------------------------------------------------- cut norm dist
