@@ -89,14 +89,32 @@ def _emit(args, report, obj=None):
 def _budget(text):
     if not text:
         return None
-    cfg = json.loads(text)
+    try:
+        cfg = json.loads(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not JSON: {exc}")
     if not isinstance(cfg, dict):
-        raise StepGraphonError("budget must be a JSON object")
+        raise argparse.ArgumentTypeError("budget must be a JSON object")
     return cfg
 
 
 def _masses(text):
-    return [float(tok) for tok in text.split(",") if tok]
+    try:
+        return [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}")
+
+
+def _int_from(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser():
@@ -132,7 +150,7 @@ def build_parser():
     cd = sub.add_parser("cutdist", help="cut distance upper bound over couplings")
     cd.add_argument("--u", required=True)
     cd.add_argument("--w", required=True)
-    cd.add_argument("--budget", type=str, default=None,
+    cd.add_argument("--budget", type=_budget, default=None,
                     help='JSON, e.g. {"restarts":32,"max_iters":200,"tol":1e-9}')
     cd.add_argument("--seed", type=int, default=0)
     cd.add_argument("--out", help="write the best coupling")
@@ -141,7 +159,7 @@ def build_parser():
     ws = sub.add_parser("wstar", help="truncated weak* distance")
     ws.add_argument("--u", required=True)
     ws.add_argument("--w", required=True)
-    ws.add_argument("--depth", type=int, required=True)
+    ws.add_argument("--depth", type=_int_from(0), required=True)
     ws.add_argument("--json", action="store_true")
 
     fl = sub.add_parser("flatness", help="flatness-order feasibility")
@@ -159,18 +177,18 @@ def build_parser():
     oc.add_argument("--json", action="store_true")
     oe = osub.add_parser("envelope", help="sampled envelope signatures")
     oe.add_argument("--w", required=True)
-    oe.add_argument("--n", type=int, required=True)
-    oe.add_argument("--count", type=int, default=500)
-    oe.add_argument("--depth", type=int, default=4)
+    oe.add_argument("--n", type=_int_from(1), required=True)
+    oe.add_argument("--count", type=_int_from(0), default=500)
+    oe.add_argument("--depth", type=_int_from(0), default=4)
     oe.add_argument("--seed", type=int, default=7)
     oe.add_argument("--out")
     oe.add_argument("--json", action="store_true")
     och = osub.add_parser("chi", help="hyperspace distance estimate")
     och.add_argument("--u", required=True)
     och.add_argument("--w", required=True)
-    och.add_argument("--n", type=int, required=True)
-    och.add_argument("--count", type=int, default=200)
-    och.add_argument("--depth", type=int, default=4)
+    och.add_argument("--n", type=_int_from(1), required=True)
+    och.add_argument("--count", type=_int_from(0), default=200)
+    och.add_argument("--depth", type=_int_from(0), default=4)
     och.add_argument("--seed", type=int, default=7)
     och.add_argument("--json", action="store_true")
 
@@ -178,8 +196,8 @@ def build_parser():
     msub = m.add_subparsers(dest="multiway_command", required=True)
     ms = msub.add_parser("sample", help="sample the cut set")
     ms.add_argument("--w", required=True)
-    ms.add_argument("--a", required=True, help="comma-separated part masses")
-    ms.add_argument("--count", type=int, default=200)
+    ms.add_argument("--a", required=True, type=_masses, help="comma-separated part masses")
+    ms.add_argument("--count", type=_int_from(0), default=200)
     ms.add_argument("--seed", type=int, default=1)
     ms.add_argument("--out")
     ms.add_argument("--json", action="store_true")
@@ -232,7 +250,7 @@ def _run(args):
     if args.command == "cutdist":
         u = io.load_graphon(args.u)
         w = io.load_graphon(args.w)
-        val, coupling = cut_distance(u, w, budget=_budget(args.budget),
+        val, coupling = cut_distance(u, w, budget=args.budget,
                                      seed=args.seed)
         report = {"cut_distance_upper_bound": val}
         if not args.out:
@@ -286,7 +304,7 @@ def _run(args):
     if args.command == "multiway":
         if args.multiway_command == "sample":
             w = io.load_graphon(args.w)
-            sample = sample_multiway_set(w, _masses(args.a), args.count, args.seed)
+            sample = sample_multiway_set(w, args.a, args.count, args.seed)
             report = {"a": sample.a.tolist(), "count": len(sample)}
             if not args.out:
                 report["matrices"] = [m.tolist() for m in sample.matrices]
@@ -316,7 +334,7 @@ def main(argv=None):
     except (SolverFailure, ScalingDiverged) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (StepGraphonError, ValueError) as exc:
+    except StepGraphonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

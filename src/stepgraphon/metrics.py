@@ -167,55 +167,38 @@ def _pattern_table(n):
     return table
 
 
-def _column_sum_blocks(ay):
-    """Yield (first pattern, column sums, pattern totals) over {0,1}^k in order.
-
-    Pattern (hi << l) | lo selects row j of ay for each set bit j.  Its
-    column sums s @ ay are high[:, hi] + low[:, lo], where low and high hold
-    the column sums of every subset of the first l and the last h = k - l
-    rows, so a pattern costs k additions instead of a k x k product.  Blocks
-    of consecutive hi keep the working set near _BLOCK_FLOATS floats, and a
-    kernel that fits one block is yielded whole (h = 0).  Column sums run
-    along axis 0; the remaining axes, flattened, follow pattern order.  The
-    caller may overwrite the column sums.
-    """
-    k = ay.shape[0]
-    if (k << k) <= _BLOCK_FLOATS:
-        cols = ay.T @ _pattern_table(k).T
-        yield 0, cols, cols.sum(axis=0)
-        return
-    l = (k + 1) // 2
-    h = k - l
-    low = ay[:l].T @ _pattern_table(l).T
-    high = ay[l:].T @ _pattern_table(h).T
-    low_total, high_total = low.sum(axis=0), high.sum(axis=0)
-    per_block = max(1, _BLOCK_FLOATS // (k << l))
-    buf = np.empty((k, per_block, 1 << l))
-    for hi in range(0, 1 << h, per_block):
-        n = min(per_block, (1 << h) - hi)
-        cols = np.add(high[:, hi:hi + n, None], low[:, None, :], out=buf[:, :n])
-        yield hi << l, cols, (high_total[hi:hi + n, None] + low_total).ravel()
-
-
 def _exact_cut_norm(ay):
     """Enumerate s over {0,1}^k; t is the greedy sign pattern per column.
 
-    Split-half enumeration (_column_sum_blocks), O(2^k k) in all.  pos sums
-    the positive column sums of a pattern and neg the negative ones, as pos
-    minus the pattern's total.  The first maximum in pattern order wins, pos
-    before neg.
+    Split-half enumeration, O(2^k k): pattern (hi << l) | lo selects row j
+    for each set bit j, and its column sums s @ ay are high[:, hi] +
+    low[:, lo], where low and high hold the column sums of every subset of
+    the first l and the last k - l rows.  pos sums the positive column sums
+    of a pattern and neg the negative ones, as pos minus the pattern total.
+    The first maximum in pattern order wins, pos before neg.
     """
     k = ay.shape[0]
+    l = (k + 1) // 2
+    low = ay[:l].T @ _pattern_table(l).T
+    high = ay[l:].T @ _pattern_table(k - l).T
+    low_total, high_total = low.sum(axis=0), high.sum(axis=0)
+    n_high = high.shape[1]
+    # Blocks of consecutive hi; axes (column, hi, lo), so a flattened
+    # (hi, lo) slice runs in pattern order.
+    per_block = min(n_high, max(1, _BLOCK_FLOATS // (k << l)))
+    buf = np.empty((k, per_block, 1 << l))
     best_val, best_idx, best_sign = -1.0, 0, 1.0
-    for base, cols, totals in _column_sum_blocks(ay):
+    for hi in range(0, n_high, per_block):
+        n = min(per_block, n_high - hi)
+        cols = np.add(high[:, hi:hi + n, None], low[:, None, :], out=buf[:, :n])
         np.maximum(cols, 0.0, out=cols)
         pos = cols.sum(axis=0).ravel()
-        neg = pos - totals
+        neg = pos - (high_total[hi:hi + n, None] + low_total).ravel()
         ip, iq = int(pos.argmax()), int(neg.argmax())
         if pos[ip] > best_val:
-            best_val, best_idx, best_sign = float(pos[ip]), base + ip, 1.0
+            best_val, best_idx, best_sign = float(pos[ip]), (hi << l) + ip, 1.0
         if neg[iq] > best_val:
-            best_val, best_idx, best_sign = float(neg[iq]), base + iq, -1.0
+            best_val, best_idx, best_sign = float(neg[iq]), (hi << l) + iq, -1.0
     s = ((best_idx >> np.arange(k)) & 1).astype(float)
     cols = s @ ay
     t = (best_sign * cols > 0).astype(float)

@@ -150,7 +150,8 @@ def assert_exact_matches_reference(kernel):
 
 @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 13, 16, 19])
 def test_cut_norm_exact_matches_reference_enumeration(k):
-    # up to 12 blocks the enumeration runs in one pass, from 13 on in split halves
+    # up to 12 blocks every pattern fits one block of the enumeration, from 13 on
+    # it loops over several; k = 1 has an empty high half
     rng = np.random.default_rng(k)
     assert_exact_matches_reference(random_kernel(rng, k=k))
 
