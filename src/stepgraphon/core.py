@@ -26,10 +26,11 @@ MATCH_TOL = 1e-9
 def _validate_weights(w):
     if w.ndim != 1 or len(w) == 0:
         raise WeightsNotNormalized("weights must be a nonempty vector")
-    for i, x in enumerate(w):
-        if not np.isfinite(x) or x < 0.0:
-            raise WeightsNotNormalized(f"weight {x!r} at index {i} is not a valid mass",
-                                       index=i)
+    bad = np.flatnonzero(~np.isfinite(w) | (w < 0.0))
+    if len(bad):
+        i = int(bad[0])
+        raise WeightsNotNormalized(f"weight {w[i]!r} at index {i} is not a valid mass",
+                                   index=i)
     s = float(w.sum())
     if abs(s - 1.0) > WEIGHT_TOL:
         raise WeightsNotNormalized(f"weights sum to {s!r}, expected 1 within {WEIGHT_TOL}")

@@ -167,6 +167,16 @@ def _pattern_table(n):
     return table
 
 
+@functools.cache
+def _heuristic_starts(seed, n_starts, k):
+    """Read-only (n_starts, k) 0/1 table: row r is the heuristic's start r."""
+    table = np.empty((n_starts, k))
+    for r in range(n_starts):
+        table[r] = np.random.default_rng((seed, r)).integers(0, 2, size=k)
+    table.flags.writeable = False
+    return table
+
+
 def _exact_cut_norm(ay):
     """Enumerate s over {0,1}^k; t is the greedy sign pattern per column.
 
@@ -249,10 +259,7 @@ def cut_norm(Y, mode="exact", seed=0, restarts=32):
                 f"{k} blocks exceeds the exact cap of {EXACT_BLOCK_CAP}")
         s, t = _exact_cut_norm(ay)
     elif mode == "heuristic":
-        n_starts = max(restarts, 1)
-        s0 = np.empty((n_starts, k))
-        for r in range(n_starts):
-            s0[r] = np.random.default_rng((seed, r)).integers(0, 2, size=k)
+        s0 = _heuristic_starts(seed, max(restarts, 1), k)
         best = (-1.0, np.zeros(k), np.zeros(k))
         for sign in (1.0, -1.0):
             s, t, val = _alternating_max_batch(sign * ay, s0)
@@ -312,11 +319,12 @@ def aligned_cut_norm_distance(U, W, seed=0):
 def _min_cost_transport(cost, row, col):
     """Exact linear-programming solve of the transportation problem."""
     n, m = cost.shape
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m:(i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
+    # row i sums cells (i, *) and row n + j cells (*, j) of the row-major plan
+    a_eq = np.zeros((n + m, n, m))
+    i, j = np.arange(n), np.arange(m)
+    a_eq[i, i, :] = 1.0
+    a_eq[n + j, :, j] = 1.0
+    a_eq = a_eq.reshape(n + m, n * m)
     b_eq = np.concatenate((row, col))
     res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1],
                   bounds=(0, None), method="highs")
@@ -353,29 +361,51 @@ SEARCH_RESTARTS = 8
 SUPPORT_CAP = 4096
 
 
-def _search_eval(U, W, cmat, seed):
-    coupling = Coupling(cmat, U.weights, W.weights)
-    kernel = _difference_kernel(U, W, coupling)
-    return _auto_cut_norm(kernel, seed=seed, restarts=SEARCH_RESTARTS,
-                          exact_cap=SEARCH_EXACT_CAP)
+def _search_eval(U, W, cmat, seed, memo):
+    """Cut norm of U - W under the coupling cmat, memoized by cmat's bytes."""
+    key = ("eval", cmat.tobytes())
+    if key not in memo:
+        coupling = Coupling(cmat, U.weights, W.weights)
+        kernel = _difference_kernel(U, W, coupling)
+        memo[key] = _auto_cut_norm(kernel, seed=seed, restarts=SEARCH_RESTARTS,
+                                   exact_cap=SEARCH_EXACT_CAP)
+    return memo[key]
 
 
-def _local_search(U, W, c0, max_iters, tol, seed):
+def _search_plan(U, W, grad, memo):
+    """Transport plan minimizing <grad, C>, memoized by grad's bytes.
+
+    A failed LP is memoized as None, which ends the search.
+    """
+    key = ("plan", grad.tobytes())
+    if key not in memo:
+        try:
+            memo[key] = _min_cost_transport(grad, U.weights, W.weights)
+        except SolverFailure:
+            memo[key] = None
+    return memo[key]
+
+
+def _local_search(U, W, c0, max_iters, tol, seed, memo):
+    """Frank-Wolfe-style descent from c0; returns (value, coupling matrix).
+
+    memo caches both steps, which are pure in (U, W, seed) and the array
+    they are given; share one dict only between searches on the same pair
+    and seed, and a hit returns what the step would have computed.
+    """
     cmat = c0
-    res = _search_eval(U, W, cmat, seed)
+    res = _search_eval(U, W, cmat, seed, memo)
     val = res.value
     for _ in range(max_iters):
-        try:
-            grad = _witness_gradient(U, W, cmat, res)
-            c_star = _min_cost_transport(grad, U.weights, W.weights)
-        except SolverFailure:
+        c_star = _search_plan(U, W, _witness_gradient(U, W, cmat, res), memo)
+        if c_star is None:
             break
         improved = False
         for gamma in (1.0, 0.5, 0.25, 0.1):
             cand = (1.0 - gamma) * cmat + gamma * c_star
             if np.count_nonzero(cand > 0) > SUPPORT_CAP:
                 continue
-            res2 = _search_eval(U, W, cand, seed)
+            res2 = _search_eval(U, W, cand, seed, memo)
             if res2.value < val - tol:
                 cmat, res, val = cand, res2, res2.value
                 improved = True
@@ -435,7 +465,10 @@ def cut_distance(U, W, budget=None, seed=0):
     match) plus seeded random corner-rule vertices through an alternating
     local search, and an exact permutation sweep when both sides refine to
     at most 8 equal-mass cells.  The result is the minimum over everything
-    evaluated; exactness is claimed only for the sweep family.
+    evaluated; exactness is claimed only for the sweep family.  Starts
+    often converge onto the same couplings, so the search memoizes its cut
+    norms and transport LPs for the length of the call; a memo hit returns
+    exactly what recomputing would, so results do not depend on it.
     """
     cfg = dict(DEFAULT_BUDGET)
     cfg.update(budget or {})
@@ -457,8 +490,9 @@ def cut_distance(U, W, budget=None, seed=0):
                                   rng.permutation(len(b))))
 
     best_val, best_c = np.inf, None
+    memo = {}
     for c0 in starts:
-        val, cmat = _local_search(Ap, Bp, c0, cfg["max_iters"], cfg["tol"], seed)
+        val, cmat = _local_search(Ap, Bp, c0, cfg["max_iters"], cfg["tol"], seed, memo)
         if val < best_val:
             best_val, best_c = val, cmat
 

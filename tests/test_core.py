@@ -70,6 +70,13 @@ def test_construction_errors_name_offender():
     with pytest.raises(WeightsNotNormalized) as err:
         make_step_graphon([-0.5, 1.5], [[0.0, 1.0], [1.0, 0.0]])
     assert err.value.index == 0
+    values = np.zeros((3, 3))
+    with pytest.raises(WeightsNotNormalized, match="at index 1") as err:
+        make_step_graphon([0.5, -0.25, 0.75], values)
+    assert err.value.index == 1
+    with pytest.raises(WeightsNotNormalized, match="at index 1") as err:
+        make_step_graphon([0.5, float("nan"), -0.25], values)
+    assert err.value.index == 1
 
 
 def test_zero_weight_blocks_are_retained_and_ignored():

@@ -9,6 +9,7 @@ from stepgraphon import (
     EmptySet,
     MarginalMismatch,
     SignedStepKernel,
+    SolverFailure,
     StepGraphon,
     TooManyBlocksForExact,
     aligned_cut_norm_distance,
@@ -22,6 +23,7 @@ from stepgraphon import (
     overlap_coupling,
     weak_star_distance,
 )
+from stepgraphon import metrics
 from stepgraphon.metrics import dyadic_intervals
 from stepgraphon.named import bipartite_graphon
 
@@ -302,6 +304,88 @@ def test_cut_distance_triangle_inequality(rng):
         duv, _ = cut_distance(u, v, budget=budget)
         dvw, _ = cut_distance(v, w, budget=budget)
         assert duw <= duv + dvw + 2e-6
+
+
+def _count_calls(monkeypatch, name, body=None):
+    """Replace metrics.<name> by a wrapper that records its arguments."""
+    calls = []
+    body = body or getattr(metrics, name)
+
+    def counted(*args):
+        calls.append(args)
+        return body(*args)
+
+    monkeypatch.setattr(metrics, name, counted)
+    return calls
+
+
+def test_local_search_memo_replays_without_recomputing(monkeypatch, rng):
+    u = random_graphon(rng, k=4)
+    w = random_graphon(rng, k=5)
+    evals = _count_calls(monkeypatch, "_difference_kernel")
+    lps = _count_calls(monkeypatch, "_min_cost_transport")
+    c0 = metrics.corner_rule(u.weights, w.weights)
+    memo = {}
+    val, cmat = metrics._local_search(u, w, c0, 20, 1e-9, 0, memo)
+    n_evals, n_lps = len(evals), len(lps)
+    assert n_evals > 1 and n_lps > 0
+    again = metrics._local_search(u, w, c0, 20, 1e-9, 0, memo)
+    assert (len(evals), len(lps)) == (n_evals, n_lps)
+    assert again[0] == val and np.array_equal(again[1], cmat)
+    fresh = metrics._local_search(u, w, c0, 20, 1e-9, 0, {})
+    assert (len(evals), len(lps)) == (2 * n_evals, 2 * n_lps)
+    assert fresh[0] == val and np.array_equal(fresh[1], cmat)
+
+
+def test_failing_transport_is_solved_once_per_gradient(monkeypatch, rng):
+    def failing(cost, row, col):
+        raise SolverFailure("transport LP failed with status 4")
+
+    lps = _count_calls(monkeypatch, "_min_cost_transport", failing)
+    u = random_graphon(rng, k=3)
+    w = random_graphon(rng, k=2)
+    # a failed LP ends the search at its start, on a memo hit as well
+    c0 = metrics.corner_rule(u.weights, w.weights)
+    memo = {}
+    for _ in range(2):
+        val, cmat = metrics._local_search(u, w, c0, 20, 1e-9, 0, memo)
+        assert cmat is c0
+        assert val == cut_norm_distance(u, w, Coupling(c0, u.weights, w.weights))
+    assert len(lps) == 1
+    # 35 starts among 3! * 2! corner-rule orders repeat their gradients
+    lps.clear()
+    cut_distance(u, w)
+    gradients = [cost.tobytes() for cost, _, _ in lps]
+    assert len(set(gradients)) == len(gradients) < 35
+
+
+def test_transport_constraints_are_row_and_column_sums(monkeypatch):
+    n, m = 3, 4
+    expected = np.zeros((n + m, n * m))
+    for i in range(n):
+        expected[i, i * m:(i + 1) * m] = 1.0
+    for j in range(m):
+        expected[n + j, j::m] = 1.0
+    seen = []
+    solve = metrics.linprog
+
+    def capture(cost, A_eq, **kwargs):
+        seen.append(A_eq)
+        return solve(cost, A_eq=A_eq, **kwargs)
+
+    monkeypatch.setattr(metrics, "linprog", capture)
+    plan = metrics._min_cost_transport(np.arange(12.0).reshape(n, m),
+                                       np.full(n, 1 / n), np.full(m, 1 / m))
+    assert np.array_equal(seen[0], expected[:-1])
+    assert np.allclose(plan.sum(axis=1), 1 / n) and np.allclose(plan.sum(axis=0), 1 / m)
+
+
+def test_heuristic_start_table_is_cached_and_read_only():
+    table = metrics._heuristic_starts(3, 8, 20)
+    rows = [np.random.default_rng((3, r)).integers(0, 2, size=20) for r in range(8)]
+    assert np.array_equal(table, np.array(rows, dtype=float))
+    assert metrics._heuristic_starts(3, 8, 20) is table
+    assert not table.flags.writeable
 
 
 # -------------------------------------------------------------------- weak*
