@@ -3,19 +3,26 @@
 Flatness of L1 relative to L2 is decided as LP feasibility: a coupling with
 the two mass vectors as marginals whose conditional averages reproduce L1's
 atoms.  For discrete L1 the barycenter condition only needs to hold at atoms,
-which makes the constraint system finite.
+which makes the constraint system finite.  Such a coupling exists exactly when
+L1 precedes L2 in the convex (Choquet) order, so the exact mode needs no LP:
+Strassen's theorem (Ann. Math. Statist. 1965) reduces feasibility to finitely
+many call-function inequalities, and the shadow construction (Beiglboeck and
+Juillet, Ann. Probab. 2016) builds a witness coupling one atom at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 from scipy.optimize import linprog, nnls
 
 from .errors import MarginalMismatch, SolverFailure, StepGraphonError, ValueOutOfRange
 from .core import _freeze
-from .metrics import Coupling
+from .metrics import Coupling, _marginal_rows
 
 ATOM_DEDUP_TOL = 1e-12
 
@@ -142,16 +149,16 @@ def degree_frequencies(W):
 
 
 def _flatness_system(l1, l2):
-    """Equality system A psi = b for the coupling variables (row-major)."""
+    """Equality system A psi = b for the coupling variables (row-major).
+
+    The marginal rows come first, then row n + m + i takes the barycenter
+    of row i of psi.
+    """
     n, m = l1.n, l2.n
-    rows = n + m + n
-    a = np.zeros((rows, n * m))
-    for i in range(n):
-        a[i, i * m:(i + 1) * m] = 1.0
-    for j in range(m):
-        a[n + j, j::m] = 1.0
-    for i in range(n):
-        a[n + m + i, i * m:(i + 1) * m] = l2.atoms
+    i = np.arange(n)
+    bary = np.zeros((n, n, m))
+    bary[i, i, :] = l2.atoms
+    a = np.vstack((_marginal_rows(n, m), bary.reshape(n, n * m)))
     b = np.concatenate((l1.masses, l2.masses, l1.masses * l1.atoms))
     return a, b
 
@@ -173,15 +180,16 @@ def _cleanup_solution(a, b, x, support_tol=1e-11):
     return (x2, res2) if res2 <= res1 else (np.clip(x, 0.0, None), res1)
 
 
-def check_flatter(l1, l2, tol=1e-9, minimize_offdiagonal=True, exact=False):
+def check_flatter(l1, l2, tol=1e-9, exact=False):
     """Decide whether l1 is at least as flat as l2, returning a witness.
 
     Fast-fails on total-mass or first-moment mismatch (both are forced by
-    the coupling constraints), then solves the feasibility LP.  With
-    minimize_offdiagonal the LP objective is the transport cost |x - y|,
-    which pins the witness to the diagonal whenever the measures coincide.
-    The exact mode re-decides feasibility in rational arithmetic over the
-    exact binary expansions of the inputs.
+    the coupling constraints), then solves the feasibility LP with the
+    transport cost |x - y| as objective, which pins the witness to the
+    diagonal whenever the measures coincide.  The exact mode re-decides
+    feasibility over the exact binary expansions of the inputs with
+    Strassen's convex-order test and returns the shadow coupling as witness
+    (see _check_flatter_exact).
     """
     t1, t2 = l1.total_mass(), l2.total_mass()
     if abs(t1 - t2) > tol:
@@ -198,8 +206,6 @@ def check_flatter(l1, l2, tol=1e-9, minimize_offdiagonal=True, exact=False):
         return _check_flatter_exact(l1, l2)
     a, b = _flatness_system(l1, l2)
     cost = np.abs(np.subtract.outer(l1.atoms, l2.atoms)).ravel()
-    if not minimize_offdiagonal:
-        cost = np.zeros_like(cost)
     res = linprog(cost, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
     if res.status == 2:
         return FlatnessWitness(False, reason="no coupling satisfies the barycenter constraints")
@@ -211,108 +217,65 @@ def check_flatter(l1, l2, tol=1e-9, minimize_offdiagonal=True, exact=False):
 
 
 def _check_flatter_exact(l1, l2):
-    """Rational-arithmetic feasibility over exact binary expansions."""
-    x = [Fraction(v) for v in l1.atoms]
-    p = [Fraction(v) for v in l1.masses]
-    y = [Fraction(v) for v in l2.atoms]
-    q = [Fraction(v) for v in l2.masses]
+    """Exact convex-order certificate over the inputs' binary expansions.
+
+    By Strassen's theorem a coupling exists iff the masses and the means
+    agree and l1's call function t -> sum p (x - t)_+ stays below l2's.
+    Comparing them at l2's atoms suffices: l1's is convex and l2's is linear
+    between its atoms.  A feasible pair gets the shadow coupling
+    (Beiglboeck and Juillet): each atom of l1 in turn takes its shadow in the
+    remaining l2 mass, the quantile window whose barycenter is the atom.
+    Where several couplings exist this witness may differ from the vertex a
+    simplex would return; where the coupling is unique it is that coupling.
+    """
+    x, p, y, q = ([Fraction(v) for v in arr]
+                  for arr in (l1.atoms, l1.masses, l2.atoms, l2.masses))
     if sum(p) != sum(q):
         return FlatnessWitness(False, reason="total mass mismatch (exact)")
-    n, m = len(x), len(y)
-    rows = []
-    b = []
-    for i in range(n):
-        row = [Fraction(0)] * (n * m)
-        for j in range(m):
-            row[i * m + j] = Fraction(1)
-        rows.append(row)
-        b.append(p[i])
-    for j in range(m):
-        row = [Fraction(0)] * (n * m)
-        for i in range(n):
-            row[i * m + j] = Fraction(1)
-        rows.append(row)
-        b.append(q[j])
-    for i in range(n):
-        row = [Fraction(0)] * (n * m)
-        for j in range(m):
-            row[i * m + j] = y[j]
-        rows.append(row)
-        b.append(p[i] * x[i])
-    feasible, sol = _phase_one_simplex(rows, b)
-    if not feasible:
+
+    def call(atoms, masses, t):
+        return sum(w * (a - t) for a, w in zip(atoms, masses) if a > t)
+
+    if (sum(map(mul, p, x)) != sum(map(mul, q, y))
+            or any(call(x, p, t) > call(y, q, t) for t in y)):
         return FlatnessWitness(False, reason="no coupling satisfies the barycenter constraints (exact)")
-    mat = np.array([[float(sol[i * m + j]) for j in range(m)] for i in range(n)])
-    coupling = Coupling(mat, l1.masses, l2.masses)
+    rest = list(q)
+    rows = [_take_shadow(rest, y, pi, pi * xi) for xi, pi in zip(x, p)]
+    if any(rest):
+        raise SolverFailure("shadow coupling left mass of l2 unassigned")
+    coupling = Coupling(np.array(rows, dtype=float), l1.masses, l2.masses)
     return FlatnessWitness(True, coupling, residual=0.0, reason="exact rational certificate")
 
 
-def _phase_one_simplex(rows, b):
-    """Phase-one simplex with Bland's rule over exact rationals.
+def _take_shadow(rest, y, mass, moment):
+    """Remove from `rest` (masses on atoms y) the window of `mass` with `moment`.
 
-    Decides feasibility of A x = b, x >= 0 and returns a basic feasible point.
+    The window between cumulative levels s and s + mass has moment
+    H(s + mass) - H(s), H the integral of the quantile function of `rest`:
+    nondecreasing in s and linear between the breaks where s or s + mass
+    meets a level, so the two breaks that bracket `moment` pin s down.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    tableau = []
-    for i in range(m):
-        row = list(rows[i])
-        if b[i] < 0:
-            row = [-v for v in row]
-            bi = -b[i]
-        else:
-            bi = b[i]
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tableau.append(row + art + [bi])
-    basis = [n + i for i in range(m)]
-    total = n + m
+    levels = [Fraction(0), *accumulate(rest)]
+    moments = [Fraction(0), *accumulate(map(mul, rest, y))]
 
-    def objective_row():
-        # sum of basic artificial rows = reduced costs of minimizing artificials
-        obj = [Fraction(0)] * (total + 1)
-        for r, bv in enumerate(basis):
-            if bv >= n:
-                for c in range(total + 1):
-                    obj[c] += tableau[r][c]
-        return obj
+    def integral(u):
+        k = min(bisect_right(levels, u), len(y)) - 1
+        return moments[k] + (u - levels[k]) * y[k]
 
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100000:
-            raise SolverFailure("exact simplex failed to terminate")
-        obj = objective_row()
-        enter = -1
-        for j in range(n):  # artificials never re-enter
-            if obj[j] > 0:
-                enter = j
-                break
-        if enter == -1:
-            break
-        leave, best = -1, None
-        for r in range(m):
-            if tableau[r][enter] > 0:
-                ratio = tableau[r][total] / tableau[r][enter]
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    leave, best = r, ratio
-        if leave == -1:
-            break  # defensive; phase one is bounded below by 0
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        for r in range(m):
-            if r != leave and tableau[r][enter] != 0:
-                f = tableau[r][enter]
-                tableau[r] = [v - f * w for v, w in zip(tableau[r], tableau[leave])]
-        basis[leave] = enter
-    infeas = objective_row()[total]
-    if infeas != 0:
-        return False, None
-    sol = [Fraction(0)] * n
-    for r, bv in enumerate(basis):
-        if bv < n:
-            sol[bv] = tableau[r][total]
-    return True, sol
+    top = levels[-1] - mass
+    breaks = sorted({s for c in levels for s in (c, c - mass) if 0 <= s <= top})
+    values = [integral(s + mass) - integral(s) for s in breaks]
+    b = bisect_left(values, moment)
+    if b == len(values) or (b == 0 and values[0] != moment):
+        raise SolverFailure("no window of the remaining mass has the atom's barycenter")
+    s = breaks[b]
+    if values[b] != moment:
+        s0, v0 = breaks[b - 1], values[b - 1]
+        s = s0 + (moment - v0) * (s - s0) / (values[b] - v0)
+    row = [max(Fraction(0), min(hi, s + mass) - max(lo, s))
+           for lo, hi in zip(levels, levels[1:])]
+    rest[:] = [r - v for r, v in zip(rest, row)]
+    return row
 
 
 def compose_couplings(p1, p2, mid):

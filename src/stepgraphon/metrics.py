@@ -114,8 +114,8 @@ def corner_rule(row, col, row_order=None, col_order=None):
     """
     row = np.asarray(row, dtype=float)
     col = np.asarray(col, dtype=float)
-    row_order = np.arange(len(row)) if row_order is None else np.asarray(row_order)
-    col_order = np.arange(len(col)) if col_order is None else np.asarray(col_order)
+    row_order = range(len(row)) if row_order is None else row_order
+    col_order = range(len(col)) if col_order is None else col_order
     r = row.copy()
     c = col.copy()
     m = np.zeros((len(row), len(col)))
@@ -316,15 +316,22 @@ def aligned_cut_norm_distance(U, W, seed=0):
     return cut_norm_distance(U, W, overlap_coupling(U, W), seed=seed)
 
 
+def _marginal_rows(n, m):
+    """0/1 marginal constraints on a row-major n x m plan, (n + m) x nm.
+
+    Row i sums cells (i, *) and row n + j cells (*, j).
+    """
+    rows = np.zeros((n + m, n, m))
+    i, j = np.arange(n), np.arange(m)
+    rows[i, i, :] = 1.0
+    rows[n + j, :, j] = 1.0
+    return rows.reshape(n + m, n * m)
+
+
 def _min_cost_transport(cost, row, col):
     """Exact linear-programming solve of the transportation problem."""
     n, m = cost.shape
-    # row i sums cells (i, *) and row n + j cells (*, j) of the row-major plan
-    a_eq = np.zeros((n + m, n, m))
-    i, j = np.arange(n), np.arange(m)
-    a_eq[i, i, :] = 1.0
-    a_eq[n + j, :, j] = 1.0
-    a_eq = a_eq.reshape(n + m, n * m)
+    a_eq = _marginal_rows(n, m)
     b_eq = np.concatenate((row, col))
     res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1],
                   bounds=(0, None), method="highs")

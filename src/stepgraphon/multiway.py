@@ -21,7 +21,7 @@ from .errors import (
     ScalingDiverged,
     StepGraphonError,
 )
-from .metrics import dyadic_intervals, hausdorff_from_matrix
+from .metrics import corner_rule, dyadic_intervals, hausdorff_from_matrix
 
 VERTEX_ENUM_CAP = 10_000
 
@@ -72,25 +72,6 @@ def multiway_matrix(W, R):
     return r.T @ W.values @ r
 
 
-def _northwest(row, col, row_order, col_order):
-    """Corner-rule vertex of the transport polytope under the given orders."""
-    r = row.copy()
-    c = col.copy()
-    m = np.zeros((len(row), len(col)))
-    ri, ci = 0, 0
-    while ri < len(row_order) and ci < len(col_order):
-        i, j = row_order[ri], col_order[ci]
-        t = min(r[i], c[j])
-        m[i, j] = t
-        r[i] -= t
-        c[j] -= t
-        if r[i] <= c[j]:
-            ri += 1
-        else:
-            ci += 1
-    return m
-
-
 def _safe_ratio(target, current):
     return np.divide(target, current, out=np.zeros_like(target),
                      where=current > 0)
@@ -130,7 +111,7 @@ def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
     if math.factorial(q) * math.factorial(k) <= VERTEX_ENUM_CAP:
         for row_order in itertools.permutations(range(k)):
             for col_order in itertools.permutations(range(q)):
-                plans.append(_northwest(w, a, row_order, col_order))
+                plans.append(corner_rule(w, a, row_order, col_order))
     else:
         base_rows = list(range(k))
         base_cols = list(range(q))
@@ -139,8 +120,8 @@ def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
                 rows = [i] + [r for r in base_rows if r != i]
                 cols_max = [l] + [c for c in base_cols if c != l]
                 cols_min = [c for c in base_cols if c != l] + [l]
-                plans.append(_northwest(w, a, rows, cols_max))
-                plans.append(_northwest(w, a, rows, cols_min))
+                plans.append(corner_rule(w, a, rows, cols_max))
+                plans.append(corner_rule(w, a, rows, cols_min))
 
     for idx in range(count):
         rng = np.random.default_rng((seed, idx))

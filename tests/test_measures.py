@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stepgraphon import (
     Coupling,
@@ -140,11 +141,24 @@ def test_flatter_exact_rational_mode():
     assert w.feasible and w.residual == 0.0
     w = check_flatter(ENDS, DIRAC_HALF, exact=True)
     assert not w.feasible
-    # exact mode agrees with the float LP on a near-boundary pair
+    # exact mode agrees with the float LP on a near-boundary pair; the call
+    # functions touch at t = 1/2, which leaves a single coupling
     l1 = DiscreteMeasure([0.25, 0.75], [0.5, 0.5])
     l2 = DiscreteMeasure([0.0, 0.5, 1.0], [0.25, 0.5, 0.25])
-    assert check_flatter(l1, l2, exact=True).feasible
+    w = check_flatter(l1, l2, exact=True)
+    assert w.feasible
+    assert w.coupling.matrix.tolist() == [[0.25, 0.25, 0.0], [0.0, 0.25, 0.25]]
     assert check_flatter(l1, l2).feasible
+    # with slack at t = 1/2 the first atom's window starts inside an atom of
+    # l2, and the witness still meets every constraint
+    l1 = DiscreteMeasure([0.375, 0.625], [0.5, 0.5])
+    w = check_flatter(l1, l2, exact=True)
+    assert w.feasible and witness_residual(w, l1, l2) == 0.0
+    # a measure against itself gets the diagonal witness, also at 10 atoms
+    l = DiscreteMeasure(np.linspace(0, 1, 10), np.arange(1, 11) / 55)
+    w = check_flatter(l, l, exact=True)
+    assert w.feasible and w.residual == 0.0
+    assert np.array_equal(w.coupling.matrix, np.diag(l.masses))
 
 
 def test_flatter_constructed_averages_feasible(rng):
@@ -302,8 +316,8 @@ def test_strictly_flatter_operational_definition():
 
 
 def test_exact_and_float_routes_agree(rng):
-    # dual-route check: the rational simplex and the float LP must agree on
-    # feasibility for dyadic data (exact binary expansions)
+    # dual-route check: the exact convex-order certificate and the float LP
+    # must agree on feasibility for dyadic data (exact binary expansions)
     grid = np.linspace(0, 1, 17)  # multiples of 1/16
     agree = 0
     for _ in range(60):
@@ -320,6 +334,8 @@ def test_exact_and_float_routes_agree(rng):
         f = check_flatter(l1, l2)
         e = check_flatter(l1, l2, exact=True)
         assert f.feasible == e.feasible, (l1.to_dict(), l2.to_dict())
+        if e.feasible:
+            assert witness_residual(e, l1, l2) <= 1e-12
         agree += 1
     assert agree == 60
 
@@ -336,6 +352,30 @@ def test_exact_route_on_constructed_feasible_pairs(rng):
             [2 * mass, 2 * mass])
         e = check_flatter(l1, l2, exact=True)
         assert e.feasible and e.residual == 0.0
+
+
+@given(st.data())
+def test_exact_route_certifies_dyadic_merges(data):
+    # distinct atoms on the 1/32 grid with equal dyadic masses; merging runs
+    # of 1, 2 or 4 consecutive atoms keeps every barycenter exact
+    atoms = sorted(data.draw(st.lists(st.integers(0, 32), min_size=1, max_size=10,
+                                      unique=True)))
+    mass = 2.0 ** -data.draw(st.integers(0, 5))
+    sizes = []
+    while sum(sizes) < len(atoms):
+        left = len(atoms) - sum(sizes)
+        sizes.append(data.draw(st.sampled_from([s for s in (1, 2, 4) if s <= left])))
+    l2 = DiscreteMeasure(np.array(atoms) / 32, [mass] * len(atoms))
+    ends = np.cumsum([0] + sizes)
+    l1 = DiscreteMeasure([l2.atoms[a:b].mean() for a, b in zip(ends, ends[1:])],
+                         [mass * s for s in sizes])
+    e = check_flatter(l1, l2, exact=True)
+    assert e.feasible and e.residual == 0.0
+    assert witness_residual(e, l1, l2) <= 1e-12
+    assert check_flatter(l1, l2).feasible
+    merged = max(sizes) > 1
+    assert check_flatter(l2, l1, exact=True).feasible is not merged
+    assert check_flatter(l2, l1).feasible is not merged
 
 
 def test_exact_route_rejects_rounded_barycenters():

@@ -24,6 +24,7 @@ from stepgraphon import (
     weak_star_distance,
 )
 from stepgraphon import metrics
+from stepgraphon.measures import DiscreteMeasure, _flatness_system
 from stepgraphon.metrics import dyadic_intervals
 from stepgraphon.named import bipartite_graphon
 
@@ -378,6 +379,15 @@ def test_transport_constraints_are_row_and_column_sums(monkeypatch):
                                        np.full(n, 1 / n), np.full(m, 1 / m))
     assert np.array_equal(seen[0], expected[:-1])
     assert np.allclose(plan.sum(axis=1), 1 / n) and np.allclose(plan.sum(axis=0), 1 / m)
+    # the flatness system stacks one barycenter row per atom of l1 below them
+    l1 = DiscreteMeasure([0.2, 0.5, 0.9], [0.3, 0.3, 0.4])
+    l2 = DiscreteMeasure([0.0, 0.25, 0.75, 1.0], [0.25] * 4)
+    bary = np.zeros((n, n * m))
+    for i in range(n):
+        bary[i, i * m:(i + 1) * m] = l2.atoms
+    a, b = _flatness_system(l1, l2)
+    assert np.array_equal(a, np.vstack((expected, bary)))
+    assert np.array_equal(b, np.concatenate((l1.masses, l2.masses, l1.masses * l1.atoms)))
 
 
 def test_heuristic_start_table_is_cached_and_read_only():
