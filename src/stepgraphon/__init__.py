@@ -20,8 +20,6 @@ from .core import (
     int_f,
     interlace_version,
     l1_distance,
-    make_signed_kernel,
-    make_step_graphon,
     rectangle_integral,
     reorder_by_ordered_partition,
     split_reconstruct,
@@ -61,7 +59,7 @@ from .metrics import (
     cut_distance,
     cut_norm,
     cut_norm_distance,
-    hausdorff_distance,
+    l1_hausdorff,
     overlap_coupling,
     weak_star_distance,
 )

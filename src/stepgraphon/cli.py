@@ -14,11 +14,11 @@ import math
 import sys
 
 from . import io
-from .core import edge_density, int_f
+from .core import SignedStepKernel, StepGraphon, edge_density, int_f
 from .errors import ScalingDiverged, SolverFailure, StepGraphonError
-from .measures import check_flatter
+from .measures import DiscreteMeasure, check_flatter
 from .metrics import cut_distance, cut_norm, weak_star_distance
-from .multiway import multiway_hausdorff, sample_multiway_set
+from .multiway import MultiwayMatrixSet, multiway_hausdorff, sample_multiway_set
 from .named import NAMED, build_named_graphon
 from .order import chi_estimate, order_check, sample_envelope
 from .scenarios import SCENARIOS, reproduce
@@ -225,13 +225,13 @@ def _run(args):
         return CommandOutcome(EXIT_OK, report)
 
     if args.command == "density":
-        g = io.load_graphon(args.w)
+        g = io.load(args.w, StepGraphon)
         report = {"density": edge_density(g)}
         _emit(args, report)
         return CommandOutcome(EXIT_OK, report)
 
     if args.command == "intf":
-        g = io.load_graphon(args.w)
+        g = io.load(args.w, StepGraphon)
         funcs = {"x2": lambda x: x * x,
                  "abs": lambda x: abs(x - 0.5),
                  "exp": math.exp}
@@ -240,7 +240,7 @@ def _run(args):
         return CommandOutcome(EXIT_OK, report)
 
     if args.command == "cutnorm":
-        kernel = io.load_kernel(args.y)
+        kernel = io.load(args.y, SignedStepKernel)
         mode = "heuristic" if args.heuristic else "exact"
         res = cut_norm(kernel, mode=mode, seed=args.seed)
         report = res.to_dict()
@@ -248,8 +248,8 @@ def _run(args):
         return CommandOutcome(EXIT_OK, report)
 
     if args.command == "cutdist":
-        u = io.load_graphon(args.u)
-        w = io.load_graphon(args.w)
+        u = io.load(args.u, StepGraphon)
+        w = io.load(args.w, StepGraphon)
         val, coupling = cut_distance(u, w, budget=args.budget,
                                      seed=args.seed)
         report = {"cut_distance_upper_bound": val}
@@ -259,16 +259,16 @@ def _run(args):
         return CommandOutcome(EXIT_OK, report)
 
     if args.command == "wstar":
-        u = io.load_graphon(args.u)
-        w = io.load_graphon(args.w)
+        u = io.load(args.u, StepGraphon)
+        w = io.load(args.w, StepGraphon)
         report = {"weak_star_distance": weak_star_distance(u, w, args.depth),
                   "depth": args.depth}
         _emit(args, report)
         return CommandOutcome(EXIT_OK, report)
 
     if args.command == "flatness":
-        l1 = io.load_measure(args.l1)
-        l2 = io.load_measure(args.l2)
+        l1 = io.load(args.l1, DiscreteMeasure)
+        l2 = io.load(args.l2, DiscreteMeasure)
         witness = check_flatter(l1, l2, exact=args.exact_rational)
         report = witness.to_dict()
         _emit(args, report, obj=witness)
@@ -277,15 +277,15 @@ def _run(args):
 
     if args.command == "order":
         if args.order_command == "check":
-            u = io.load_graphon(args.u)
-            w = io.load_graphon(args.w)
+            u = io.load(args.u, StepGraphon)
+            w = io.load(args.w, StepGraphon)
             verdict = order_check(u, w)
             report = verdict.to_dict()
             _emit(args, report)
             code = EXIT_REFUTED if verdict.refuted else EXIT_OK
             return CommandOutcome(code, report)
         if args.order_command == "envelope":
-            w = io.load_graphon(args.w)
+            w = io.load(args.w, StepGraphon)
             sample = sample_envelope(w, args.n, args.count, args.depth, args.seed)
             report = {"resolution": sample.resolution, "depth": sample.depth,
                       "count": len(sample)}
@@ -294,8 +294,8 @@ def _run(args):
             _emit(args, report, obj=sample)
             return CommandOutcome(EXIT_OK, report)
         if args.order_command == "chi":
-            u = io.load_graphon(args.u)
-            w = io.load_graphon(args.w)
+            u = io.load(args.u, StepGraphon)
+            w = io.load(args.w, StepGraphon)
             val = chi_estimate(u, w, args.n, args.count, args.depth, args.seed)
             report = {"chi_estimate": val}
             _emit(args, report)
@@ -303,7 +303,7 @@ def _run(args):
 
     if args.command == "multiway":
         if args.multiway_command == "sample":
-            w = io.load_graphon(args.w)
+            w = io.load(args.w, StepGraphon)
             sample = sample_multiway_set(w, args.a, args.count, args.seed)
             report = {"a": sample.a.tolist(), "count": len(sample)}
             if not args.out:
@@ -311,8 +311,8 @@ def _run(args):
             _emit(args, report, obj=sample)
             return CommandOutcome(EXIT_OK, report)
         if args.multiway_command == "hausdorff":
-            su = io.load_matrix_set(args.su)
-            sw = io.load_matrix_set(args.sw)
+            su = io.load(args.su, MultiwayMatrixSet)
+            sw = io.load(args.sw, MultiwayMatrixSet)
             report = {"hausdorff": multiway_hausdorff(su, sw)}
             _emit(args, report)
             return CommandOutcome(EXIT_OK, report)

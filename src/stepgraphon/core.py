@@ -81,18 +81,17 @@ class StepGraphon:
         cum[-1] = 1.0
         return cum
 
-    def value_at(self, x, y):
-        """Point evaluation; points on breakpoints resolve to the right block."""
-        cum = self.cumulative()
-        i = _locate(cum, x)
-        j = _locate(cum, y)
-        return float(self.values[i, j])
-
     def to_dict(self):
         return {"weights": self.weights.tolist(), "values": self.values.tolist()}
 
     @classmethod
     def from_dict(cls, d):
+        """Read `to_dict` output; a `"signed"` flag reads as SignedStepKernel.
+
+        SignedStepKernel.from_dict reads a file with or without the flag.
+        """
+        if d.get("signed"):
+            cls = SignedStepKernel
         return cls(d["weights"], d["values"])
 
     def __repr__(self):
@@ -247,15 +246,6 @@ def _locate(cum, x):
 def _symmetrize(m):
     """Bitwise-symmetric copy; commutativity of + makes (m + m.T) exact."""
     return 0.5 * (m + m.T)
-
-
-def make_step_graphon(weights, values):
-    """Validated constructor; raises the named errors on bad input."""
-    return StepGraphon(weights, values)
-
-
-def make_signed_kernel(weights, values):
-    return SignedStepKernel(weights, values)
 
 
 def edge_density(W):

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .core import SignedStepKernel, StepFunction1D, StepGraphon
 from .errors import StepGraphonError
-from .measures import DiscreteMeasure
-from .metrics import Coupling
-from .multiway import MultiwayMatrixSet
-from .order import EnvelopeSample
 
 
 def dumps(obj, indent=None):
@@ -29,67 +24,21 @@ def save(obj, path, indent=2):
         fh.write("\n")
 
 
-def _load_json(path):
+def load(path, cls):
+    """Read a file written by `save` as `cls.from_dict` of its JSON object.
+
+    An unreadable file, a top-level value that is not an object, and fields
+    the constructor cannot convert (KeyError, TypeError, ValueError) raise
+    StepGraphonError; the constructors' own named errors pass through.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            d = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise StepGraphonError(f"cannot read {path}: {exc}") from exc
-
-
-def load_graphon(path):
-    d = _load_json(path)
+    if not isinstance(d, dict):
+        raise StepGraphonError(f"{path} holds a JSON {type(d).__name__}, not an object")
     try:
-        if d.get("signed"):
-            return SignedStepKernel(d["weights"], d["values"])
-        return StepGraphon(d["weights"], d["values"])
-    except (KeyError, TypeError) as exc:
-        raise StepGraphonError(f"{path} is not a step kernel file: {exc}") from exc
-
-
-def load_kernel(path):
-    d = _load_json(path)
-    try:
-        return SignedStepKernel(d["weights"], d["values"])
-    except (KeyError, TypeError) as exc:
-        raise StepGraphonError(f"{path} is not a signed kernel file: {exc}") from exc
-
-
-def load_measure(path):
-    d = _load_json(path)
-    try:
-        return DiscreteMeasure(d["atoms"], d["masses"])
-    except (KeyError, TypeError) as exc:
-        raise StepGraphonError(f"{path} is not a measure file: {exc}") from exc
-
-
-def load_coupling(path):
-    d = _load_json(path)
-    try:
-        return Coupling.from_dict(d)
-    except (KeyError, TypeError) as exc:
-        raise StepGraphonError(f"{path} is not a coupling file: {exc}") from exc
-
-
-def load_step_function(path):
-    d = _load_json(path)
-    try:
-        return StepFunction1D.from_dict(d)
-    except (KeyError, TypeError) as exc:
-        raise StepGraphonError(f"{path} is not a step-function file: {exc}") from exc
-
-
-def load_matrix_set(path):
-    d = _load_json(path)
-    try:
-        return MultiwayMatrixSet.from_dict(d)
-    except (KeyError, TypeError) as exc:
-        raise StepGraphonError(f"{path} is not a cut-set file: {exc}") from exc
-
-
-def load_envelope(path):
-    d = _load_json(path)
-    try:
-        return EnvelopeSample.from_dict(d)
-    except (KeyError, TypeError) as exc:
-        raise StepGraphonError(f"{path} is not an envelope sample file: {exc}") from exc
+        return cls.from_dict(d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StepGraphonError(f"{path} is not a {cls.__name__} file: {exc!r}") from exc

@@ -347,11 +347,6 @@ def add_measures(l1, l2):
     )
 
 
-def graphon_measures(W):
-    """(range frequencies, degree frequencies) of a step graphon."""
-    return range_frequencies(W), degree_frequencies(W)
-
-
 __all__ = [
     "DiscreteMeasure",
     "FlatnessWitness",
@@ -363,5 +358,4 @@ __all__ = [
     "ConvexOrderReport",
     "strictly_flatter",
     "add_measures",
-    "graphon_measures",
 ]

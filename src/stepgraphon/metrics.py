@@ -95,16 +95,6 @@ class Coupling:
         """Greedy corner rule; aligns two interval partitions in order."""
         return cls(corner_rule(row, col), row, col)
 
-    @classmethod
-    def permutation(cls, perm, masses):
-        w = np.asarray(masses, dtype=float)
-        m = np.zeros((len(w), len(w)))
-        col = np.zeros(len(w))
-        for i, p in enumerate(perm):
-            m[i, p] = w[i]
-            col[p] = w[i]
-        return cls(m, w, col)
-
 
 def corner_rule(row, col, row_order=None, col_order=None):
     """Corner-rule vertex of the transport polytope under the given orders.
@@ -567,18 +557,26 @@ def weak_star_distance(U, W, depth):
     return float((signature_weights(depth) * np.abs(diff)).sum())
 
 
-def hausdorff_distance(points_a, points_b, metric):
-    """Two-sided sup-inf distance between finite point sets."""
-    pa, pb = list(points_a), list(points_b)
-    if not pa or not pb:
-        raise EmptySet("hausdorff distance needs nonempty sets")
-    d_ab = max(min(metric(x, y) for y in pb) for x in pa)
-    d_ba = max(min(metric(x, y) for x in pa) for y in pb)
-    return float(max(d_ab, d_ba))
-
-
 def hausdorff_from_matrix(d):
+    """Two-sided sup-inf distance from the matrix of pairwise distances."""
     d = np.asarray(d, dtype=float)
     if d.size == 0:
         raise EmptySet("hausdorff distance needs nonempty sets")
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def l1_hausdorff(points_a, points_b, weights):
+    """Hausdorff distance of two finite point sets under a weighted l1 metric.
+
+    Points are rows; x and y lie |x - y| @ weights apart.  The distance
+    matrix is filled one row of points_a at a time, so the temporary stays
+    the size of points_b rather than of every pair.
+    """
+    a = np.asarray(points_a, dtype=float)
+    b = np.asarray(points_b, dtype=float)
+    if len(a) == 0 or len(b) == 0:
+        raise EmptySet("hausdorff distance needs nonempty sets")
+    d = np.empty((len(a), len(b)))
+    for i in range(len(a)):
+        d[i] = np.abs(b - a[i]) @ weights
+    return hausdorff_from_matrix(d)

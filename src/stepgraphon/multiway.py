@@ -21,7 +21,7 @@ from .errors import (
     ScalingDiverged,
     StepGraphonError,
 )
-from .metrics import corner_rule, dyadic_intervals, hausdorff_from_matrix
+from .metrics import corner_rule, dyadic_intervals, l1_hausdorff
 
 VERTEX_ENUM_CAP = 10_000
 
@@ -78,6 +78,15 @@ def _safe_ratio(target, current):
 
 
 def _scaled_random(rng, row, col, cap=500, residual_tol=1e-10):
+    """Seeded interior plan with marginals row and col, by Sinkhorn scaling.
+
+    Once both residuals are below residual_tol, one more row scaling puts
+    the row sums on `row` up to rounding.  A cut matrix's total is s^T V s
+    for the plan's row sums s, so it then stays on the edge density.  That
+    step moves each column sum by at most the summed row residuals it
+    removes (each below residual_tol), so the column sums may miss `col`
+    by about residual_tol; nothing checks them.
+    """
     m = rng.random((len(row), len(col))) + 0.05
     res = np.inf
     for _ in range(cap):
@@ -86,6 +95,7 @@ def _scaled_random(rng, row, col, cap=500, residual_tol=1e-10):
         res = max(np.abs(m.sum(axis=1) - row).max(),
                   np.abs(m.sum(axis=0) - col).max())
         if res < residual_tol:
+            m *= _safe_ratio(row, m.sum(axis=1))[:, None]
             return m
     raise ScalingDiverged(res, cap)
 
@@ -147,14 +157,10 @@ def multiway_hausdorff(su, sw):
     """Hausdorff distance of two sampled cut sets under entrywise l1."""
     if su.q != sw.q:
         raise DimensionMismatch(f"part counts differ: {su.q} != {sw.q}")
-    na, nb = len(su), len(sw)
-    if na == 0 or nb == 0:
+    if len(su) == 0 or len(sw) == 0:
         raise DimensionMismatch("cut sets must be nonempty")
-    d = np.zeros((na, nb))
-    for i, m in enumerate(su.matrices):
-        for j, npr in enumerate(sw.matrices):
-            d[i, j] = np.abs(m - npr).sum()
-    return hausdorff_from_matrix(d)
+    return l1_hausdorff([m.ravel() for m in su.matrices],
+                        [m.ravel() for m in sw.matrices], np.ones(su.q * su.q))
 
 
 def part_index_bound(a, depth):

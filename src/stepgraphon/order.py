@@ -21,11 +21,7 @@ from .core import (
 )
 from .errors import NoInteriorValues
 from .measures import check_flatter, degree_frequencies, range_frequencies
-from .metrics import (
-    hausdorff_from_matrix,
-    rectangle_signature,
-    signature_weights,
-)
+from .metrics import l1_hausdorff, rectangle_signature, signature_weights
 
 
 class OrderVerdict:
@@ -234,10 +230,5 @@ def chi_estimate(U, W, n, count, depth, seed=0):
     """
     eu = sample_envelope(U, n, count, depth, seed)
     ew = sample_envelope(W, n, count, depth, seed)
-    w = signature_weights(depth).ravel()
-    a = eu.signatures
-    b = ew.signatures
-    d = np.zeros((len(a), len(b)))
-    for i in range(len(a)):
-        d[i] = np.abs(b - a[i]) @ w
-    return hausdorff_from_matrix(d)
+    return l1_hausdorff(eu.signatures, ew.signatures,
+                        signature_weights(depth).ravel())

@@ -187,27 +187,17 @@ def multiway_scenario(seed=0, trials=3, invariance_tol=1e-9):
                 "constants_distance": d01, "constants_ok": const_ok}
 
 
-def reproduce(which, eps=None, seed=0, tolerances=None):
-    """Dispatch a named scenario; returns (passed, report).
-
-    `tolerances` overrides the scenario's named tolerance knobs
-    (chessboard: depth/threshold; flatness: residual; chains: l1_slack,
-    cut_slack; multiway: invariance_tol).
-    """
-    tol = tolerances or {}
+def reproduce(which, eps=None, seed=0):
+    """Dispatch a named scenario; returns (passed, report)."""
     if which == "chessboard":
-        return chessboard_scenario(depth=tol.get("depth", 6),
-                                   threshold=tol.get("threshold", 0.01))
+        return chessboard_scenario()
     if which == "counterexample":
         eps_values = (eps,) if eps else (2 ** -4, 2 ** -6, 2 ** -8)
         return counterexample_scenario(eps_values)
     if which == "flatness":
-        return flatness_scenario(residual_tol=tol.get("residual", 1e-9))
+        return flatness_scenario()
     if which == "chains":
-        return chains_scenario(seed=seed,
-                               l1_slack=tol.get("l1_slack", 1e-12),
-                               cut_slack=tol.get("cut_slack", 2e-6))
+        return chains_scenario(seed=seed)
     if which == "multiway":
-        return multiway_scenario(seed=seed,
-                                 invariance_tol=tol.get("invariance_tol", 1e-9))
+        return multiway_scenario(seed=seed)
     raise ValueError(f"unknown scenario {which!r}; expected one of {SCENARIOS}")

@@ -6,6 +6,8 @@ import pytest
 
 from stepgraphon import io
 from stepgraphon.cli import main
+from stepgraphon.core import StepGraphon
+from stepgraphon.order import EnvelopeSample
 
 
 def run_cli(args, capsys):
@@ -19,7 +21,7 @@ def test_build_and_density_roundtrip(tmp_path, capsys):
     code, _ = run_cli(["build", "--name", "u1", "--eps", "0.125",
                        "--out", str(path)], capsys)
     assert code == 0
-    g = io.load_graphon(path)
+    g = io.load(path, StepGraphon)
     assert g.k == 2
     code, out = run_cli(["density", "--w", str(path), "--json"], capsys)
     assert code == 0
@@ -29,9 +31,9 @@ def test_build_and_density_roundtrip(tmp_path, capsys):
 def test_roundtrip_field_identity(tmp_path, capsys):
     path = tmp_path / "w1.json"
     run_cli(["build", "--name", "w1", "--eps", "0.0625", "--out", str(path)], capsys)
-    g1 = io.load_graphon(path)
+    g1 = io.load(path, StepGraphon)
     io.save(g1, path)
-    g2 = io.load_graphon(path)
+    g2 = io.load(path, StepGraphon)
     assert g1.weights.tolist() == g2.weights.tolist()
     assert g1.values.tolist() == g2.values.tolist()
 
@@ -105,7 +107,7 @@ def test_order_envelope_and_chi(tmp_path, capsys):
                        "--count", "5", "--depth", "3", "--seed", "7",
                        "--out", str(out)], capsys)
     assert code == 0
-    sample = io.load_envelope(out)
+    sample = io.load(out, EnvelopeSample)
     assert sample.resolution == 8
     code, text = run_cli(["order", "chi", "--u", str(bip), "--w", str(bip),
                           "--n", "8", "--count", "5", "--depth", "3",
@@ -171,6 +173,23 @@ def test_bad_values_exit_one_without_traceback(tmp_path, capsys, option, args):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("usage: ")
     assert proc.stderr.splitlines()[-1].startswith(f"error: argument {option}: ")
+
+
+@pytest.mark.parametrize("command, content", [
+    ("density", [1, 2]),
+    ("flatness", {"atoms": ["a"], "masses": [1]}),
+    ("density", {"weights": [1.0], "values": "x"}),
+], ids=["top-level-list", "measure-atom-not-number", "values-not-matrix"])
+def test_malformed_files_exit_one_without_traceback(tmp_path, command, content):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    args = {"density": ["--w", str(path)],
+            "flatness": ["--l1", str(path), "--l2", str(path)]}[command]
+    proc = subprocess.run([sys.executable, "-m", "stepgraphon.cli", command] + args,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
 
 
 def test_determinism_byte_identical():

@@ -22,7 +22,6 @@ from stepgraphon import (
     int_f,
     interlace_version,
     l1_distance,
-    make_step_graphon,
     rectangle_integral,
     reorder_by_ordered_partition,
     split_reconstruct,
@@ -36,20 +35,20 @@ from conftest import random_graphon
 # ---------------------------------------------------------------- construction
 
 def test_constant_one_block():
-    g = make_step_graphon([1.0], [[0.5]])
+    g = StepGraphon([1.0], [[0.5]])
     assert g.k == 1
     assert edge_density(g) == 0.5
 
 
 def test_bipartite_construction():
-    g = make_step_graphon([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    g = StepGraphon([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
     assert edge_density(g) == 0.5
 
 
 def test_w1_pattern_construction():
     eps = 1 / 8
     e2 = 4 * (eps - eps * eps)
-    g = make_step_graphon(
+    g = StepGraphon(
         [0.25 - eps / 2, eps, 0.25 - eps / 2, 0.5],
         [[0, 1, 0, 1], [1, 1, 1, 1], [0, 1, 0, 1], [1, 1, 1, e2]],
     )
@@ -60,27 +59,27 @@ def test_w1_pattern_construction():
 
 def test_construction_errors_name_offender():
     with pytest.raises(AsymmetricValues) as err:
-        make_step_graphon([0.5, 0.5], [[0.0, 1.0], [0.5, 0.0]])
+        StepGraphon([0.5, 0.5], [[0.0, 1.0], [0.5, 0.0]])
     assert err.value.index == (0, 1)
     with pytest.raises(ValueOutOfRange) as err:
-        make_step_graphon([0.5, 0.5], [[0.0, 1.5], [1.5, 0.0]])
+        StepGraphon([0.5, 0.5], [[0.0, 1.5], [1.5, 0.0]])
     assert err.value.index == (0, 1)
     with pytest.raises(WeightsNotNormalized):
-        make_step_graphon([0.5, 0.6], [[0.0, 1.0], [1.0, 0.0]])
+        StepGraphon([0.5, 0.6], [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(WeightsNotNormalized) as err:
-        make_step_graphon([-0.5, 1.5], [[0.0, 1.0], [1.0, 0.0]])
+        StepGraphon([-0.5, 1.5], [[0.0, 1.0], [1.0, 0.0]])
     assert err.value.index == 0
     values = np.zeros((3, 3))
     with pytest.raises(WeightsNotNormalized, match="at index 1") as err:
-        make_step_graphon([0.5, -0.25, 0.75], values)
+        StepGraphon([0.5, -0.25, 0.75], values)
     assert err.value.index == 1
     with pytest.raises(WeightsNotNormalized, match="at index 1") as err:
-        make_step_graphon([0.5, float("nan"), -0.25], values)
+        StepGraphon([0.5, float("nan"), -0.25], values)
     assert err.value.index == 1
 
 
 def test_zero_weight_blocks_are_retained_and_ignored():
-    g = make_step_graphon([0.5, 0.0, 0.5], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    g = StepGraphon([0.5, 0.0, 0.5], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert g.k == 3
     assert edge_density(g) == pytest.approx(0.5, abs=1e-15)
 
@@ -94,7 +93,7 @@ def test_signed_kernel_range():
 # ---------------------------------------------------------------- functionals
 
 def test_edge_density_examples():
-    assert edge_density(make_step_graphon([1.0], [[0.3]])) == 0.3
+    assert edge_density(StepGraphon([1.0], [[0.3]])) == 0.3
     assert edge_density(bipartite_graphon()) == 0.5
     # closed-form integration of the averaged kernel, eps = 1/8:
     # 0.5 * 4(eps - eps^2) + 0.5 = 0.71875
@@ -113,13 +112,13 @@ def test_edge_density_monte_carlo_oracle(rng):
 
 
 def test_degree_function_examples():
-    const = make_step_graphon([1.0], [[0.4]])
+    const = StepGraphon([1.0], [[0.4]])
     assert degree_function(const).values.tolist() == [0.4]
     # the balanced two-block kernel is 1/2-regular
     deg = degree_function(bipartite_graphon())
     assert deg.values.tolist() == [0.5, 0.5]
     # direct block sums: row 0 -> 0.5*1, row 1 -> 0
-    g = make_step_graphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]])
+    g = StepGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]])
     assert degree_function(g).values.tolist() == [0.5, 0.0]
     assert degree_function(g).integral() == pytest.approx(edge_density(g), abs=1e-15)
 
@@ -127,7 +126,7 @@ def test_degree_function_examples():
 def test_int_f_examples():
     g = random_graphon(np.random.default_rng(1))
     assert int_f(g, lambda x: x) == pytest.approx(edge_density(g), abs=1e-12)
-    assert int_f(make_step_graphon([1.0], [[0.5]]), lambda x: x * x) == 0.25
+    assert int_f(StepGraphon([1.0], [[0.5]]), lambda x: x * x) == 0.25
     # block sum: pairs (0,1) and (1,0) carry value 1, each mass 1/4
     assert int_f(bipartite_graphon(), lambda x: x * x) == 0.5
 

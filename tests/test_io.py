@@ -1,0 +1,52 @@
+import json
+
+import pytest
+
+from stepgraphon import io
+from stepgraphon.core import SignedStepKernel, StepFunction1D, StepGraphon
+from stepgraphon.errors import ValueOutOfRange
+from stepgraphon.measures import DiscreteMeasure
+from stepgraphon.metrics import Coupling
+from stepgraphon.multiway import sample_multiway_set
+from stepgraphon.named import bipartite_graphon
+from stepgraphon.order import sample_envelope
+
+SIGNED = SignedStepKernel([0.5, 0.5], [[-0.5, 0.5], [0.5, -0.5]])
+
+OBJECTS = [
+    StepGraphon([0.25, 0.75], [[0.1, 0.6], [0.6, 0.9]]),
+    SIGNED,
+    StepFunction1D([0.0, 0.3, 1.0], [0.2, 0.9]),
+    DiscreteMeasure([0.0, 0.5, 1.0], [0.25, 0.5, 0.25]),
+    Coupling([[0.25, 0.25], [0.25, 0.25]]),
+    sample_multiway_set(bipartite_graphon(), [0.5, 0.5], count=2, seed=1),
+    sample_envelope(bipartite_graphon(), 4, count=2, depth=1, seed=7),
+]
+
+
+@pytest.mark.parametrize("obj", OBJECTS, ids=[type(o).__name__ for o in OBJECTS])
+def test_load_round_trip(tmp_path, obj):
+    path = tmp_path / "obj.json"
+    io.save(obj, path)
+    loaded = io.load(path, type(obj))
+    assert type(loaded) is type(obj)
+    assert loaded.to_dict() == obj.to_dict()
+
+
+def test_signed_file_loads_signed_as_step_graphon(tmp_path):
+    path = tmp_path / "y.json"
+    io.save(SIGNED, path)
+    loaded = io.load(path, StepGraphon)
+    assert type(loaded) is SignedStepKernel
+    assert loaded.to_dict() == SIGNED.to_dict()
+
+
+def test_flagless_signed_file_loads_as_signed_kernel(tmp_path):
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps({"weights": SIGNED.weights.tolist(),
+                                "values": SIGNED.values.tolist()}))
+    loaded = io.load(path, SignedStepKernel)
+    assert type(loaded) is SignedStepKernel
+    assert loaded.to_dict() == SIGNED.to_dict()
+    with pytest.raises(ValueOutOfRange):
+        io.load(path, StepGraphon)

@@ -17,8 +17,8 @@ from stepgraphon import (
     cut_norm,
     cut_norm_distance,
     grid_version,
-    hausdorff_distance,
     l1_distance,
+    l1_hausdorff,
     interlace_version,
     overlap_coupling,
     weak_star_distance,
@@ -434,25 +434,74 @@ def test_weak_star_interlacing_collapse():
 
 # ------------------------------------------------------------------ hausdorff
 
+def _points(xs):
+    """1-d points as the rows of a column."""
+    return np.asarray(xs, dtype=float).reshape(-1, 1)
+
+
 def test_hausdorff_examples():
-    d = lambda x, y: abs(x - y)
-    assert hausdorff_distance([0.0, 1.0], [0.0, 1.0], d) == 0.0
-    assert hausdorff_distance([0.0], [1.0], d) == 1.0
+    one = [1.0]
+    assert l1_hausdorff(_points([0.0, 1.0]), _points([0.0, 1.0]), one) == 0.0
+    assert l1_hausdorff(_points([0.0]), _points([1.0]), one) == 1.0
     # four pairwise distances: 0.4, 0.6 -> directed sups 0.6 and 0.4
-    assert hausdorff_distance([0.0, 1.0], [0.4], d) == pytest.approx(0.6)
+    assert l1_hausdorff(_points([0.0, 1.0]), _points([0.4]), one) == pytest.approx(0.6)
     with pytest.raises(EmptySet):
-        hausdorff_distance([], [0.0], d)
+        l1_hausdorff(_points([]), _points([0.0]), one)
+    with pytest.raises(EmptySet):
+        l1_hausdorff(_points([0.0]), _points([]), one)
 
 
 def test_hausdorff_symmetry_and_triangle(rng):
-    d = lambda x, y: abs(x - y)
+    one = [1.0]
     for _ in range(30):
-        a = rng.random(int(rng.integers(1, 6))).tolist()
-        b = rng.random(int(rng.integers(1, 6))).tolist()
-        c = rng.random(int(rng.integers(1, 6))).tolist()
-        dab = hausdorff_distance(a, b, d)
-        assert dab == hausdorff_distance(b, a, d)
-        assert dab <= hausdorff_distance(a, c, d) + hausdorff_distance(c, b, d) + 1e-12
+        a = _points(rng.random(int(rng.integers(1, 6))))
+        b = _points(rng.random(int(rng.integers(1, 6))))
+        c = _points(rng.random(int(rng.integers(1, 6))))
+        dab = l1_hausdorff(a, b, one)
+        assert dab == l1_hausdorff(b, a, one)
+        assert dab <= l1_hausdorff(a, c, one) + l1_hausdorff(c, b, one) + 1e-12
+
+
+@st.composite
+def weighted_clouds(draw, n_sets=3):
+    """Point sets in dimension 1-4 and nonnegative metric weights.
+
+    Coordinates are multiples of 1/64 and weights multiples of 1/8, so every
+    weighted l1 distance is exact in floating point and any summation order
+    gives the same value; the properties below can then compare with ==.
+    """
+    dim = draw(st.integers(1, 4))
+    coords = st.integers(0, 64).map(lambda n: n / 64)
+    weights = draw(st.lists(st.integers(0, 8).map(lambda n: n / 8),
+                            min_size=dim, max_size=dim))
+    sets = []
+    for _ in range(n_sets):
+        n = draw(st.integers(1, 6))
+        flat = draw(st.lists(coords, min_size=n * dim, max_size=n * dim))
+        sets.append(np.array(flat).reshape(n, dim))
+    return sets, np.array(weights)
+
+
+@given(weighted_clouds())
+def test_l1_hausdorff_properties(clouds):
+    (a, b, c), w = clouds
+
+    def dist(x, y):
+        return float(np.abs(x - y) @ w)
+
+    brute = max(max(min(dist(x, y) for y in b) for x in a),
+                max(min(dist(x, y) for x in a) for y in b))
+    dab = l1_hausdorff(a, b, w)
+    assert dab == brute
+    assert dab == l1_hausdorff(b, a, w)
+    assert dab <= l1_hausdorff(a, c, w) + l1_hausdorff(c, b, w) + 1e-12
+
+
+@given(weighted_clouds(n_sets=1), st.data())
+def test_l1_hausdorff_zero_under_row_permutation(clouds, data):
+    (a,), w = clouds
+    order = data.draw(st.permutations(range(len(a))))
+    assert l1_hausdorff(a, a[list(order)], w) == 0.0
 
 
 def test_overlap_coupling_matches_shared_geometry():

@@ -74,6 +74,33 @@ def test_sample_bipartite_vertex_range():
     assert max(tops) > 0.1
 
 
+# Cells of the `probes` benchmark job 23 at seed 9108: with the Sinkhorn
+# plans ending on a column scaling, one cut matrix total missed the edge
+# density by more than 1e-10 and sample_multiway_set raised.
+DRIFT_VALUES = [
+    [0.09895740778043194, 0.09344437622225088, 0.35501255308853963,
+     0.1435687014993967, 0.07322647835441354, 0.01778639874660415],
+    [0.09344437622225088, 0.8894377639332368, 0.46275321770453115,
+     0.9953437875745226, 0.892319144453414, 0.9145847157937325],
+    [0.35501255308853963, 0.46275321770453115, 0.09072510986281723,
+     0.6658497208614456, 0.7433275836532482, 0.0775469701628777],
+    [0.1435687014993967, 0.9953437875745226, 0.6658497208614456,
+     0.8200070645302604, 0.16177193998950512, 0.9879852312023198],
+    [0.07322647835441354, 0.892319144453414, 0.7433275836532482,
+     0.16177193998950512, 0.1343703734534175, 0.10756535133975997],
+    [0.01778639874660415, 0.9145847157937325, 0.0775469701628777,
+     0.9879852312023198, 0.10756535133975997, 0.6261171601329516],
+]
+
+
+def test_interior_plans_keep_the_edge_density():
+    g = StepGraphon(np.full(6, 1 / 6), DRIFT_VALUES)
+    s = sample_multiway_set(g, [0.5, 0.5], count=10)
+    dens = edge_density(g)
+    for m in s.matrices:
+        assert abs(m.sum() - dens) <= 1e-10
+
+
 def test_provenance_reproduces_matrices(rng):
     g = random_graphon(rng, k=3)
     s = sample_multiway_set(g, [0.25, 0.75], count=5, seed=5)

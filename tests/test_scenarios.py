@@ -1,8 +1,5 @@
-import numpy as np
 import pytest
 
-from stepgraphon import io
-from stepgraphon.metrics import Coupling
 from stepgraphon.scenarios import (
     chains_scenario,
     chessboard_scenario,
@@ -60,20 +57,11 @@ def test_reproduce_counterexample_single_eps():
     assert len(report["rows"]) == 1
 
 
-def test_coupling_json_roundtrip(tmp_path):
-    c = Coupling([[0.25, 0.25], [0.25, 0.25]])
-    path = tmp_path / "c.json"
-    io.save(c, path)
-    c2 = io.load_coupling(path)
-    assert np.allclose(c.matrix, c2.matrix)
-    assert np.allclose(c.row_marginal, c2.row_marginal)
-
-
-def test_reproduce_tolerance_overrides():
-    ok, report = reproduce("chessboard", tolerances={"threshold": 0.5})
+def test_scenario_tolerance_overrides():
+    ok, report = chessboard_scenario(threshold=0.5)
     assert ok and report["threshold"] == 0.5
     # an impossible slack flips the chains verdict
-    ok, _ = reproduce("chains", seed=1, tolerances={"cut_slack": -1.0})
+    ok, _ = chains_scenario(seed=1, cut_slack=-1.0)
     assert not ok
-    ok, _ = reproduce("flatness", tolerances={"residual": 1e-6})
+    ok, _ = flatness_scenario(residual_tol=1e-6)
     assert ok
