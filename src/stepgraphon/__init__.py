@@ -32,6 +32,7 @@ from .errors import (
     MarginalMismatch,
     NoInteriorValues,
     PartitionMismatch,
+    ProvenanceMismatch,
     ResolutionIncompatible,
     ScalingDiverged,
     SolverFailure,

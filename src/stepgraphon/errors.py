@@ -68,6 +68,10 @@ class ScalingDiverged(StepGraphonError):
         )
 
 
+class ProvenanceMismatch(StepGraphonError):
+    """Cut-set partitions do not match its matrices, part masses or source weights."""
+
+
 class DimensionMismatch(StepGraphonError):
     """Matrix sets with different part counts cannot be compared."""
 

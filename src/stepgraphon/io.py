@@ -28,8 +28,9 @@ def load(path, cls):
     """Read a file written by `save` as `cls.from_dict` of its JSON object.
 
     An unreadable file, a top-level value that is not an object, and fields
-    the constructor cannot convert (KeyError, TypeError, ValueError) raise
-    StepGraphonError; the constructors' own named errors pass through.
+    the constructor cannot convert (KeyError, TypeError, ValueError,
+    OverflowError) raise StepGraphonError; the constructors' own named errors
+    pass through.
     """
     try:
         with open(path) as fh:
@@ -40,5 +41,5 @@ def load(path, cls):
         raise StepGraphonError(f"{path} holds a JSON {type(d).__name__}, not an object")
     try:
         return cls.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StepGraphonError(f"{path} is not a {cls.__name__} file: {exc!r}") from exc

@@ -100,14 +100,16 @@ def corner_rule(row, col, row_order=None, col_order=None):
     """Corner-rule vertex of the transport polytope under the given orders.
 
     Vertices have at most len(row) + len(col) - 1 nonzero cells, which keeps
-    the induced refinements small.
+    the induced refinements small.  The residual masses are Python floats:
+    their IEEE min, subtraction and comparison give the same bits as numpy
+    scalars, without numpy's per-scalar overhead.
     """
     row = np.asarray(row, dtype=float)
     col = np.asarray(col, dtype=float)
     row_order = range(len(row)) if row_order is None else row_order
     col_order = range(len(col)) if col_order is None else col_order
-    r = row.copy()
-    c = col.copy()
+    r = row.tolist()
+    c = col.tolist()
     m = np.zeros((len(row), len(col)))
     ri = ci = 0
     while ri < len(row_order) and ci < len(col_order):

@@ -18,16 +18,27 @@ from .core import PartitionSpec, edge_density
 from .errors import (
     DimensionMismatch,
     MarginalMismatch,
+    ProvenanceMismatch,
     ScalingDiverged,
     StepGraphonError,
 )
 from .metrics import corner_rule, dyadic_intervals, l1_hausdorff
 
 VERTEX_ENUM_CAP = 10_000
+PROVENANCE_TOL = 1e-9
+
+
+def _close(x, y):
+    return x.shape == y.shape and np.abs(x - y).max(initial=0.0) <= PROVENANCE_TOL
 
 
 class MultiwayMatrixSet:
-    """Finite sample of cut matrices with the partitions that produced them."""
+    """Finite sample of cut matrices with the partitions that produced them.
+
+    Each matrix has one provenance partition.  Every partition sends its
+    mass onto parts with masses a, and all of them split one source weight
+    vector, both within PROVENANCE_TOL.
+    """
 
     def __init__(self, a, matrices, provenance):
         self.a = np.asarray(a, dtype=float)
@@ -40,6 +51,17 @@ class MultiwayMatrixSet:
                 raise DimensionMismatch(f"matrix shape {m.shape} != ({q}, {q})")
             if (m < -1e-9).any() or (m > bound + 1e-9).any():
                 raise StepGraphonError("cut matrix entry outside [0, a_l*a_m]")
+        if len(self.provenance) != len(self.matrices):
+            raise ProvenanceMismatch(
+                f"{len(self.matrices)} matrices but {len(self.provenance)} partitions")
+        for idx, spec in enumerate(self.provenance):
+            if not _close(spec.target_masses, self.a):
+                raise ProvenanceMismatch(
+                    f"partition {idx} has part masses {spec.target_masses.tolist()}, "
+                    f"not {self.a.tolist()}")
+            if not _close(spec.source_weights, self.provenance[0].source_weights):
+                raise ProvenanceMismatch(
+                    f"partition {idx} splits other source weights than partition 0")
 
     @property
     def q(self):
@@ -106,12 +128,20 @@ def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
     Deterministic generation first: the full corner-rule vertex family when
     q! * k! is at most 10^4, otherwise the per-entry max/min extreme points;
     then `count` seeded interior points of the transport polytope (count may
-    be 0 for deterministic-only generation).  Matrices are deduplicated at
-    l1 distance 1e-9.
+    be 0 for deterministic-only generation).
+
+    Duplicates go in two stages, in plan order.  A plan whose bytes equal an
+    earlier plan's is skipped before its matrix is built: it would give the
+    same matrix, which the second stage already drops.  A matrix within l1
+    distance `dedup_tol` of a kept one is then dropped, tested against all
+    kept matrices in one stacked comparison.  The kept matrices and their
+    provenance are those of testing every plan's matrix in turn.
     """
     a = np.asarray(a, dtype=float)
     if count < 0:
         raise ValueError("count must be >= 0")
+    if not dedup_tol >= 0:
+        raise ValueError("dedup_tol must be >= 0")
     if abs(a.sum() - 1.0) > 1e-9 or (a < 0).any():
         raise MarginalMismatch("part masses must be nonnegative and sum to 1")
     w = W.weights
@@ -137,12 +167,20 @@ def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
         rng = np.random.default_rng((seed, idx))
         plans.append(_scaled_random(rng, w, a))
 
+    seen = set()
+    kept = np.empty((len(plans), q, q))
     matrices, provenance = [], []
     for plan in plans:
+        key = plan.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
         spec = PartitionSpec(plan)
         m = multiway_matrix(W, spec)
-        if any(np.abs(m - prev).sum() <= dedup_tol for prev in matrices):
+        n = len(matrices)
+        if (np.abs(kept[:n] - m).sum(axis=(1, 2)) <= dedup_tol).any():
             continue
+        kept[n] = m
         matrices.append(m)
         provenance.append(spec)
 

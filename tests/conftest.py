@@ -22,6 +22,29 @@ def random_graphon(rng, k=None, equal_mass=False):
     return StepGraphon(w, v)
 
 
+def corner_rule_reference(row, col, row_order=None, col_order=None):
+    """The corner rule with numpy-scalar residual masses, as first written."""
+    row = np.asarray(row, dtype=float)
+    col = np.asarray(col, dtype=float)
+    row_order = range(len(row)) if row_order is None else row_order
+    col_order = range(len(col)) if col_order is None else col_order
+    r = row.copy()
+    c = col.copy()
+    m = np.zeros((len(row), len(col)))
+    ri = ci = 0
+    while ri < len(row_order) and ci < len(col_order):
+        i, j = row_order[ri], col_order[ci]
+        t = min(r[i], c[j])
+        m[i, j] = t
+        r[i] -= t
+        c[j] -= t
+        if r[i] <= c[j]:
+            ri += 1
+        else:
+            ci += 1
+    return m
+
+
 def random_kernel(rng, k=None):
     k = k or int(rng.integers(2, 9))
     w = rng.random(k) + 0.1

@@ -228,3 +228,16 @@ def test_flatness_witness_roundtrip(tmp_path, capsys):
     assert payload["feasible"] is True
     coupling = Coupling.from_dict(payload["coupling"])
     assert coupling.matrix.tolist() == [[0.5, 0.5]]
+
+
+def test_cut_set_without_provenance_exits_one_without_traceback(tmp_path):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"a": [0.5, 0.5], "matrices": [[[0.1, 0.1], [0.1, 0.1]]],
+                                "provenance": []}))
+    cmd = [sys.executable, "-m", "stepgraphon.cli", "multiway", "hausdorff",
+           "--su", str(path), "--sw", str(path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

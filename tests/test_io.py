@@ -4,12 +4,12 @@ import pytest
 
 from stepgraphon import io
 from stepgraphon.core import SignedStepKernel, StepFunction1D, StepGraphon
-from stepgraphon.errors import ValueOutOfRange
+from stepgraphon.errors import StepGraphonError, ValueOutOfRange
 from stepgraphon.measures import DiscreteMeasure
 from stepgraphon.metrics import Coupling
 from stepgraphon.multiway import sample_multiway_set
 from stepgraphon.named import bipartite_graphon
-from stepgraphon.order import sample_envelope
+from stepgraphon.order import EnvelopeSample, sample_envelope
 
 SIGNED = SignedStepKernel([0.5, 0.5], [[-0.5, 0.5], [0.5, -0.5]])
 
@@ -50,3 +50,11 @@ def test_flagless_signed_file_loads_as_signed_kernel(tmp_path):
     assert loaded.to_dict() == SIGNED.to_dict()
     with pytest.raises(ValueOutOfRange):
         io.load(path, StepGraphon)
+
+
+def test_overflowing_field_is_a_named_error(tmp_path):
+    # JSON reads 1e400 as inf, and int(inf) raises OverflowError
+    path = tmp_path / "env.json"
+    path.write_text('{"resolution": 1e400, "depth": 1, "signatures": [[0.0]]}')
+    with pytest.raises(StepGraphonError, match="not a EnvelopeSample file"):
+        io.load(path, EnvelopeSample)

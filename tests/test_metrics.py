@@ -28,7 +28,7 @@ from stepgraphon.measures import DiscreteMeasure, _flatness_system
 from stepgraphon.metrics import dyadic_intervals
 from stepgraphon.named import bipartite_graphon
 
-from conftest import random_graphon, random_kernel
+from conftest import corner_rule_reference, random_graphon, random_kernel
 
 HALF = StepGraphon([1.0], [[0.5]])
 
@@ -510,3 +510,28 @@ def test_overlap_coupling_matches_shared_geometry():
     c = overlap_coupling(u, w)
     c.require_marginals(u.weights, w.weights)
     assert np.allclose(c.matrix, [[0.25, 0.0], [0.25, 0.5]])
+
+
+@st.composite
+def transport_marginals(draw):
+    """Row and column masses summing to 1 (some may be 0) and visit orders."""
+    masses = []
+    for size in (draw(st.integers(1, 7)), draw(st.integers(1, 4))):
+        x = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+        x[draw(st.integers(0, size - 1))] += 0.5
+        masses.append(x / x.sum())
+    row, col = masses
+    row_order = draw(st.permutations(range(len(row))))
+    col_order = draw(st.permutations(range(len(col))))
+    return row, col, row_order, col_order
+
+
+@given(transport_marginals())
+def test_corner_rule_matches_numpy_scalar_reference(case):
+    row, col, row_order, col_order = case
+    m = metrics.corner_rule(row, col, row_order, col_order)
+    ref = corner_rule_reference(row, col, row_order, col_order)
+    assert m.tobytes() == ref.tobytes()
+    assert np.abs(m.sum(axis=1) - row).max() <= 1e-12
+    assert np.abs(m.sum(axis=0) - col).max() <= 1e-12
+    assert np.count_nonzero(m) <= len(row) + len(col) - 1

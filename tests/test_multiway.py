@@ -1,10 +1,15 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from stepgraphon import (
     DimensionMismatch,
     MarginalMismatch,
+    MultiwayMatrixSet,
     PartitionSpec,
+    ProvenanceMismatch,
     StepGraphon,
     edge_density,
     grid_version,
@@ -14,10 +19,11 @@ from stepgraphon import (
     sample_multiway_set,
     stepping,
 )
+from stepgraphon import multiway
 from stepgraphon.named import bipartite_graphon
 from stepgraphon.order import chi_estimate
 
-from conftest import random_graphon
+from conftest import corner_rule_reference, random_graphon
 
 
 def test_multiway_matrix_single_part():
@@ -175,3 +181,91 @@ def test_quantitative_transfer_soft(rng):
         su = sample_multiway_set(u, [0.5, 0.5], count=50, seed=12)
         sg = sample_multiway_set(g, [0.5, 0.5], count=50, seed=12)
         assert multiway_hausdorff(su, sg) <= 2 * eps + 0.05
+
+
+def sample_reference(W, a, count, seed=0, dedup_tol=1e-9):
+    """The sampler as first written: every plan's matrix against every kept one.
+
+    Returns the kept matrices, their provenance and all generated plans.
+    """
+    a = np.asarray(a, dtype=float)
+    w = W.weights
+    k, q = len(w), len(a)
+    plans = []
+    if math.factorial(q) * math.factorial(k) <= multiway.VERTEX_ENUM_CAP:
+        for row_order in itertools.permutations(range(k)):
+            for col_order in itertools.permutations(range(q)):
+                plans.append(corner_rule_reference(w, a, row_order, col_order))
+    else:
+        for i in range(k):
+            for l in range(q):
+                rows = [i] + [r for r in range(k) if r != i]
+                cols_max = [l] + [c for c in range(q) if c != l]
+                cols_min = [c for c in range(q) if c != l] + [l]
+                plans.append(corner_rule_reference(w, a, rows, cols_max))
+                plans.append(corner_rule_reference(w, a, rows, cols_min))
+    for idx in range(count):
+        plans.append(multiway._scaled_random(np.random.default_rng((seed, idx)), w, a))
+    matrices, provenance = [], []
+    for plan in plans:
+        spec = PartitionSpec(plan)
+        m = multiway_matrix(W, spec)
+        if any(np.abs(m - prev).sum() <= dedup_tol for prev in matrices):
+            continue
+        matrices.append(m)
+        provenance.append(spec)
+    return matrices, provenance, plans
+
+
+def _dirichlet_graphon(rng, k):
+    v = rng.random((k, k))
+    return StepGraphon(rng.dirichlet(np.ones(k)), (v + v.T) / 2)
+
+
+@pytest.mark.parametrize("case", ["equal-mass-k6-q2", "dirichlet-k5-q3", "extreme-k8-q2"])
+def test_sampler_equals_per_plan_reference(rng, monkeypatch, case):
+    if case == "equal-mass-k6-q2":
+        g, a = random_graphon(rng, k=6, equal_mass=True), [0.5, 0.5]
+    elif case == "dirichlet-k5-q3":
+        g, a = _dirichlet_graphon(rng, 5), [0.2, 0.3, 0.5]
+    else:
+        g, a = _dirichlet_graphon(rng, 8), [0.3, 0.7]
+    matrices, provenance, plans = sample_reference(g, a, count=10, seed=3)
+    built = []
+
+    def counted(W, R):
+        built.append(R)
+        return multiway_matrix(W, R)
+
+    monkeypatch.setattr(multiway, "multiway_matrix", counted)
+    s = sample_multiway_set(g, a, count=10, seed=3)
+    assert len(s) == len(matrices)
+    for m, ref in zip(s.matrices, matrices):
+        assert (m == ref).all()
+    for spec, ref in zip(s.provenance, provenance):
+        assert (spec.assignment == ref.assignment).all()
+    # one matrix per distinct plan
+    assert len(built) == len({p.tobytes() for p in plans})
+    if case == "equal-mass-k6-q2":
+        assert len(built) < len(plans)
+
+
+def test_sampler_rejects_negative_tolerance():
+    with pytest.raises(ValueError):
+        sample_multiway_set(bipartite_graphon(), [0.5, 0.5], count=0, dedup_tol=-1.0)
+
+
+def test_cut_set_validates_provenance():
+    a = [0.5, 0.5]
+    m = [[0.1, 0.1], [0.1, 0.1]]
+    spec = PartitionSpec([[0.25, 0.25], [0.25, 0.25]])
+    assert len(MultiwayMatrixSet(a, [m], [spec])) == 1
+    with pytest.raises(ProvenanceMismatch):
+        MultiwayMatrixSet(a, [m], [])
+    with pytest.raises(ProvenanceMismatch):
+        MultiwayMatrixSet(a, [m], [PartitionSpec([[0.5, 0.0], [0.3, 0.2]])])
+    # both onto parts (0.5, 0.5), from source weights (0.5, 0.5) and (0.6, 0.4)
+    with pytest.raises(ProvenanceMismatch):
+        MultiwayMatrixSet(a, [m, m], [spec, PartitionSpec([[0.4, 0.2], [0.1, 0.3]])])
+    with pytest.raises(ProvenanceMismatch):
+        MultiwayMatrixSet(a, [m, m], [spec, PartitionSpec([[0.5, 0.5]])])
