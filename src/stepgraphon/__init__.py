@@ -9,6 +9,7 @@ distance estimate, and multiway cut matrix sets.
 """
 
 from .core import (
+    Coupling,
     PartitionSpec,
     SignedStepKernel,
     StepFunction1D,
@@ -54,7 +55,6 @@ from .measures import (
     strictly_flatter,
 )
 from .metrics import (
-    Coupling,
     CutNormResult,
     aligned_cut_norm_distance,
     cut_distance,

@@ -30,17 +30,6 @@ EXIT_REFUTED = 3
 EXIT_TOLERANCE = 4
 
 
-class CommandOutcome:
-    """Exit code plus the structured report a command prints."""
-
-    def __init__(self, exit_code, report):
-        self.exit_code = int(exit_code)
-        self.report = report
-
-    def to_dict(self):
-        return {"exit_code": self.exit_code, "report": self.report}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -216,19 +205,20 @@ def build_parser():
 
 
 def _run(args):
+    """Run the parsed command and return its exit code."""
     if args.command == "build":
         g = build_named_graphon(args.name, c=args.c, eps=args.eps)
         report = {"name": args.name, "blocks": g.k, "density": edge_density(g)}
         if not args.out:
             report["graphon"] = g.to_dict()
         _emit(args, report, obj=g)
-        return CommandOutcome(EXIT_OK, report)
+        return EXIT_OK
 
     if args.command == "density":
         g = io.load(args.w, StepGraphon)
         report = {"density": edge_density(g)}
         _emit(args, report)
-        return CommandOutcome(EXIT_OK, report)
+        return EXIT_OK
 
     if args.command == "intf":
         g = io.load(args.w, StepGraphon)
@@ -237,7 +227,7 @@ def _run(args):
                  "exp": math.exp}
         report = {"f": args.f, "value": int_f(g, funcs[args.f])}
         _emit(args, report)
-        return CommandOutcome(EXIT_OK, report)
+        return EXIT_OK
 
     if args.command == "cutnorm":
         kernel = io.load(args.y, SignedStepKernel)
@@ -245,7 +235,7 @@ def _run(args):
         res = cut_norm(kernel, mode=mode, seed=args.seed)
         report = res.to_dict()
         _emit(args, report, obj=res)
-        return CommandOutcome(EXIT_OK, report)
+        return EXIT_OK
 
     if args.command == "cutdist":
         u = io.load(args.u, StepGraphon)
@@ -256,7 +246,7 @@ def _run(args):
         if not args.out:
             report["coupling"] = coupling.to_dict()
         _emit(args, report, obj=coupling)
-        return CommandOutcome(EXIT_OK, report)
+        return EXIT_OK
 
     if args.command == "wstar":
         u = io.load(args.u, StepGraphon)
@@ -264,7 +254,7 @@ def _run(args):
         report = {"weak_star_distance": weak_star_distance(u, w, args.depth),
                   "depth": args.depth}
         _emit(args, report)
-        return CommandOutcome(EXIT_OK, report)
+        return EXIT_OK
 
     if args.command == "flatness":
         l1 = io.load(args.l1, DiscreteMeasure)
@@ -273,7 +263,7 @@ def _run(args):
         report = witness.to_dict()
         _emit(args, report, obj=witness)
         code = EXIT_OK if witness.feasible else EXIT_REFUTED
-        return CommandOutcome(code, report)
+        return code
 
     if args.command == "order":
         if args.order_command == "check":
@@ -283,7 +273,7 @@ def _run(args):
             report = verdict.to_dict()
             _emit(args, report)
             code = EXIT_REFUTED if verdict.refuted else EXIT_OK
-            return CommandOutcome(code, report)
+            return code
         if args.order_command == "envelope":
             w = io.load(args.w, StepGraphon)
             sample = sample_envelope(w, args.n, args.count, args.depth, args.seed)
@@ -292,14 +282,14 @@ def _run(args):
             if not args.out:
                 report["signatures"] = sample.signatures.tolist()
             _emit(args, report, obj=sample)
-            return CommandOutcome(EXIT_OK, report)
+            return EXIT_OK
         if args.order_command == "chi":
             u = io.load(args.u, StepGraphon)
             w = io.load(args.w, StepGraphon)
             val = chi_estimate(u, w, args.n, args.count, args.depth, args.seed)
             report = {"chi_estimate": val}
             _emit(args, report)
-            return CommandOutcome(EXIT_OK, report)
+            return EXIT_OK
 
     if args.command == "multiway":
         if args.multiway_command == "sample":
@@ -309,19 +299,19 @@ def _run(args):
             if not args.out:
                 report["matrices"] = [m.tolist() for m in sample.matrices]
             _emit(args, report, obj=sample)
-            return CommandOutcome(EXIT_OK, report)
+            return EXIT_OK
         if args.multiway_command == "hausdorff":
             su = io.load(args.su, MultiwayMatrixSet)
             sw = io.load(args.sw, MultiwayMatrixSet)
             report = {"hausdorff": multiway_hausdorff(su, sw)}
             _emit(args, report)
-            return CommandOutcome(EXIT_OK, report)
+            return EXIT_OK
 
     if args.command == "reproduce":
         passed, report = reproduce(args.which, eps=args.eps, seed=args.seed)
         report["passed"] = passed
         _emit(args, report)
-        return CommandOutcome(EXIT_OK if passed else EXIT_TOLERANCE, report)
+        return EXIT_OK if passed else EXIT_TOLERANCE
 
     raise StepGraphonError(f"unhandled command {args.command!r}")
 
@@ -330,7 +320,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _run(args).exit_code
+        return _run(args)
     except (SolverFailure, ScalingDiverged) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

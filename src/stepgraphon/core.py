@@ -1,9 +1,11 @@
-"""Step-kernel types and block-level operations.
+"""Step-kernel types, partitions, couplings and block-level operations.
 
 A step graphon is stored as a vector of block masses (summing to 1) plus a
 symmetric matrix of block values; block i occupies the interval
-[cum_i, cum_{i+1}) of [0,1], so the list order fixes the geometry.  All
-operations are pure; arrays are frozen after construction.
+[cum_i, cum_{i+1}) of [0,1], so the list order fixes the geometry.  This
+module alone computes that layout (_cumulative, _overlaps) and decides when
+two mass vectors match (_mismatch, within MATCH_TOL).  All operations are
+pure; arrays are frozen after construction.
 """
 
 from __future__ import annotations
@@ -54,6 +56,32 @@ def _freeze(a):
     return a
 
 
+def _mismatch(x, y):
+    """Whether x and y differ in shape or by more than MATCH_TOL somewhere.
+
+    Written as a negated <=, so a NaN on either side is a mismatch.
+    """
+    return np.shape(x) != np.shape(y) or not (np.abs(x - y).max(initial=0.0) <= MATCH_TOL)
+
+
+def _cumulative(weights):
+    """Breakpoints of consecutive blocks: block i occupies [cum[i], cum[i+1])."""
+    cum = np.concatenate(([0.0], np.cumsum(weights)))
+    cum[-1] = 1.0
+    return cum
+
+
+def _overlaps(cum, lo, hi):
+    """Lengths of [lo, hi) within each block of the breakpoints cum.
+
+    lo and hi are scalars or equal-shape arrays of interval ends; the result
+    has one trailing axis of length len(cum) - 1 over the blocks.
+    """
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    return np.clip(np.minimum(hi, cum[1:]) - np.maximum(lo, cum[:-1]), 0.0, None)
+
+
 class StepGraphon:
     """Symmetric step kernel with block masses summing to 1 and values in [0,1].
 
@@ -77,9 +105,7 @@ class StepGraphon:
 
     def cumulative(self):
         """Breakpoints: block i occupies [cum[i], cum[i+1])."""
-        cum = np.concatenate(([0.0], np.cumsum(self.weights)))
-        cum[-1] = 1.0
-        return cum
+        return _cumulative(self.weights)
 
     def to_dict(self):
         return {"weights": self.weights.tolist(), "values": self.values.tolist()}
@@ -199,6 +225,15 @@ class PartitionSpec:
     def target_masses(self):
         return self.assignment.sum(axis=0)
 
+    def require_source(self, weights):
+        """Raise PartitionMismatch unless the row sums are these block weights."""
+        n = self.assignment.shape[0]
+        if n != len(weights):
+            raise PartitionMismatch(
+                f"partition has {n} source blocks, graphon has {len(weights)}")
+        if _mismatch(self.source_weights, weights):
+            raise PartitionMismatch("partition row sums do not match block weights")
+
     def to_dict(self):
         return {"assignment": self.assignment.tolist()}
 
@@ -219,15 +254,10 @@ class PartitionSpec:
     @classmethod
     def from_intervals(cls, weights, targets):
         """Assignment by interval overlap of blocks with target intervals."""
-        w = np.asarray(weights, dtype=float)
-        cum = np.concatenate(([0.0], np.cumsum(w)))
-        cum[-1] = 1.0
-        r = np.zeros((len(w), len(targets)))
-        for l, (lo, hi) in enumerate(targets):
-            left = np.maximum(cum[:-1], lo)
-            right = np.minimum(cum[1:], hi)
-            r[:, l] = np.clip(right - left, 0.0, None)
-        return cls(r)
+        cum = _cumulative(np.asarray(weights, dtype=float))
+        lo = [x for x, _ in targets]
+        hi = [y for _, y in targets]
+        return cls(np.ascontiguousarray(_overlaps(cum, lo, hi).T))
 
     @classmethod
     def dyadic(cls, weights, depth):
@@ -235,6 +265,94 @@ class PartitionSpec:
         n = 2 ** depth
         targets = [(i / n, (i + 1) / n) for i in range(n)]
         return cls.from_intervals(weights, targets)
+
+
+class Coupling:
+    """Nonnegative matrix with prescribed row and column sums."""
+
+    def __init__(self, matrix, row_marginal=None, col_marginal=None):
+        m = np.array(matrix, dtype=float)
+        if m.ndim != 2 or m.size == 0:
+            raise MarginalMismatch("coupling must be a nonempty 2-d matrix")
+        if (m < -MATCH_TOL).any():
+            raise MarginalMismatch("coupling has negative entries")
+        m = np.clip(m, 0.0, None)
+        row = m.sum(axis=1) if row_marginal is None else np.asarray(row_marginal, float)
+        col = m.sum(axis=0) if col_marginal is None else np.asarray(col_marginal, float)
+        if _mismatch(m.sum(axis=1), row):
+            raise MarginalMismatch("row sums do not match the row marginal")
+        if _mismatch(m.sum(axis=0), col):
+            raise MarginalMismatch("column sums do not match the column marginal")
+        self.matrix = _freeze(m)
+        self.row_marginal = _freeze(np.array(row, dtype=float))
+        self.col_marginal = _freeze(np.array(col, dtype=float))
+
+    def require_marginals(self, row, col):
+        if len(self.row_marginal) != len(row) or len(self.col_marginal) != len(col):
+            raise MarginalMismatch("coupling shape does not match the mass vectors")
+        if _mismatch(self.row_marginal, row):
+            raise MarginalMismatch("coupling row marginal does not match")
+        if _mismatch(self.col_marginal, col):
+            raise MarginalMismatch("coupling column marginal does not match")
+
+    def transpose(self):
+        return Coupling(self.matrix.T, self.col_marginal, self.row_marginal)
+
+    def to_dict(self):
+        return {
+            "matrix": self.matrix.tolist(),
+            "row_marginal": self.row_marginal.tolist(),
+            "col_marginal": self.col_marginal.tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(d["matrix"], d.get("row_marginal"), d.get("col_marginal"))
+
+    @classmethod
+    def diagonal(cls, weights):
+        w = np.asarray(weights, dtype=float)
+        return cls(np.diag(w), w, w)
+
+    @classmethod
+    def product(cls, row, col):
+        r = np.asarray(row, dtype=float)
+        c = np.asarray(col, dtype=float)
+        return cls(np.outer(r, c) / max(r.sum(), 1e-300), r, c)
+
+    @classmethod
+    def northwest(cls, row, col):
+        """Greedy corner rule; aligns two interval partitions in order."""
+        return cls(corner_rule(row, col), row, col)
+
+
+def corner_rule(row, col, row_order=None, col_order=None):
+    """Corner-rule vertex of the transport polytope under the given orders.
+
+    Vertices have at most len(row) + len(col) - 1 nonzero cells, which keeps
+    the induced refinements small.  The residual masses are Python floats:
+    their IEEE min, subtraction and comparison give the same bits as numpy
+    scalars, without numpy's per-scalar overhead.
+    """
+    row = np.asarray(row, dtype=float)
+    col = np.asarray(col, dtype=float)
+    row_order = range(len(row)) if row_order is None else row_order
+    col_order = range(len(col)) if col_order is None else col_order
+    r = row.tolist()
+    c = col.tolist()
+    m = np.zeros((len(row), len(col)))
+    ri = ci = 0
+    while ri < len(row_order) and ci < len(col_order):
+        i, j = row_order[ri], col_order[ci]
+        t = min(r[i], c[j])
+        m[i, j] = t
+        r[i] -= t
+        c[j] -= t
+        if r[i] <= c[j]:
+            ri += 1
+        else:
+            ci += 1
+    return m
 
 
 def _locate(cum, x):
@@ -258,9 +376,7 @@ def degree_function(W):
     """Row integrals as a step function; zero-weight blocks are dropped."""
     degrees = W.values @ W.weights
     keep = W.weights > 0
-    bp = np.concatenate(([0.0], np.cumsum(W.weights[keep])))
-    bp[-1] = 1.0
-    return StepFunction1D(bp, np.clip(degrees[keep], 0.0, 1.0))
+    return StepFunction1D(_cumulative(W.weights[keep]), np.clip(degrees[keep], 0.0, 1.0))
 
 
 def int_f(W, f):
@@ -272,12 +388,8 @@ def int_f(W, f):
 
 def stepping(W, P):
     """Blockwise averaging of W over the partition P (zero parts get value 0)."""
+    P.require_source(W.weights)
     r = P.assignment
-    if r.shape[0] != W.k:
-        raise PartitionMismatch(
-            f"partition has {r.shape[0]} source blocks, graphon has {W.k}")
-    if np.abs(P.source_weights - W.weights).max() > MATCH_TOL:
-        raise PartitionMismatch("partition row sums do not match block weights")
     b = P.target_masses
     m = _symmetrize(r.T @ W.values @ r)
     denom = np.outer(b, b)
@@ -293,8 +405,6 @@ def common_refinement(U, W, C):
     is a plain refinement of U while the second is a rearranged refinement of
     W carried onto U's geometry.
     """
-    from .metrics import Coupling  # cycle-free: metrics imports core lazily too
-
     if not isinstance(C, Coupling):
         raise MarginalMismatch("expected a Coupling")
     C.require_marginals(U.weights, W.weights)
@@ -326,9 +436,7 @@ def l1_distance(U, W):
 def rectangle_integral(W, xint, yint):
     """Exact integral of W over an axis-aligned rectangle of the square."""
     cum = W.cumulative()
-    def overlaps(lo, hi):
-        return np.clip(np.minimum(cum[1:], hi) - np.maximum(cum[:-1], lo), 0.0, None)
-    return float(overlaps(*xint) @ W.values @ overlaps(*yint))
+    return float(_overlaps(cum, *xint) @ W.values @ _overlaps(cum, *yint))
 
 
 def _grid_cells(weights, n):
@@ -362,38 +470,29 @@ def grid_version(W, n, perm=None):
     return StepGraphon(out_weights, vals)
 
 
-def interlace_version(W, n, resolution=None):
+def interlace_version(W, n):
     """The interlacing rearrangement at level n.
 
     Width-1/(2n) slabs of the left half go to even positions and slabs of
     the right half to odd positions; applied to a two-block graphon this
     produces the 2n-cell chessboard, and constants are fixed.  At n = 1 the
     map degenerates to the identity.  The result lives on the smallest grid
-    that refines both the 1/(2n) slabs and W's blocks (or on `resolution`
-    cells when given); the map acts on such a grid by cell translation.
+    that refines both the 1/(2n) slabs and W's blocks; the map acts on such
+    a grid by cell translation.
     """
     if n < 1:
         raise ResolutionIncompatible("interlacing level must be >= 1")
     slabs = 2 * n
-    if resolution is None:
-        m = None
-        for mult in range(1, 4097):
-            cand = slabs * mult
-            try:
-                _grid_cells(W.weights, cand)
-            except ResolutionIncompatible:
-                continue
-            m = cand
-            break
-        if m is None:
-            raise ResolutionIncompatible(
-                f"no grid refining both 1/{slabs} slabs and the block weights")
+    for mult in range(1, 4097):
+        m = slabs * mult
+        try:
+            _grid_cells(W.weights, m)
+        except ResolutionIncompatible:
+            continue
+        break
     else:
-        m = int(resolution)
-        if m % slabs != 0:
-            raise ResolutionIncompatible(
-                f"resolution {m} is not a multiple of {slabs}")
-        _grid_cells(W.weights, m)
+        raise ResolutionIncompatible(
+            f"no grid refining both 1/{slabs} slabs and the block weights")
     per = m // slabs
     ks = np.arange(n)
     sigma_coarse = np.empty(slabs, dtype=int)
@@ -412,12 +511,8 @@ def reorder_by_ordered_partition(W, J):
     laid out part-major, realizing the shift that sends part 0 to the left end.
     Zero-mass pieces are dropped.
     """
+    J.require_source(W.weights)
     r = J.assignment
-    if r.shape[0] != W.k:
-        raise PartitionMismatch(
-            f"partition has {r.shape[0]} source blocks, graphon has {W.k}")
-    if np.abs(J.source_weights - W.weights).max() > MATCH_TOL:
-        raise PartitionMismatch("partition row sums do not match block weights")
     pieces = [(l, i) for l in range(r.shape[1]) for i in range(W.k) if r[i, l] > 0]
     if not pieces:
         raise PartitionMismatch("partition assigns no mass")

@@ -21,26 +21,30 @@ import numpy as np
 from scipy.optimize import linprog, nnls
 
 from .errors import MarginalMismatch, SolverFailure, StepGraphonError, ValueOutOfRange
-from .core import _freeze
-from .metrics import Coupling, _marginal_rows
+from .core import Coupling, _freeze, _mismatch
+from .metrics import _marginal_rows
 
 ATOM_DEDUP_TOL = 1e-12
 
 
 class DiscreteMeasure:
-    """Finite measure on [0,1]: strictly increasing atoms with positive masses."""
+    """Finite measure on [0,1]: strictly increasing atoms with positive masses.
+
+    Atoms outside [0,1] and negative or non-finite masses raise ValueOutOfRange.
+    """
 
     def __init__(self, atoms, masses):
         a = np.asarray(atoms, dtype=float)
         m = np.asarray(masses, dtype=float)
         if a.shape != m.shape or a.ndim != 1:
             raise StepGraphonError("atoms and masses must be equal-length vectors")
-        if ((a < -ATOM_DEDUP_TOL) | (a > 1 + ATOM_DEDUP_TOL) | ~np.isfinite(a)).any():
-            i = int(np.argwhere((a < -ATOM_DEDUP_TOL) | (a > 1 + ATOM_DEDUP_TOL)
-                                | ~np.isfinite(a))[0])
+        bad = (a < -ATOM_DEDUP_TOL) | (a > 1 + ATOM_DEDUP_TOL) | ~np.isfinite(a)
+        if bad.any():
+            i = int(np.argwhere(bad)[0])
             raise ValueOutOfRange(i, i, a[i], 0.0, 1.0)
-        if (m < 0).any():
-            i = int(np.argwhere(m < 0)[0])
+        bad = (m < 0) | ~np.isfinite(m)
+        if bad.any():
+            i = int(np.argwhere(bad)[0])
             raise ValueOutOfRange(i, i, m[i], 0.0, float("inf"))
         order = np.argsort(a, kind="stable")
         a, m = a[order], m[order]
@@ -283,8 +287,7 @@ def compose_couplings(p1, p2, mid):
     q = np.asarray(mid.masses, dtype=float)
     if len(p1.col_marginal) != len(q) or len(p2.row_marginal) != len(q):
         raise MarginalMismatch("middle measure size does not match the couplings")
-    if (np.abs(p1.col_marginal - q).max() > Coupling.TOL
-            or np.abs(p2.row_marginal - q).max() > Coupling.TOL):
+    if _mismatch(p1.col_marginal, q) or _mismatch(p2.row_marginal, q):
         raise MarginalMismatch("couplings do not share the middle marginal")
     keep = q > 0
     left = p1.matrix[:, keep]

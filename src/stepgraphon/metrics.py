@@ -16,113 +16,20 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .core import (
+    Coupling,
     SignedStepKernel,
     StepGraphon,
+    _overlaps,
     common_refinement,
-    _freeze,
+    corner_rule,
     grid_version,
 )
-from .errors import (
-    EmptySet,
-    MarginalMismatch,
-    SolverFailure,
-    TooManyBlocksForExact,
-)
+from .errors import EmptySet, SolverFailure, TooManyBlocksForExact
 
 EXACT_BLOCK_CAP = 24
 SWEEP_BLOCK_CAP = 8
 _BLOCK_FLOATS = 1 << 16  # exact enumeration block; timed faster than 2^17 or 2^18
 DEFAULT_BUDGET = {"restarts": 32, "max_iters": 200, "tol": 1e-9}
-
-
-class Coupling:
-    """Nonnegative matrix with prescribed row and column sums."""
-
-    TOL = 1e-9
-
-    def __init__(self, matrix, row_marginal=None, col_marginal=None):
-        m = np.array(matrix, dtype=float)
-        if m.ndim != 2 or m.size == 0:
-            raise MarginalMismatch("coupling must be a nonempty 2-d matrix")
-        if (m < -self.TOL).any():
-            raise MarginalMismatch("coupling has negative entries")
-        m = np.clip(m, 0.0, None)
-        row = m.sum(axis=1) if row_marginal is None else np.asarray(row_marginal, float)
-        col = m.sum(axis=0) if col_marginal is None else np.asarray(col_marginal, float)
-        if np.abs(m.sum(axis=1) - row).max() > self.TOL:
-            raise MarginalMismatch("row sums do not match the row marginal")
-        if np.abs(m.sum(axis=0) - col).max() > self.TOL:
-            raise MarginalMismatch("column sums do not match the column marginal")
-        self.matrix = _freeze(m)
-        self.row_marginal = _freeze(np.array(row, dtype=float))
-        self.col_marginal = _freeze(np.array(col, dtype=float))
-
-    def require_marginals(self, row, col):
-        if len(self.row_marginal) != len(row) or len(self.col_marginal) != len(col):
-            raise MarginalMismatch("coupling shape does not match the mass vectors")
-        if np.abs(self.row_marginal - row).max() > self.TOL:
-            raise MarginalMismatch("coupling row marginal does not match")
-        if np.abs(self.col_marginal - col).max() > self.TOL:
-            raise MarginalMismatch("coupling column marginal does not match")
-
-    def transpose(self):
-        return Coupling(self.matrix.T, self.col_marginal, self.row_marginal)
-
-    def to_dict(self):
-        return {
-            "matrix": self.matrix.tolist(),
-            "row_marginal": self.row_marginal.tolist(),
-            "col_marginal": self.col_marginal.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["matrix"], d.get("row_marginal"), d.get("col_marginal"))
-
-    @classmethod
-    def diagonal(cls, weights):
-        w = np.asarray(weights, dtype=float)
-        return cls(np.diag(w), w, w)
-
-    @classmethod
-    def product(cls, row, col):
-        r = np.asarray(row, dtype=float)
-        c = np.asarray(col, dtype=float)
-        return cls(np.outer(r, c) / max(r.sum(), 1e-300), r, c)
-
-    @classmethod
-    def northwest(cls, row, col):
-        """Greedy corner rule; aligns two interval partitions in order."""
-        return cls(corner_rule(row, col), row, col)
-
-
-def corner_rule(row, col, row_order=None, col_order=None):
-    """Corner-rule vertex of the transport polytope under the given orders.
-
-    Vertices have at most len(row) + len(col) - 1 nonzero cells, which keeps
-    the induced refinements small.  The residual masses are Python floats:
-    their IEEE min, subtraction and comparison give the same bits as numpy
-    scalars, without numpy's per-scalar overhead.
-    """
-    row = np.asarray(row, dtype=float)
-    col = np.asarray(col, dtype=float)
-    row_order = range(len(row)) if row_order is None else row_order
-    col_order = range(len(col)) if col_order is None else col_order
-    r = row.tolist()
-    c = col.tolist()
-    m = np.zeros((len(row), len(col)))
-    ri = ci = 0
-    while ri < len(row_order) and ci < len(col_order):
-        i, j = row_order[ri], col_order[ci]
-        t = min(r[i], c[j])
-        m[i, j] = t
-        r[i] -= t
-        c[j] -= t
-        if r[i] <= c[j]:
-            ri += 1
-        else:
-            ci += 1
-    return m
 
 
 class CutNormResult:
@@ -296,11 +203,8 @@ def cut_norm_distance(U, W, C, mode=None, seed=0):
 
 def overlap_coupling(U, W):
     """Coupling by interval overlap of the two block structures (no shuffle)."""
-    cu, cw = U.cumulative(), W.cumulative()
-    left = np.maximum(cu[:-1, None], cw[None, :-1])
-    right = np.minimum(cu[1:, None], cw[None, 1:])
-    m = np.clip(right - left, 0.0, None)
-    return Coupling(m, U.weights, W.weights)
+    cu = U.cumulative()
+    return Coupling(_overlaps(W.cumulative(), cu[:-1], cu[1:]), U.weights, W.weights)
 
 
 def aligned_cut_norm_distance(U, W, seed=0):
@@ -526,17 +430,10 @@ def dyadic_intervals(depth):
     return out
 
 
-def _interval_overlaps(intervals, cum):
-    lo = np.array([x for x, _ in intervals])
-    hi = np.array([y for _, y in intervals])
-    left = np.maximum(lo[:, None], cum[None, :-1])
-    right = np.minimum(hi[:, None], cum[None, 1:])
-    return np.clip(right - left, 0.0, None)
-
-
 def rectangle_signature(W, depth):
     """Exact integrals of W over all depth-D dyadic rectangles (M x M)."""
-    r = _interval_overlaps(dyadic_intervals(depth), W.cumulative())
+    lo, hi = zip(*dyadic_intervals(depth))
+    r = _overlaps(W.cumulative(), lo, hi)
     return r @ W.values @ r.T
 
 
@@ -559,14 +456,6 @@ def weak_star_distance(U, W, depth):
     return float((signature_weights(depth) * np.abs(diff)).sum())
 
 
-def hausdorff_from_matrix(d):
-    """Two-sided sup-inf distance from the matrix of pairwise distances."""
-    d = np.asarray(d, dtype=float)
-    if d.size == 0:
-        raise EmptySet("hausdorff distance needs nonempty sets")
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 def l1_hausdorff(points_a, points_b, weights):
     """Hausdorff distance of two finite point sets under a weighted l1 metric.
 
@@ -581,4 +470,4 @@ def l1_hausdorff(points_a, points_b, weights):
     d = np.empty((len(a), len(b)))
     for i in range(len(a)):
         d[i] = np.abs(b - a[i]) @ weights
-    return hausdorff_from_matrix(d)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import PartitionSpec, edge_density
+from .core import PartitionSpec, _cumulative, _mismatch, corner_rule, edge_density
 from .errors import (
     DimensionMismatch,
     MarginalMismatch,
@@ -22,22 +22,18 @@ from .errors import (
     ScalingDiverged,
     StepGraphonError,
 )
-from .metrics import corner_rule, dyadic_intervals, l1_hausdorff
+from .metrics import dyadic_intervals, l1_hausdorff
 
 VERTEX_ENUM_CAP = 10_000
-PROVENANCE_TOL = 1e-9
-
-
-def _close(x, y):
-    return x.shape == y.shape and np.abs(x - y).max(initial=0.0) <= PROVENANCE_TOL
 
 
 class MultiwayMatrixSet:
     """Finite sample of cut matrices with the partitions that produced them.
 
-    Each matrix has one provenance partition.  Every partition sends its
-    mass onto parts with masses a, and all of them split one source weight
-    vector, both within PROVENANCE_TOL.
+    Entries are finite and lie in [0, a_l*a_m] within 1e-9.  Each matrix
+    has one provenance partition.  Every partition sends its mass onto parts
+    with masses a, and all of them split one source weight vector, both
+    within core.MATCH_TOL.
     """
 
     def __init__(self, a, matrices, provenance):
@@ -49,17 +45,17 @@ class MultiwayMatrixSet:
         for m in self.matrices:
             if m.shape != (q, q):
                 raise DimensionMismatch(f"matrix shape {m.shape} != ({q}, {q})")
-            if (m < -1e-9).any() or (m > bound + 1e-9).any():
-                raise StepGraphonError("cut matrix entry outside [0, a_l*a_m]")
+            if not ((m >= -1e-9) & (m <= bound + 1e-9)).all():
+                raise StepGraphonError("cut matrix entry is not a number in [0, a_l*a_m]")
         if len(self.provenance) != len(self.matrices):
             raise ProvenanceMismatch(
                 f"{len(self.matrices)} matrices but {len(self.provenance)} partitions")
         for idx, spec in enumerate(self.provenance):
-            if not _close(spec.target_masses, self.a):
+            if _mismatch(spec.target_masses, self.a):
                 raise ProvenanceMismatch(
                     f"partition {idx} has part masses {spec.target_masses.tolist()}, "
                     f"not {self.a.tolist()}")
-            if not _close(spec.source_weights, self.provenance[0].source_weights):
+            if _mismatch(spec.source_weights, self.provenance[0].source_weights):
                 raise ProvenanceMismatch(
                     f"partition {idx} splits other source weights than partition 0")
 
@@ -85,12 +81,8 @@ class MultiwayMatrixSet:
 
 def multiway_matrix(W, R):
     """The q x q matrix of rectangle integrals under the partition R."""
+    R.require_source(W.weights)
     r = R.assignment
-    if r.shape[0] != W.k:
-        raise MarginalMismatch(
-            f"partition has {r.shape[0]} source blocks, graphon has {W.k}")
-    if np.abs(R.source_weights - W.weights).max() > 1e-9:
-        raise MarginalMismatch("partition row sums do not match block weights")
     return r.T @ W.values @ r
 
 
@@ -142,7 +134,7 @@ def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
         raise ValueError("count must be >= 0")
     if not dedup_tol >= 0:
         raise ValueError("dedup_tol must be >= 0")
-    if abs(a.sum() - 1.0) > 1e-9 or (a < 0).any():
+    if not (abs(a.sum() - 1.0) <= 1e-9 and (a >= 0).all()):
         raise MarginalMismatch("part masses must be nonnegative and sum to 1")
     w = W.weights
     k, q = len(w), len(a)
@@ -210,8 +202,7 @@ def part_index_bound(a, depth):
     from envelope distance to cut-set distance.
     """
     a = np.asarray(a, dtype=float)
-    cum = np.concatenate(([0.0], np.cumsum(a)))
-    cum[-1] = 1.0
+    cum = _cumulative(a)
     family = dyadic_intervals(depth)
     indices = []
     for lo, hi in zip(cum[:-1], cum[1:]):

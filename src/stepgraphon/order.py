@@ -216,12 +216,6 @@ def sample_envelope(W, n, count, depth, seed=0):
     return EnvelopeSample(n, depth, np.array(sigs))
 
 
-def signature_distance(sig_a, sig_b, depth):
-    """Weighted l1 distance of signatures; equals the truncated weak* metric."""
-    w = signature_weights(depth).ravel()
-    return float(np.abs(np.asarray(sig_a) - np.asarray(sig_b)) @ w)
-
-
 def chi_estimate(U, W, n, count, depth, seed=0):
     """Hausdorff distance between sampled envelope signature clouds.
 

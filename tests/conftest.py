@@ -45,6 +45,32 @@ def corner_rule_reference(row, col, row_order=None, col_order=None):
     return m
 
 
+def cumulative_reference(weights):
+    """Block breakpoints as the library first computed them in four places."""
+    cum = np.concatenate(([0.0], np.cumsum(weights)))
+    cum[-1] = 1.0
+    return cum
+
+
+def overlaps_reference(cum, intervals):
+    """Block overlaps of each interval, (len(intervals), k), in both first forms.
+
+    The first is the per-interval loop of PartitionSpec.from_intervals and
+    rectangle_integral, the second the broadcast of metrics.overlap_coupling
+    and the dyadic rectangle signature.
+    """
+    per_interval = np.zeros((len(intervals), len(cum) - 1))
+    for l, (lo, hi) in enumerate(intervals):
+        left = np.maximum(cum[:-1], lo)
+        right = np.minimum(cum[1:], hi)
+        per_interval[l] = np.clip(right - left, 0.0, None)
+    lo = np.array([x for x, _ in intervals])
+    hi = np.array([y for _, y in intervals])
+    left = np.maximum(lo[:, None], cum[None, :-1])
+    right = np.minimum(hi[:, None], cum[None, 1:])
+    return per_interval, np.clip(right - left, 0.0, None)
+
+
 def random_kernel(rng, k=None):
     k = k or int(rng.integers(2, 9))
     w = rng.random(k) + 0.1

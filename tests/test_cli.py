@@ -175,21 +175,34 @@ def test_bad_values_exit_one_without_traceback(tmp_path, capsys, option, args):
     assert proc.stderr.splitlines()[-1].startswith(f"error: argument {option}: ")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("command, content", [
     ("density", [1, 2]),
     ("flatness", {"atoms": ["a"], "masses": [1]}),
     ("density", {"weights": [1.0], "values": "x"}),
-], ids=["top-level-list", "measure-atom-not-number", "values-not-matrix"])
+    ("flatness", {"atoms": [0.5], "masses": [INF]}),
+    ("flatness --exact-rational", {"atoms": [0.5], "masses": [INF]}),
+    ("flatness", {"atoms": [0.5], "masses": [NAN]}),
+    ("multiway hausdorff", {"a": [1.0], "matrices": [[[NAN]]],
+                            "provenance": [{"assignment": [[1.0]]}]}),
+], ids=["top-level-list", "measure-atom-not-number", "values-not-matrix",
+        "measure-mass-infinite", "measure-mass-infinite-exact", "measure-mass-nan",
+        "cut-matrix-nan"])
 def test_malformed_files_exit_one_without_traceback(tmp_path, command, content):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(content))
-    args = {"density": ["--w", str(path)],
-            "flatness": ["--l1", str(path), "--l2", str(path)]}[command]
-    proc = subprocess.run([sys.executable, "-m", "stepgraphon.cli", command] + args,
+    path = str(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_text(json.dumps(content))
+    words = command.split()
+    args = {"density": ["--w", path],
+            "flatness": ["--l1", path, "--l2", path],
+            "multiway": ["--su", path, "--sw", path]}[words[0]]
+    proc = subprocess.run([sys.executable, "-m", "stepgraphon.cli"] + words + args,
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("error: ")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_determinism_byte_identical():
@@ -215,7 +228,7 @@ def test_envelope_sampling_seeded_determinism(tmp_path, capsys):
 
 
 def test_flatness_witness_roundtrip(tmp_path, capsys):
-    from stepgraphon.metrics import Coupling
+    from stepgraphon.core import Coupling
     l1 = tmp_path / "l1.json"
     l2 = tmp_path / "l2.json"
     out = tmp_path / "witness.json"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stepgraphon import (
     AsymmetricValues,
@@ -27,9 +28,11 @@ from stepgraphon import (
     split_reconstruct,
     stepping,
 )
+from stepgraphon.core import _cumulative, _overlaps
+from stepgraphon.multiway import multiway_matrix
 from stepgraphon.named import bipartite_graphon, u1_graphon
 
-from conftest import random_graphon
+from conftest import cumulative_reference, overlaps_reference, random_graphon
 
 
 # ---------------------------------------------------------------- construction
@@ -179,6 +182,17 @@ def test_stepping_partition_mismatch():
         stepping(g, PartitionSpec([[0.4, 0.0], [0.0, 0.5]]))
 
 
+@pytest.mark.parametrize("op", [stepping, reorder_by_ordered_partition, multiway_matrix])
+@pytest.mark.parametrize("assignment", [
+    [[0.5, 0.5]],
+    [[0.4, 0.0], [0.0, 0.6]],
+    [[0.5, 0.0], [0.0, float("nan")]],
+], ids=["source-count", "source-weights", "nan-cell"])
+def test_partition_source_mismatch_raises_partition_mismatch(op, assignment):
+    with pytest.raises(PartitionMismatch):
+        op(bipartite_graphon(), PartitionSpec(assignment))
+
+
 def test_averaged_l1_approximation_full_and_dyadic(rng):
     # on its own grid the stepping reproduces the kernel exactly; coarser
     # dyadic steppings approximate monotonically
@@ -202,6 +216,25 @@ def test_block_mean_is_two_competitive(rng):
         err_a = float(np.dot(masses, np.abs(f - a)))
         err_b = float(np.dot(masses, np.abs(f - b)))
         assert err_a <= 2 * err_b + 1e-10
+
+
+# -------------------------------------------------------------- block layout
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=8)
+       .filter(lambda raw: sum(raw) > 0),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6))
+def test_overlaps_equal_the_first_formulas_bit_for_bit(raw, intervals):
+    w = np.array(raw) / sum(raw)
+    cum = _cumulative(w)
+    assert cum.tobytes() == cumulative_reference(w).tobytes()
+    lo, hi = zip(*intervals)
+    got = _overlaps(cum, lo, hi)
+    per_interval, pairwise = overlaps_reference(cum, intervals)
+    assert got.tobytes() == per_interval.tobytes() == pairwise.tobytes()
+    for row, (a, b) in zip(got, intervals):
+        assert _overlaps(cum, a, b).tobytes() == row.tobytes()
+    assert (PartitionSpec.from_intervals(w, intervals).assignment.tobytes()
+            == PartitionSpec(per_interval.T).assignment.tobytes())
 
 
 # ---------------------------------------------------------- common refinement

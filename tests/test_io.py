@@ -6,7 +6,7 @@ from stepgraphon import io
 from stepgraphon.core import SignedStepKernel, StepFunction1D, StepGraphon
 from stepgraphon.errors import StepGraphonError, ValueOutOfRange
 from stepgraphon.measures import DiscreteMeasure
-from stepgraphon.metrics import Coupling
+from stepgraphon.core import Coupling
 from stepgraphon.multiway import sample_multiway_set
 from stepgraphon.named import bipartite_graphon
 from stepgraphon.order import EnvelopeSample, sample_envelope

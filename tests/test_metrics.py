@@ -24,6 +24,7 @@ from stepgraphon import (
     weak_star_distance,
 )
 from stepgraphon import metrics
+from stepgraphon.core import corner_rule
 from stepgraphon.measures import DiscreteMeasure, _flatness_system
 from stepgraphon.metrics import dyadic_intervals
 from stepgraphon.named import bipartite_graphon
@@ -56,6 +57,8 @@ def test_coupling_validation():
         Coupling([[0.5, 0.0], [0.0, 0.5]], [0.4, 0.6], [0.5, 0.5])
     with pytest.raises(MarginalMismatch):
         Coupling([[-0.1, 0.6], [0.5, 0.0]])
+    with pytest.raises(MarginalMismatch):
+        Coupling([[float("nan")]])
 
 
 def test_northwest_aligns_interval_partitions():
@@ -325,7 +328,7 @@ def test_local_search_memo_replays_without_recomputing(monkeypatch, rng):
     w = random_graphon(rng, k=5)
     evals = _count_calls(monkeypatch, "_difference_kernel")
     lps = _count_calls(monkeypatch, "_min_cost_transport")
-    c0 = metrics.corner_rule(u.weights, w.weights)
+    c0 = corner_rule(u.weights, w.weights)
     memo = {}
     val, cmat = metrics._local_search(u, w, c0, 20, 1e-9, 0, memo)
     n_evals, n_lps = len(evals), len(lps)
@@ -346,7 +349,7 @@ def test_failing_transport_is_solved_once_per_gradient(monkeypatch, rng):
     u = random_graphon(rng, k=3)
     w = random_graphon(rng, k=2)
     # a failed LP ends the search at its start, on a memo hit as well
-    c0 = metrics.corner_rule(u.weights, w.weights)
+    c0 = corner_rule(u.weights, w.weights)
     memo = {}
     for _ in range(2):
         val, cmat = metrics._local_search(u, w, c0, 20, 1e-9, 0, memo)
@@ -529,7 +532,7 @@ def transport_marginals(draw):
 @given(transport_marginals())
 def test_corner_rule_matches_numpy_scalar_reference(case):
     row, col, row_order, col_order = case
-    m = metrics.corner_rule(row, col, row_order, col_order)
+    m = corner_rule(row, col, row_order, col_order)
     ref = corner_rule_reference(row, col, row_order, col_order)
     assert m.tobytes() == ref.tobytes()
     assert np.abs(m.sum(axis=1) - row).max() <= 1e-12

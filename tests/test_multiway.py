@@ -8,6 +8,7 @@ from stepgraphon import (
     DimensionMismatch,
     MarginalMismatch,
     MultiwayMatrixSet,
+    PartitionMismatch,
     PartitionSpec,
     ProvenanceMismatch,
     StepGraphon,
@@ -47,7 +48,7 @@ def test_multiway_matrix_constant():
 
 
 def test_multiway_matrix_mismatch():
-    with pytest.raises(MarginalMismatch):
+    with pytest.raises(PartitionMismatch):
         multiway_matrix(bipartite_graphon(), PartitionSpec([[0.4], [0.4]]))
 
 
@@ -253,6 +254,11 @@ def test_sampler_equals_per_plan_reference(rng, monkeypatch, case):
 def test_sampler_rejects_negative_tolerance():
     with pytest.raises(ValueError):
         sample_multiway_set(bipartite_graphon(), [0.5, 0.5], count=0, dedup_tol=-1.0)
+
+
+def test_sampler_rejects_nan_part_masses():
+    with pytest.raises(MarginalMismatch):
+        sample_multiway_set(bipartite_graphon(), [float("nan"), float("nan")], count=1)
 
 
 def test_cut_set_validates_provenance():

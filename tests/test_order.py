@@ -19,8 +19,9 @@ from stepgraphon import (
     strictify,
     weak_star_distance,
 )
+from stepgraphon.metrics import signature_weights
 from stepgraphon.named import bipartite_graphon, w1_graphon
-from stepgraphon.order import _signature, signature_distance
+from stepgraphon.order import _signature
 
 from conftest import random_graphon
 
@@ -140,14 +141,14 @@ def test_envelope_contains_steppings(rng):
     base = canonicalize(g, 8)
     for d in range(4):
         sig = _signature(stepping(base, PartitionSpec.dyadic(base.weights, d)), 3)
-        dmin = min(signature_distance(s, sig, 3) for s in es.signatures)
+        dmin = (np.abs(es.signatures - sig) @ signature_weights(3).ravel()).min()
         assert dmin <= 1e-9
 
 
 def test_envelope_of_bipartite_contains_half():
     es = sample_envelope(bipartite_graphon(), 64, 50, 4, seed=7)
     sig = _signature(HALF, 4)
-    dmin = min(signature_distance(s, sig, 4) for s in es.signatures)
+    dmin = (np.abs(es.signatures - sig) @ signature_weights(4).ravel()).min()
     assert dmin < 0.02
 
 
