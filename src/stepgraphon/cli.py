@@ -132,7 +132,7 @@ def build_parser():
     mode = cn.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--heuristic", action="store_true")
-    cn.add_argument("--seed", type=int, default=0)
+    cn.add_argument("--seed", type=_int_from(0), default=0)
     cn.add_argument("--out")
     cn.add_argument("--json", action="store_true")
 
@@ -141,7 +141,7 @@ def build_parser():
     cd.add_argument("--w", required=True)
     cd.add_argument("--budget", type=_budget, default=None,
                     help='JSON, e.g. {"restarts":32,"max_iters":200,"tol":1e-9}')
-    cd.add_argument("--seed", type=int, default=0)
+    cd.add_argument("--seed", type=_int_from(0), default=0)
     cd.add_argument("--out", help="write the best coupling")
     cd.add_argument("--json", action="store_true")
 
@@ -169,7 +169,7 @@ def build_parser():
     oe.add_argument("--n", type=_int_from(1), required=True)
     oe.add_argument("--count", type=_int_from(0), default=500)
     oe.add_argument("--depth", type=_int_from(0), default=4)
-    oe.add_argument("--seed", type=int, default=7)
+    oe.add_argument("--seed", type=_int_from(0), default=7)
     oe.add_argument("--out")
     oe.add_argument("--json", action="store_true")
     och = osub.add_parser("chi", help="hyperspace distance estimate")
@@ -178,7 +178,7 @@ def build_parser():
     och.add_argument("--n", type=_int_from(1), required=True)
     och.add_argument("--count", type=_int_from(0), default=200)
     och.add_argument("--depth", type=_int_from(0), default=4)
-    och.add_argument("--seed", type=int, default=7)
+    och.add_argument("--seed", type=_int_from(0), default=7)
     och.add_argument("--json", action="store_true")
 
     m = sub.add_parser("multiway", help="multiway cut matrix sets")
@@ -187,7 +187,7 @@ def build_parser():
     ms.add_argument("--w", required=True)
     ms.add_argument("--a", required=True, type=_masses, help="comma-separated part masses")
     ms.add_argument("--count", type=_int_from(0), default=200)
-    ms.add_argument("--seed", type=int, default=1)
+    ms.add_argument("--seed", type=_int_from(0), default=1)
     ms.add_argument("--out")
     ms.add_argument("--json", action="store_true")
     mh = msub.add_parser("hausdorff", help="l1-Hausdorff distance of two sets")
@@ -198,7 +198,7 @@ def build_parser():
     r = sub.add_parser("reproduce", help="run a worked-example scenario")
     r.add_argument("--which", required=True, choices=SCENARIOS)
     r.add_argument("--eps", type=float, default=None)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_int_from(0), default=0)
     r.add_argument("--json", action="store_true")
 
     return p

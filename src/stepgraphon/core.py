@@ -320,11 +320,6 @@ class Coupling:
         c = np.asarray(col, dtype=float)
         return cls(np.outer(r, c) / max(r.sum(), 1e-300), r, c)
 
-    @classmethod
-    def northwest(cls, row, col):
-        """Greedy corner rule; aligns two interval partitions in order."""
-        return cls(corner_rule(row, col), row, col)
-
 
 def corner_rule(row, col, row_order=None, col_order=None):
     """Corner-rule vertex of the transport polytope under the given orders.
@@ -493,6 +488,16 @@ def interlace_version(W, n):
     else:
         raise ResolutionIncompatible(
             f"no grid refining both 1/{slabs} slabs and the block weights")
+    return grid_version(W, m, _interlace_order(m, n))
+
+
+def _interlace_order(m, n):
+    """Cell order of the level-n interlacing on m equal cells, 2n dividing m.
+
+    For any W whose blocks are unions of the m cells, grid_version(W, m,
+    order) is interlace_version(W, n): its cell c holds W's cell order[c].
+    """
+    slabs = 2 * n
     per = m // slabs
     ks = np.arange(n)
     sigma_coarse = np.empty(slabs, dtype=int)
@@ -500,8 +505,7 @@ def interlace_version(W, n):
     sigma_coarse[n + ks] = 2 * ks + 1
     cells = np.arange(m)
     sigma = sigma_coarse[cells // per] * per + cells % per
-    pi = np.argsort(sigma)  # inverse permutation
-    return grid_version(W, m, pi)
+    return np.argsort(sigma)  # inverse permutation
 
 
 def reorder_by_ordered_partition(W, J):

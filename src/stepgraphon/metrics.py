@@ -460,14 +460,16 @@ def l1_hausdorff(points_a, points_b, weights):
     """Hausdorff distance of two finite point sets under a weighted l1 metric.
 
     Points are rows; x and y lie |x - y| @ weights apart.  The distance
-    matrix is filled one row of points_a at a time, so the temporary stays
-    the size of points_b rather than of every pair.
+    matrix is filled one row of points_a at a time, through one difference
+    buffer the size of points_b that every row reuses.
     """
     a = np.asarray(points_a, dtype=float)
     b = np.asarray(points_b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("hausdorff distance needs nonempty sets")
     d = np.empty((len(a), len(b)))
+    diff = np.empty_like(b)
     for i in range(len(a)):
-        d[i] = np.abs(b - a[i]) @ weights
+        np.abs(np.subtract(b, a[i], out=diff), out=diff)
+        np.matmul(diff, weights, out=d[i])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from stepgraphon import StepGraphon, SignedStepKernel
+from stepgraphon import (
+    PartitionSpec,
+    SignedStepKernel,
+    StepGraphon,
+    grid_version,
+    interlace_version,
+    stepping,
+)
+from stepgraphon.metrics import rectangle_signature
+from stepgraphon.order import canonicalize
 
 # Property tests replay the same examples on every run and carry no per-example
 # deadline, so machine load can neither change nor fail them.
@@ -69,6 +78,25 @@ def overlaps_reference(cum, intervals):
     left = np.maximum(lo[:, None], cum[None, :-1])
     right = np.minimum(hi[:, None], cum[None, 1:])
     return per_interval, np.clip(right - left, 0.0, None)
+
+
+def envelope_reference(W, n, count, depth, seed=0):
+    """sample_envelope's signatures as first computed, one graphon per sample."""
+    base = canonicalize(W, n)
+    sigs = []
+    for idx in range(count):
+        rng = np.random.default_rng((seed, idx))
+        perm = rng.permutation(n)
+        sigs.append(rectangle_signature(grid_version(base, n, perm), depth).ravel())
+    for level in range(1, n + 1):
+        if 2 * level > n:
+            break
+        if n % (2 * level) == 0:
+            sigs.append(rectangle_signature(interlace_version(base, level), depth).ravel())
+    for d in range(depth + 1):
+        stepped = stepping(base, PartitionSpec.dyadic(base.weights, d))
+        sigs.append(rectangle_signature(stepped, depth).ravel())
+    return np.array(sigs)
 
 
 def random_kernel(rng, k=None):

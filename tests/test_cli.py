@@ -161,18 +161,30 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     ("--a", ["multiway", "sample", "--w", "{w}", "--a", "0.5,abc"]),
     ("--n", ["order", "envelope", "--w", "{w}", "--n", "0"]),
     ("--budget", ["cutdist", "--u", "{u}", "--w", "{w}", "--budget", "[1"]),
-], ids=["envelope-count", "wstar-depth", "multiway-masses", "envelope-n", "cutdist-budget"])
+    ("--seed", ["cutnorm", "--y", "{y}", "--heuristic", "--seed", "-1"]),
+    ("--seed", ["cutdist", "--u", "{u}", "--w", "{w}", "--seed", "-1"]),
+    ("--seed", ["order", "envelope", "--w", "{w}", "--n", "8", "--seed", "-1"]),
+    ("--seed", ["order", "chi", "--u", "{u}", "--w", "{w}", "--n", "8", "--seed", "-1"]),
+    ("--seed", ["multiway", "sample", "--w", "{w}", "--a", "0.5,0.5", "--seed", "-1"]),
+    ("--seed", ["reproduce", "--which", "flatness", "--seed", "-1"]),
+], ids=["envelope-count", "wstar-depth", "multiway-masses", "envelope-n", "cutdist-budget",
+        "cutnorm-seed", "cutdist-seed", "envelope-seed", "chi-seed", "multiway-seed",
+        "reproduce-seed"])
 def test_bad_values_exit_one_without_traceback(tmp_path, capsys, option, args):
-    paths = {"u": tmp_path / "u.json", "w": tmp_path / "w.json"}
+    paths = {"u": tmp_path / "u.json", "w": tmp_path / "w.json", "y": tmp_path / "y.json"}
     run_cli(["build", "--name", "constant", "--c", "0.5", "--out", str(paths["u"])], capsys)
     run_cli(["build", "--name", "bipartite", "--out", str(paths["w"])], capsys)
+    paths["y"].write_text(json.dumps({"weights": [0.5, 0.5], "signed": True,
+                                      "values": [[-0.5, 0.5], [0.5, -0.5]]}))
     cmd = [sys.executable, "-m", "stepgraphon.cli"]
     cmd += [arg.format(**{key: str(path) for key, path in paths.items()}) for arg in args]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("usage: ")
-    assert proc.stderr.splitlines()[-1].startswith(f"error: argument {option}: ")
+    lines = proc.stderr.splitlines()
+    assert lines[-1].startswith(f"error: argument {option}: ")
+    assert [line for line in lines if line.startswith("error:")] == [lines[-1]]
 
 
 NAN, INF = float("nan"), float("inf")

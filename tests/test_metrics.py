@@ -62,7 +62,8 @@ def test_coupling_validation():
 
 
 def test_northwest_aligns_interval_partitions():
-    c = Coupling.northwest([0.25, 0.75], [0.5, 0.5])
+    row, col = [0.25, 0.75], [0.5, 0.5]
+    c = Coupling(corner_rule(row, col), row, col)
     assert np.allclose(c.matrix, [[0.25, 0.0], [0.25, 0.5]])
 
 
@@ -292,7 +293,7 @@ def test_cut_distance_upper_bound_contract(rng):
         val, _ = cut_distance(u, w, budget={"restarts": 2, "max_iters": 5})
         for c in (Coupling.diagonal(u.weights),
                   Coupling.product(u.weights, w.weights),
-                  Coupling.northwest(u.weights, w.weights)):
+                  Coupling(corner_rule(u.weights, w.weights), u.weights, w.weights)):
             assert val <= cut_norm_distance(u, w, c) + 1e-12
 
 
@@ -463,6 +464,27 @@ def test_hausdorff_symmetry_and_triangle(rng):
         dab = l1_hausdorff(a, b, one)
         assert dab == l1_hausdorff(b, a, one)
         assert dab <= l1_hausdorff(a, c, one) + l1_hausdorff(c, b, one) + 1e-12
+
+
+def test_hausdorff_of_chi_clouds_matches_row_formula(rng):
+    from stepgraphon.metrics import signature_weights
+    from stepgraphon.order import sample_envelope
+    weights = signature_weights(3).ravel()
+    for trial in range(4):
+        u = random_graphon(rng, k=4, equal_mass=True)
+        w = random_graphon(rng, k=2, equal_mass=True)
+        a = sample_envelope(u, 8, 10 + trial, 3, seed=trial).signatures
+        b = sample_envelope(w, 8, 12, 3, seed=trial + 1).signatures
+        a0, b0 = a.copy(), b.copy()
+        d = np.empty((len(a), len(b)))
+        for i in range(len(a)):
+            d[i] = np.abs(b - a[i]) @ weights
+        expected = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+        assert l1_hausdorff(a, b, weights) == expected
+        assert l1_hausdorff(b, a, weights) == expected
+        for i in range(len(a)):
+            assert l1_hausdorff(a[i:i + 1], b, weights) == d[i].max()
+        assert (a == a0).all() and (b == b0).all()
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stepgraphon import (
     NoInteriorValues,
@@ -19,11 +20,12 @@ from stepgraphon import (
     strictify,
     weak_star_distance,
 )
+from stepgraphon import core, order
 from stepgraphon.metrics import signature_weights
 from stepgraphon.named import bipartite_graphon, w1_graphon
 from stepgraphon.order import _signature
 
-from conftest import random_graphon
+from conftest import envelope_reference, random_graphon
 
 HALF = StepGraphon([1.0], [[0.5]])
 
@@ -150,6 +152,66 @@ def test_envelope_of_bipartite_contains_half():
     sig = _signature(HALF, 4)
     dmin = (np.abs(es.signatures - sig) @ signature_weights(4).ravel()).min()
     assert dmin < 0.02
+
+
+def grid_graphon(rng, n, equal_mass):
+    """Random graphon whose block masses are multiples of 1/n.
+
+    Equal masses use a block count dividing n; otherwise the n cells are
+    shared out by Dirichlet proportions, at least one cell per block.
+    """
+    if equal_mass:
+        k = int(rng.choice([k for k in range(1, n + 1) if n % k == 0]))
+        w = np.full(k, 1.0 / k)
+    else:
+        k = int(rng.integers(1, min(n, 6) + 1))
+        w = (rng.multinomial(n - k, rng.dirichlet(np.ones(k))) + 1) / n
+    v = rng.random((k, k))
+    return StepGraphon(w, (v + v.T) / 2)
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from([1, 2, 6, 8, 32]), count=st.sampled_from([0, 1, 17]),
+       depth=st.sampled_from([0, 1, 3, 4]), equal_mass=st.booleans(),
+       seed=st.integers(0, 1000), data=st.integers(0, 2 ** 32 - 1))
+def test_envelope_equals_per_sample_reference(n, count, depth, equal_mass, seed, data):
+    rng = np.random.default_rng(data)
+    g = grid_graphon(rng, n, equal_mass)
+    es = sample_envelope(g, n, count, depth, seed)
+    ref = envelope_reference(g, n, count, depth, seed)
+    assert es.signatures.shape == ref.shape
+    assert (es.signatures == ref).all()
+    permuted = grid_version(g, n, rng.permutation(n))
+    assert chi_estimate(permuted, g, n, count, depth, seed) == 0.0
+
+
+def test_envelope_in_blocks_equals_reference(monkeypatch, rng):
+    monkeypatch.setattr(order, "_STACK_FLOATS", 3 * 8 * 8)
+    g = grid_graphon(rng, 8, equal_mass=False)
+    es = sample_envelope(g, 8, 17, 3, seed=4)
+    assert (es.signatures == envelope_reference(g, 8, 17, 3, seed=4)).all()
+
+
+def test_envelope_builds_no_graphon_per_sample(monkeypatch, rng):
+    calls = {"grid_version": 0, "rectangle_signature": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(order, name, counted(name, getattr(order, name)))
+    # interlace_version would reach grid_version through core's binding
+    monkeypatch.setattr(core, "grid_version", order.grid_version)
+    g = random_graphon(rng, k=4, equal_mass=True)
+    for depth in (0, 3):
+        calls.update(grid_version=0, rectangle_signature=0)
+        es = sample_envelope(g, 32, 50, depth, seed=5)
+        assert len(es) == 50 + 5 + depth + 1
+        assert calls["grid_version"] <= 2
+        assert calls["rectangle_signature"] == depth + 1
 
 
 # ----------------------------------------------------------------------- chi
