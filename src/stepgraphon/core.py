@@ -64,6 +64,30 @@ def _mismatch(x, y):
     return np.shape(x) != np.shape(y) or not (np.abs(x - y).max(initial=0.0) <= MATCH_TOL)
 
 
+def _nonnegative(r):
+    """r clipped at 0 after raising PartitionMismatch below -MATCH_TOL.
+
+    r is one assignment or a stack of them; the message names the first
+    offending entry by its (block, part) position.
+    """
+    bad = r < -MATCH_TOL
+    if bad.any():
+        idx = tuple(np.argwhere(bad)[0])
+        raise PartitionMismatch(f"negative mass {r[idx]!r} at ({idx[-2]}, {idx[-1]})")
+    return np.clip(r, 0.0, None)
+
+
+def _require_source(r, weights):
+    """PartitionSpec.require_source for one assignment or a stack of them."""
+    n = r.shape[-2]
+    if n != len(weights):
+        raise PartitionMismatch(
+            f"partition has {n} source blocks, graphon has {len(weights)}")
+    rows = r.sum(axis=-1)
+    if _mismatch(rows, np.broadcast_to(weights, rows.shape)):
+        raise PartitionMismatch("partition row sums do not match block weights")
+
+
 def _cumulative(weights):
     """Breakpoints of consecutive blocks: block i occupies [cum[i], cum[i+1])."""
     cum = np.concatenate(([0.0], np.cumsum(weights)))
@@ -211,11 +235,7 @@ class PartitionSpec:
         r = np.array(assignment, dtype=float)
         if r.ndim != 2 or r.size == 0:
             raise PartitionMismatch("assignment must be a nonempty 2-d matrix")
-        if (r < -MATCH_TOL).any():
-            i, l = np.argwhere(r < -MATCH_TOL)[0]
-            raise PartitionMismatch(f"negative mass {r[i, l]!r} at ({i}, {l})")
-        r = np.clip(r, 0.0, None)
-        self.assignment = _freeze(r)
+        self.assignment = _freeze(_nonnegative(r))
 
     @property
     def source_weights(self):
@@ -227,12 +247,7 @@ class PartitionSpec:
 
     def require_source(self, weights):
         """Raise PartitionMismatch unless the row sums are these block weights."""
-        n = self.assignment.shape[0]
-        if n != len(weights):
-            raise PartitionMismatch(
-                f"partition has {n} source blocks, graphon has {len(weights)}")
-        if _mismatch(self.source_weights, weights):
-            raise PartitionMismatch("partition row sums do not match block weights")
+        _require_source(self.assignment, weights)
 
     def to_dict(self):
         return {"assignment": self.assignment.tolist()}
@@ -321,33 +336,46 @@ class Coupling:
         return cls(np.outer(r, c) / max(r.sum(), 1e-300), r, c)
 
 
-def corner_rule(row, col, row_order=None, col_order=None):
-    """Corner-rule vertex of the transport polytope under the given orders.
+def corner_rule(row, col, row_orders, col_orders):
+    """Corner-rule vertices of the transport polytope, one per pair of orders.
 
-    Vertices have at most len(row) + len(col) - 1 nonzero cells, which keeps
-    the induced refinements small.  The residual masses are Python floats:
-    their IEEE min, subtraction and comparison give the same bits as numpy
-    scalars, without numpy's per-scalar overhead.
+    row_orders is (n, len(row)) and col_orders (n, len(col)); lane p visits
+    rows in row_orders[p] and columns in col_orders[p], and the result is
+    (n, len(row), len(col)).  Vertices have at most len(row) + len(col) - 1
+    nonzero cells, which keeps the induced refinements small.  All lanes
+    walk in lockstep, at most len(row) + len(col) - 1 steps over the live
+    lanes.  Each step is the IEEE min (as Python's min(r, c), signed zeros
+    included), subtraction and comparison of the one-lane walk, so every
+    lane equals it bit for bit.
     """
     row = np.asarray(row, dtype=float)
     col = np.asarray(col, dtype=float)
-    row_order = range(len(row)) if row_order is None else row_order
-    col_order = range(len(col)) if col_order is None else col_order
-    r = row.tolist()
-    c = col.tolist()
-    m = np.zeros((len(row), len(col)))
-    ri = ci = 0
-    while ri < len(row_order) and ci < len(col_order):
-        i, j = row_order[ri], col_order[ci]
-        t = min(r[i], c[j])
-        m[i, j] = t
-        r[i] -= t
-        c[j] -= t
-        if r[i] <= c[j]:
-            ri += 1
-        else:
-            ci += 1
-    return m
+    k, q = len(row), len(col)
+    row_orders = np.asarray(row_orders, dtype=np.intp)
+    col_orders = np.asarray(col_orders, dtype=np.intp)
+    n = len(row_orders)
+    r = np.tile(row, n)
+    c = np.tile(col, n)
+    m = np.zeros(n * k * q)
+    live = np.arange(n)
+    ri = np.zeros(n, dtype=np.intp)
+    ci = np.zeros(n, dtype=np.intp)
+    while len(live):
+        i = live * k + row_orders[live, ri]
+        jl = col_orders[live, ci]
+        j = live * q + jl
+        rv, cv = r[i], c[j]
+        t = np.where(cv < rv, cv, rv)
+        m[i * q + jl] = t
+        rv -= t
+        cv -= t
+        r[i], c[j] = rv, cv
+        step = rv <= cv
+        ri += step
+        ci += ~step
+        going = (ri < k) & (ci < q)
+        live, ri, ci = live[going], ri[going], ci[going]
+    return m.reshape(n, k, q)
 
 
 def _locate(cum, x):

@@ -382,15 +382,18 @@ def cut_distance(U, W, budget=None, seed=0):
     Bp, idx_b = _prune_zero_blocks(B)
     a, b = Ap.weights, Bp.weights
 
-    starts = [corner_rule(a, b)]
+    row_orders, col_orders = [np.arange(len(a))], [np.arange(len(b))]
+    for r in range(cfg["restarts"]):
+        rng = np.random.default_rng((seed, r))
+        row_orders.append(rng.permutation(len(a)))
+        col_orders.append(rng.permutation(len(b)))
+    corners = corner_rule(a, b, row_orders, col_orders)
+    starts = [corners[0]]
     if Ap.k * Bp.k <= 1024:
         starts.append(Coupling.product(a, b).matrix)
     if Ap.k == Bp.k and np.abs(a - b).max() <= 1e-12:
         starts.append(np.diag(a))
-    for r in range(cfg["restarts"]):
-        rng = np.random.default_rng((seed, r))
-        starts.append(corner_rule(a, b, rng.permutation(len(a)),
-                                  rng.permutation(len(b))))
+    starts.extend(corners[1:])
 
     best_val, best_c = np.inf, None
     memo = {}

@@ -9,12 +9,21 @@ output as an estimate from below.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .core import PartitionSpec, _cumulative, _mismatch, corner_rule, edge_density
+from .core import (
+    PartitionSpec,
+    _cumulative,
+    _mismatch,
+    _nonnegative,
+    _require_source,
+    corner_rule,
+    edge_density,
+)
 from .errors import (
     DimensionMismatch,
     MarginalMismatch,
@@ -87,31 +96,83 @@ def multiway_matrix(W, R):
 
 
 def _safe_ratio(target, current):
-    return np.divide(target, current, out=np.zeros_like(target),
+    return np.divide(target, current, out=np.zeros_like(current),
                      where=current > 0)
 
 
-def _scaled_random(rng, row, col, cap=500, residual_tol=1e-10):
-    """Seeded interior plan with marginals row and col, by Sinkhorn scaling.
+@functools.lru_cache(maxsize=16)
+def _vertex_orders(k, q):
+    """Read-only (n, k) row orders and (n, q) column orders of the vertex plans.
 
-    Once both residuals are below residual_tol, one more row scaling puts
-    the row sums on `row` up to rounding.  A cut matrix's total is s^T V s
-    for the plan's row sums s, so it then stays on the edge density.  That
-    step moves each column sum by at most the summed row residuals it
-    removes (each below residual_tol), so the column sums may miss `col`
-    by about residual_tol; nothing checks them.
+    When q! * k! is at most VERTEX_ENUM_CAP these are all pairs, row order
+    outermost, each in itertools.permutations order.  Otherwise they are
+    the 2kq extreme-point orders: for each row i and column l, row i first,
+    then column l first (the entry's max) and column l last (its min).
     """
-    m = rng.random((len(row), len(col))) + 0.05
-    res = np.inf
+    if math.factorial(q) * math.factorial(k) <= VERTEX_ENUM_CAP:
+        rows = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+        cols = np.array(list(itertools.permutations(range(q))), dtype=np.intp)
+        row_orders = np.repeat(rows, len(cols), axis=0)
+        col_orders = np.tile(cols, (len(rows), 1))
+    else:
+        def first(n, x):
+            return [x] + [y for y in range(n) if y != x]
+
+        def last(n, x):
+            return [y for y in range(n) if y != x] + [x]
+
+        row_orders = np.array([first(k, i) for i in range(k) for _ in range(2 * q)],
+                              dtype=np.intp).reshape(-1, k)
+        col_orders = np.array([order(q, l) for _ in range(k) for l in range(q)
+                               for order in (first, last)], dtype=np.intp).reshape(-1, q)
+    row_orders.flags.writeable = False
+    col_orders.flags.writeable = False
+    return row_orders, col_orders
+
+
+def _scaled_random(seed, count, row, col, cap=500, residual_tol=1e-10):
+    """`count` seeded interior plans with marginals row and col, by Sinkhorn scaling.
+
+    Plan idx starts from the generator seeded (seed, idx).  The plans scale
+    in lockstep, each exactly as it would alone: once both of its residuals
+    are below residual_tol, one more row scaling puts its row sums on `row`
+    up to rounding and the plan leaves the stack.  A cut matrix's total is
+    s^T V s for the plan's row sums s, so it then stays on the edge density.
+    That step moves each column sum by at most the summed row residuals it
+    removes (each below residual_tol), so the column sums may miss `col` by
+    about residual_tol; nothing checks them.  Raises ScalingDiverged with the
+    largest residual still live if a plan has not converged after cap rounds.
+    """
+    k, q = len(row), len(col)
+    plans = np.empty((count, k, q))
+    for idx in range(count):
+        plans[idx] = np.random.default_rng((seed, idx)).random((k, q)) + 0.05
+    live, m, res = np.arange(count), plans, np.full(count, np.inf)
     for _ in range(cap):
-        m *= _safe_ratio(row, m.sum(axis=1))[:, None]
-        m *= _safe_ratio(col, m.sum(axis=0))
-        res = max(np.abs(m.sum(axis=1) - row).max(),
-                  np.abs(m.sum(axis=0) - col).max())
-        if res < residual_tol:
-            m *= _safe_ratio(row, m.sum(axis=1))[:, None]
-            return m
-    raise ScalingDiverged(res, cap)
+        if not len(live):
+            break
+        m *= _safe_ratio(row, m.sum(axis=2))[:, :, None]
+        m *= _safe_ratio(col, m.sum(axis=1))[:, None, :]
+        res = np.maximum(np.abs(m.sum(axis=2) - row).max(axis=1),
+                         np.abs(m.sum(axis=1) - col).max(axis=1))
+        done = res < residual_tol
+        if done.any():
+            fin = m[done]
+            fin *= _safe_ratio(row, fin.sum(axis=2))[:, :, None]
+            plans[live[done]] = fin
+            live, m, res = live[~done], m[~done], res[~done]
+    if len(live):
+        raise ScalingDiverged(res.max(), cap)
+    return plans
+
+
+def _stacked_matrices(W, plans):
+    """Cut matrices r^T V r of a (n, k, q) stack of plans, (n, q, q).
+
+    Each slice is the product multiway_matrix forms for that plan, with the
+    same association, so the two agree bit for bit.
+    """
+    return plans.transpose(0, 2, 1) @ W.values @ plans
 
 
 def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
@@ -120,14 +181,18 @@ def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
     Deterministic generation first: the full corner-rule vertex family when
     q! * k! is at most 10^4, otherwise the per-entry max/min extreme points;
     then `count` seeded interior points of the transport polytope (count may
-    be 0 for deterministic-only generation).
+    be 0 for deterministic-only generation).  Every plan comes from one
+    stacked corner rule or one lockstep scaling.
 
-    Duplicates go in two stages, in plan order.  A plan whose bytes equal an
-    earlier plan's is skipped before its matrix is built: it would give the
-    same matrix, which the second stage already drops.  A matrix within l1
-    distance `dedup_tol` of a kept one is then dropped, tested against all
-    kept matrices in one stacked comparison.  The kept matrices and their
-    provenance are those of testing every plan's matrix in turn.
+    Duplicates go in two stages, in plan order.  Only the first plan of
+    each byte pattern stays; the distinct plans are checked as partitions
+    of W's block weights all at once (PartitionMismatch as PartitionSpec
+    and require_source raise it) and their matrices come from one stacked
+    product.  Walking the kept matrices in order, every later matrix within
+    l1 distance `dedup_tol` of a kept one is dropped, so the next survivor
+    is the next kept matrix: the kept matrices and their provenance are
+    those of testing every plan's matrix in turn against the kept ones.
+    Only kept plans become a PartitionSpec and go through multiway_matrix.
     """
     a = np.asarray(a, dtype=float)
     if count < 0:
@@ -138,48 +203,27 @@ def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
         raise MarginalMismatch("part masses must be nonnegative and sum to 1")
     w = W.weights
     k, q = len(w), len(a)
-    plans = []
+    plans = np.concatenate((corner_rule(w, a, *_vertex_orders(k, q)),
+                            _scaled_random(seed, count, w, a)))
+    rows = plans.reshape(len(plans), k * q)
+    _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * k * q))).ravel(),
+                         return_index=True)
+    plans = _nonnegative(plans[np.sort(first)])
+    _require_source(plans, w)
 
-    if math.factorial(q) * math.factorial(k) <= VERTEX_ENUM_CAP:
-        for row_order in itertools.permutations(range(k)):
-            for col_order in itertools.permutations(range(q)):
-                plans.append(corner_rule(w, a, row_order, col_order))
-    else:
-        base_rows = list(range(k))
-        base_cols = list(range(q))
-        for i in range(k):
-            for l in range(q):
-                rows = [i] + [r for r in base_rows if r != i]
-                cols_max = [l] + [c for c in base_cols if c != l]
-                cols_min = [c for c in base_cols if c != l] + [l]
-                plans.append(corner_rule(w, a, rows, cols_max))
-                plans.append(corner_rule(w, a, rows, cols_min))
-
-    for idx in range(count):
-        rng = np.random.default_rng((seed, idx))
-        plans.append(_scaled_random(rng, w, a))
-
-    seen = set()
-    kept = np.empty((len(plans), q, q))
-    matrices, provenance = [], []
-    for plan in plans:
-        key = plan.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        spec = PartitionSpec(plan)
-        m = multiway_matrix(W, spec)
-        n = len(matrices)
-        if (np.abs(kept[:n] - m).sum(axis=(1, 2)) <= dedup_tol).any():
-            continue
-        kept[n] = m
-        matrices.append(m)
-        provenance.append(spec)
-
+    stack = _stacked_matrices(W, plans)
     density = edge_density(W)
-    for m in matrices:
+    matrices, provenance = [], []
+    rest = np.arange(len(stack))
+    while len(rest):
+        i, rest = rest[0], rest[1:]
+        rest = rest[~(np.abs(stack[rest] - stack[i]).sum(axis=(1, 2)) <= dedup_tol)]
+        spec = PartitionSpec(plans[i])
+        m = multiway_matrix(W, spec)
         if abs(m.sum() - density) > 1e-10:
             raise StepGraphonError("cut matrix total drifted from the edge density")
+        matrices.append(m)
+        provenance.append(spec)
     return MultiwayMatrixSet(a, matrices, provenance)
 
 

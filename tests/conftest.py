@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from stepgraphon import (
     PartitionSpec,
+    ScalingDiverged,
     SignedStepKernel,
     StepGraphon,
     grid_version,
@@ -52,6 +53,24 @@ def corner_rule_reference(row, col, row_order=None, col_order=None):
         else:
             ci += 1
     return m
+
+
+def scaled_random_reference(rng, row, col, cap=500, residual_tol=1e-10):
+    """One Sinkhorn-scaled interior plan, as the sampler first scaled each alone."""
+    def ratio(target, current):
+        return np.divide(target, current, out=np.zeros_like(target), where=current > 0)
+
+    m = rng.random((len(row), len(col))) + 0.05
+    res = np.inf
+    for _ in range(cap):
+        m *= ratio(row, m.sum(axis=1))[:, None]
+        m *= ratio(col, m.sum(axis=0))
+        res = max(np.abs(m.sum(axis=1) - row).max(),
+                  np.abs(m.sum(axis=0) - col).max())
+        if res < residual_tol:
+            m *= ratio(row, m.sum(axis=1))[:, None]
+            return m
+    raise ScalingDiverged(res, cap)
 
 
 def cumulative_reference(weights):

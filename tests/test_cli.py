@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,17 @@ from stepgraphon import io
 from stepgraphon.cli import main
 from stepgraphon.core import StepGraphon
 from stepgraphon.order import EnvelopeSample
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_module(args):
+    """Run `python -m stepgraphon.cli args` with this checkout's src/ first on the path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "stepgraphon.cli"] + args,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def run_cli(args, capsys):
@@ -176,9 +189,8 @@ def test_bad_values_exit_one_without_traceback(tmp_path, capsys, option, args):
     run_cli(["build", "--name", "bipartite", "--out", str(paths["w"])], capsys)
     paths["y"].write_text(json.dumps({"weights": [0.5, 0.5], "signed": True,
                                       "values": [[-0.5, 0.5], [0.5, -0.5]]}))
-    cmd = [sys.executable, "-m", "stepgraphon.cli"]
-    cmd += [arg.format(**{key: str(path) for key, path in paths.items()}) for arg in args]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = run_module([arg.format(**{key: str(path) for key, path in paths.items()})
+                       for arg in args])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("usage: ")
@@ -209,8 +221,7 @@ def test_malformed_files_exit_one_without_traceback(tmp_path, command, content):
     args = {"density": ["--w", path],
             "flatness": ["--l1", path, "--l2", path],
             "multiway": ["--su", path, "--sw", path]}[words[0]]
-    proc = subprocess.run([sys.executable, "-m", "stepgraphon.cli"] + words + args,
-                          capture_output=True, text=True)
+    proc = run_module(words + args)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -218,10 +229,9 @@ def test_malformed_files_exit_one_without_traceback(tmp_path, command, content):
 
 
 def test_determinism_byte_identical():
-    cmd = [sys.executable, "-m", "stepgraphon.cli", "reproduce",
-           "--which", "multiway", "--seed", "3", "--json"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    args = ["reproduce", "--which", "multiway", "--seed", "3", "--json"]
+    a = run_module(args)
+    b = run_module(args)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
@@ -259,9 +269,7 @@ def test_cut_set_without_provenance_exits_one_without_traceback(tmp_path):
     path = tmp_path / "set.json"
     path.write_text(json.dumps({"a": [0.5, 0.5], "matrices": [[[0.1, 0.1], [0.1, 0.1]]],
                                 "provenance": []}))
-    cmd = [sys.executable, "-m", "stepgraphon.cli", "multiway", "hausdorff",
-           "--su", str(path), "--sw", str(path)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = run_module(["multiway", "hausdorff", "--su", str(path), "--sw", str(path)])
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()

@@ -34,6 +34,11 @@ from conftest import corner_rule_reference, random_graphon, random_kernel
 HALF = StepGraphon([1.0], [[0.5]])
 
 
+def northwest(row, col):
+    """The corner-rule vertex visiting rows and columns in index order."""
+    return corner_rule(row, col, [np.arange(len(row))], [np.arange(len(col))])[0]
+
+
 def brute_force_cut_norm(kernel):
     """Independent oracle: enumerate every 0/1 box on both sides."""
     keep = kernel.weights > 0
@@ -63,7 +68,7 @@ def test_coupling_validation():
 
 def test_northwest_aligns_interval_partitions():
     row, col = [0.25, 0.75], [0.5, 0.5]
-    c = Coupling(corner_rule(row, col), row, col)
+    c = Coupling(northwest(row, col), row, col)
     assert np.allclose(c.matrix, [[0.25, 0.0], [0.25, 0.5]])
 
 
@@ -293,7 +298,7 @@ def test_cut_distance_upper_bound_contract(rng):
         val, _ = cut_distance(u, w, budget={"restarts": 2, "max_iters": 5})
         for c in (Coupling.diagonal(u.weights),
                   Coupling.product(u.weights, w.weights),
-                  Coupling(corner_rule(u.weights, w.weights), u.weights, w.weights)):
+                  Coupling(northwest(u.weights, w.weights), u.weights, w.weights)):
             assert val <= cut_norm_distance(u, w, c) + 1e-12
 
 
@@ -329,7 +334,7 @@ def test_local_search_memo_replays_without_recomputing(monkeypatch, rng):
     w = random_graphon(rng, k=5)
     evals = _count_calls(monkeypatch, "_difference_kernel")
     lps = _count_calls(monkeypatch, "_min_cost_transport")
-    c0 = corner_rule(u.weights, w.weights)
+    c0 = northwest(u.weights, w.weights)
     memo = {}
     val, cmat = metrics._local_search(u, w, c0, 20, 1e-9, 0, memo)
     n_evals, n_lps = len(evals), len(lps)
@@ -350,7 +355,7 @@ def test_failing_transport_is_solved_once_per_gradient(monkeypatch, rng):
     u = random_graphon(rng, k=3)
     w = random_graphon(rng, k=2)
     # a failed LP ends the search at its start, on a memo hit as well
-    c0 = corner_rule(u.weights, w.weights)
+    c0 = northwest(u.weights, w.weights)
     memo = {}
     for _ in range(2):
         val, cmat = metrics._local_search(u, w, c0, 20, 1e-9, 0, memo)
@@ -537,26 +542,60 @@ def test_overlap_coupling_matches_shared_geometry():
     assert np.allclose(c.matrix, [[0.25, 0.0], [0.25, 0.5]])
 
 
+def extreme_orders(k, q):
+    """Row i first; column l first, then column l last; for every (i, l)."""
+    def first(n, x):
+        return [x] + [y for y in range(n) if y != x]
+
+    def last(n, x):
+        return [y for y in range(n) if y != x] + [x]
+
+    pairs = [(first(k, i), order(q, l)) for i in range(k) for l in range(q)
+             for order in (first, last)]
+    return [r for r, _ in pairs], [c for _, c in pairs]
+
+
 @st.composite
-def transport_marginals(draw):
-    """Row and column masses summing to 1 (some may be 0) and visit orders."""
+def transport_lanes(draw):
+    """Row and column masses summing to 1 (some may be 0) and lanes of visit orders.
+
+    The lanes are random order pairs followed by the extreme-point orders.
+    """
     masses = []
     for size in (draw(st.integers(1, 7)), draw(st.integers(1, 4))):
         x = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+        x[draw(st.lists(st.integers(0, size - 1), max_size=size))] = 0.0
         x[draw(st.integers(0, size - 1))] += 0.5
         masses.append(x / x.sum())
     row, col = masses
-    row_order = draw(st.permutations(range(len(row))))
-    col_order = draw(st.permutations(range(len(col))))
-    return row, col, row_order, col_order
+    lanes = draw(st.lists(st.tuples(st.permutations(range(len(row))),
+                                    st.permutations(range(len(col)))), max_size=8))
+    row_orders, col_orders = extreme_orders(len(row), len(col))
+    row_orders = [list(r) for r, _ in lanes] + row_orders
+    col_orders = [list(c) for _, c in lanes] + col_orders
+    return row, col, row_orders, col_orders
 
 
-@given(transport_marginals())
+@given(transport_lanes())
 def test_corner_rule_matches_numpy_scalar_reference(case):
-    row, col, row_order, col_order = case
-    m = corner_rule(row, col, row_order, col_order)
-    ref = corner_rule_reference(row, col, row_order, col_order)
-    assert m.tobytes() == ref.tobytes()
-    assert np.abs(m.sum(axis=1) - row).max() <= 1e-12
-    assert np.abs(m.sum(axis=0) - col).max() <= 1e-12
-    assert np.count_nonzero(m) <= len(row) + len(col) - 1
+    row, col, row_orders, col_orders = case
+    plans = corner_rule(row, col, row_orders, col_orders)
+    assert plans.shape == (len(row_orders), len(row), len(col))
+    for m, row_order, col_order in zip(plans, row_orders, col_orders):
+        ref = corner_rule_reference(row, col, row_order, col_order)
+        assert m.tobytes() == ref.tobytes()
+        assert np.abs(m.sum(axis=1) - row).max() <= 1e-12
+        assert np.abs(m.sum(axis=0) - col).max() <= 1e-12
+        assert np.count_nonzero(m) <= len(row) + len(col) - 1
+
+
+def test_corner_rule_keeps_signed_zeros_of_the_scalar_walk():
+    # min(r, c) keeps r on a tie, so a -0.0 mass stays -0.0 where it wins
+    row = np.array([0.5, 0.0, -0.0, 0.5])
+    col = np.array([-0.0, 0.25, 0.75, 0.0])
+    pairs = list(itertools.product(itertools.permutations(range(4)), repeat=2))
+    plans = corner_rule(row, col, [r for r, _ in pairs], [c for _, c in pairs])
+    assert np.signbit(plans).any()
+    for m, (row_order, col_order) in zip(plans, pairs):
+        assert m.tobytes() == corner_rule_reference(row, col, row_order, col_order).tobytes()
+    assert northwest(row, col).tobytes() == corner_rule_reference(row, col).tobytes()

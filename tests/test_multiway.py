@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stepgraphon import (
     DimensionMismatch,
@@ -11,6 +12,7 @@ from stepgraphon import (
     PartitionMismatch,
     PartitionSpec,
     ProvenanceMismatch,
+    ScalingDiverged,
     StepGraphon,
     edge_density,
     grid_version,
@@ -24,7 +26,7 @@ from stepgraphon import multiway
 from stepgraphon.named import bipartite_graphon
 from stepgraphon.order import chi_estimate
 
-from conftest import corner_rule_reference, random_graphon
+from conftest import corner_rule_reference, random_graphon, scaled_random_reference
 
 
 def test_multiway_matrix_single_part():
@@ -206,7 +208,7 @@ def sample_reference(W, a, count, seed=0, dedup_tol=1e-9):
                 plans.append(corner_rule_reference(w, a, rows, cols_max))
                 plans.append(corner_rule_reference(w, a, rows, cols_min))
     for idx in range(count):
-        plans.append(multiway._scaled_random(np.random.default_rng((seed, idx)), w, a))
+        plans.append(scaled_random_reference(np.random.default_rng((seed, idx)), w, a))
     matrices, provenance = [], []
     for plan in plans:
         spec = PartitionSpec(plan)
@@ -223,14 +225,26 @@ def _dirichlet_graphon(rng, k):
     return StepGraphon(rng.dirichlet(np.ones(k)), (v + v.T) / 2)
 
 
-@pytest.mark.parametrize("case", ["equal-mass-k6-q2", "dirichlet-k5-q3", "extreme-k8-q2"])
+def _zero_weight_blocks(rng):
+    v = rng.random((5, 5))
+    return StepGraphon([0.3, 0.0, 0.2, 0.5, 0.0], (v + v.T) / 2)
+
+
+SAMPLER_CASES = {
+    "equal-mass-k6-q2": lambda rng: (random_graphon(rng, k=6, equal_mass=True), [0.5, 0.5]),
+    "dirichlet-k5-q3": lambda rng: (_dirichlet_graphon(rng, 5), [0.2, 0.3, 0.5]),
+    "extreme-k8-q2": lambda rng: (_dirichlet_graphon(rng, 8), [0.3, 0.7]),
+    "zero-weight-block": lambda rng: (_zero_weight_blocks(rng), [0.4, 0.6]),
+    "zero-part-mass": lambda rng: (_dirichlet_graphon(rng, 5), [0.25, 0.0, 0.75]),
+    "one-part": lambda rng: (_dirichlet_graphon(rng, 6), [1.0]),
+    "extreme-k8-q3": lambda rng: (random_graphon(rng, k=8, equal_mass=True),
+                                  [0.25, 0.25, 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", list(SAMPLER_CASES))
 def test_sampler_equals_per_plan_reference(rng, monkeypatch, case):
-    if case == "equal-mass-k6-q2":
-        g, a = random_graphon(rng, k=6, equal_mass=True), [0.5, 0.5]
-    elif case == "dirichlet-k5-q3":
-        g, a = _dirichlet_graphon(rng, 5), [0.2, 0.3, 0.5]
-    else:
-        g, a = _dirichlet_graphon(rng, 8), [0.3, 0.7]
+    g, a = SAMPLER_CASES[case](rng)
     matrices, provenance, plans = sample_reference(g, a, count=10, seed=3)
     built = []
 
@@ -245,10 +259,85 @@ def test_sampler_equals_per_plan_reference(rng, monkeypatch, case):
         assert (m == ref).all()
     for spec, ref in zip(s.provenance, provenance):
         assert (spec.assignment == ref.assignment).all()
-    # one matrix per distinct plan
-    assert len(built) == len({p.tobytes() for p in plans})
+    # one matrix per kept plan; the dedup product matches the per-plan one
+    assert len(built) == len(s)
+    distinct = list({p.tobytes(): p for p in plans}.values())
     if case == "equal-mass-k6-q2":
-        assert len(built) < len(plans)
+        assert len(distinct) < len(plans)
+    stack = multiway._stacked_matrices(g, np.array(distinct))
+    for p, m in zip(distinct, stack):
+        assert (m == multiway_matrix(g, PartitionSpec(p))).all()
+
+
+@pytest.mark.parametrize("count", [0, 1, 10])
+def test_lockstep_scaling_equals_one_plan_at_a_time(rng, count):
+    for k, q in ((6, 2), (5, 3), (1, 1), (9, 4)):
+        w = rng.dirichlet(np.ones(k))
+        a = rng.dirichlet(np.ones(q))
+        plans = multiway._scaled_random(17, count, w, a)
+        assert plans.shape == (count, k, q)
+        for idx, plan in enumerate(plans):
+            ref = scaled_random_reference(np.random.default_rng((17, idx)), w, a)
+            assert plan.tobytes() == ref.tobytes()
+
+
+def _one_round_residual(rng, row, col):
+    with pytest.raises(ScalingDiverged) as info:
+        scaled_random_reference(rng, row, col, cap=1)
+    return info.value.residual
+
+
+def test_scaling_cap_raises_with_the_live_residual():
+    w, a = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.5])
+    with pytest.raises(ScalingDiverged) as info:
+        multiway._scaled_random(0, 4, w, a, cap=1)
+    assert info.value.iterations == 1
+    assert 1e-10 <= info.value.residual < np.inf
+    assert info.value.residual == max(
+        _one_round_residual(np.random.default_rng((0, idx)), w, a) for idx in range(4))
+
+
+def _corrupt_last_vertex(monkeypatch, entry):
+    """Add entry to one cell of the last corner-rule plan the sampler builds."""
+    stacked = multiway.corner_rule
+
+    def corrupted(*args):
+        plans = stacked(*args)
+        plans[-1, 0, 0] += entry
+        return plans
+
+    monkeypatch.setattr(multiway, "corner_rule", corrupted)
+
+
+# On the zero graphon every cut matrix is 0, so only the first plan is kept
+# and the corrupted one meets only the checks run on every distinct plan.
+ZERO = StepGraphon([0.1, 0.2, 0.3, 0.4], np.zeros((4, 4)))
+
+
+def test_sampler_rejects_a_plan_with_negative_mass(monkeypatch):
+    assert len(sample_multiway_set(ZERO, [0.5, 0.5], count=2)) == 1
+    _corrupt_last_vertex(monkeypatch, -1.0)
+    with pytest.raises(PartitionMismatch, match="negative mass"):
+        sample_multiway_set(ZERO, [0.5, 0.5], count=2)
+
+
+def test_sampler_rejects_a_plan_off_the_block_weights(monkeypatch):
+    _corrupt_last_vertex(monkeypatch, 1e-6)
+    with pytest.raises(PartitionMismatch, match="row sums"):
+        sample_multiway_set(ZERO, [0.5, 0.5], count=2)
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_cut_set_is_invariant_under_cell_permutations(k, q, data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    v = rng.random((k, k))
+    u = StepGraphon(np.full(k, 1.0 / k), (v + v.T) / 2)
+    perm = data.draw(st.permutations(range(k)))
+    a = rng.dirichlet(np.ones(q))
+    su = sample_multiway_set(u, a, count=0)
+    sv = sample_multiway_set(grid_version(u, k, perm), a, count=0)
+    assert multiway_hausdorff(su, sv) <= 1e-12
 
 
 def test_sampler_rejects_negative_tolerance():
