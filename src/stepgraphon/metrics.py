@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
+import sys
 
 import numpy as np
 from scipy.optimize import linprog
@@ -24,12 +26,14 @@ from .core import (
     corner_rule,
     grid_version,
 )
-from .errors import EmptySet, SolverFailure, TooManyBlocksForExact
+from .errors import EmptySet, SolverFailure, StepGraphonError, TooManyBlocksForExact
 
 EXACT_BLOCK_CAP = 24
 SWEEP_BLOCK_CAP = 8
 _BLOCK_FLOATS = 1 << 16  # exact enumeration block; timed faster than 2^17 or 2^18
+_SCREEN_BLOCKS = 8  # float32 screen from this many blocks (k >= 15); below it costs more
 DEFAULT_BUDGET = {"restarts": 32, "max_iters": 200, "tol": 1e-9}
+WEAK_STAR_DEPTH_CAP = 10  # the deepest level with a nonzero float64 weight
 
 
 class CutNormResult:
@@ -76,6 +80,71 @@ def _heuristic_starts(seed, n_starts, k):
     return table
 
 
+def _pattern_blocks(low, high, low_total, high_total, per_block, keep=None):
+    """Yield (hi, pos, neg) for each block of per_block consecutive hi.
+
+    The arrays' dtype sets the precision.  Axes of the work buffer are
+    (column, hi, lo), so pos and neg, flattened, run in pattern order.  keep,
+    one bool per block, skips the blocks it marks False.
+    """
+    k, n_low = low.shape
+    n_high = high.shape[1]
+    buf = np.empty((k, per_block, n_low), dtype=low.dtype)
+    for block, hi in enumerate(range(0, n_high, per_block)):
+        if keep is not None and not keep[block]:
+            continue
+        n = min(per_block, n_high - hi)
+        cols = np.add(high[:, hi:hi + n, None], low[:, None, :], out=buf[:, :n])
+        np.maximum(cols, 0.0, out=cols)
+        pos = cols.sum(axis=0).ravel()
+        neg = pos - (high_total[hi:hi + n, None] + low_total).ravel()
+        yield hi, pos, neg
+
+
+def _screen_blocks(low, high, low_total, high_total, per_block, total_abs):
+    """One float32 pass: the blocks that may hold a float64 maximum.
+
+    Scaling: low, high and their totals are multiplied by 2^shift, exact,
+    so that the largest magnitude of low and high lies in [0.5, 1), and
+    cast to float32.  All values below are in these scaled units.
+
+    Error bound.  For a pattern let A = sum_j |high[j, hi]| + |low[j, lo]|.
+    A and the magnitude of the pattern total are at most T' = 2^shift T,
+    T = sum |ay|, up to float64 rounding.  Compare pos and neg with their
+    exact values from the float64 low, high and totals; u32 = 2^-24 and
+    u64 = 2^-53 are the unit roundoffs.
+    - float32: a column sum is two rounded casts and a rounded add, off by
+      (2 u32 + u32^2) times its share of A; the k-term sum adds (k - 1) u32 A
+      in any summation order; the totals' casts and add and neg's
+      subtraction add less than 4 u32 A.  So pos and neg are within
+      (k + 7) u32 A.
+    - float64: the same steps without the casts, within (k + 5) u64 A.
+    - underflow: the 4k + 3 float32 casts, adds and sum steps lose at most
+      2^-126 each (2^-150 per cast and nothing per add under gradual
+      underflow; 2^-126 also covers flush to zero).
+    So E = 2 ((k + 7) u32 + (k + 5) u64) T' + (4k + 4) 2^-126 bounds
+    |v32 - v64| for every pattern, pos and neg; the factor 2 covers the
+    float64 rounding of A <= T' and of the threshold.
+
+    Screen.  Let G be the largest float32 value.  Its pattern's float64
+    value is at least G - E, and so is the float64 maximum.  A block whose
+    float32 maximum is below G - 2E holds only float64 values below G - E,
+    hence no float64 maximum, and is dropped.  Every other block is kept;
+    a NaN keeps them all.
+    """
+    k = low.shape[0]
+    shift = -int(np.frexp(max(np.abs(low).max(), np.abs(high).max()))[1])
+
+    def scaled(x):
+        return np.ldexp(x, shift, out=np.empty(x.shape, np.float32), casting="same_kind")
+
+    maxima = np.array([max(pos.max(), neg.max()) for _, pos, neg in _pattern_blocks(
+        scaled(low), scaled(high), scaled(low_total), scaled(high_total), per_block)])
+    err = (2.0 * ((k + 7) * 2.0 ** -24 + (k + 5) * 2.0 ** -53) * math.ldexp(total_abs, shift)
+           + (4 * k + 4) * 2.0 ** -126)
+    return ~(maxima < maxima.max() - 2.0 * err)
+
+
 def _exact_cut_norm(ay):
     """Enumerate s over {0,1}^k; t is the greedy sign pattern per column.
 
@@ -85,6 +154,13 @@ def _exact_cut_norm(ay):
     the first l and the last k - l rows.  pos sums the positive column sums
     of a pattern and neg the negative ones, as pos minus the pattern total.
     The first maximum in pattern order wins, pos before neg.
+
+    The scan runs over blocks of consecutive hi.  From _SCREEN_BLOCKS
+    blocks on it takes two passes: a float32 pass (_screen_blocks) keeps
+    the blocks that may hold a float64 maximum, and the float64 pass scans
+    only those, in the same order with the same strict update.  A skipped
+    block holds only patterns below the float64 maximum, so the winner,
+    and with it the witness, is the one a scan of every block finds.
     """
     k = ay.shape[0]
     l = (k + 1) // 2
@@ -92,17 +168,13 @@ def _exact_cut_norm(ay):
     high = ay[l:].T @ _pattern_table(k - l).T
     low_total, high_total = low.sum(axis=0), high.sum(axis=0)
     n_high = high.shape[1]
-    # Blocks of consecutive hi; axes (column, hi, lo), so a flattened
-    # (hi, lo) slice runs in pattern order.
     per_block = min(n_high, max(1, _BLOCK_FLOATS // (k << l)))
-    buf = np.empty((k, per_block, 1 << l))
+    keep = None
+    if math.ceil(n_high / per_block) >= _SCREEN_BLOCKS:
+        keep = _screen_blocks(low, high, low_total, high_total, per_block,
+                              float(np.abs(ay).sum()))
     best_val, best_idx, best_sign = -1.0, 0, 1.0
-    for hi in range(0, n_high, per_block):
-        n = min(per_block, n_high - hi)
-        cols = np.add(high[:, hi:hi + n, None], low[:, None, :], out=buf[:, :n])
-        np.maximum(cols, 0.0, out=cols)
-        pos = cols.sum(axis=0).ravel()
-        neg = pos - (high_total[hi:hi + n, None] + low_total).ravel()
+    for hi, pos, neg in _pattern_blocks(low, high, low_total, high_total, per_block, keep):
         ip, iq = int(pos.argmax()), int(neg.argmax())
         if pos[ip] > best_val:
             best_val, best_idx, best_sign = float(pos[ip]), (hi << l) + ip, 1.0
@@ -361,6 +433,23 @@ def _expand_coupling(cmat, idx_u, idx_w, ku, kw, wu, ww):
     return Coupling(full, wu, ww)
 
 
+def _search_budget(budget):
+    """DEFAULT_BUDGET updated by budget, or StepGraphonError for a bad entry."""
+    cfg = dict(DEFAULT_BUDGET)
+    for key, value in (budget or {}).items():
+        if key not in DEFAULT_BUDGET:
+            raise StepGraphonError(f"budget key {key!r} is not one of {sorted(DEFAULT_BUDGET)}")
+        if key == "tol":
+            ok = isinstance(value, numbers.Real) and 0 <= value <= sys.float_info.max
+        else:
+            ok = isinstance(value, numbers.Integral) and value >= 0
+        if isinstance(value, bool) or not ok:
+            kind = "a finite number" if key == "tol" else "an integer"
+            raise StepGraphonError(f"budget {key} must be {kind} >= 0, got {value!r}")
+        cfg[key] = value
+    return cfg
+
+
 def cut_distance(U, W, budget=None, seed=0):
     """Upper bound on the rearrangement cut distance, with the best coupling.
 
@@ -373,8 +462,7 @@ def cut_distance(U, W, budget=None, seed=0):
     norms and transport LPs for the length of the call; a memo hit returns
     exactly what recomputing would, so results do not depend on it.
     """
-    cfg = dict(DEFAULT_BUDGET)
-    cfg.update(budget or {})
+    cfg = _search_budget(budget)
     swap = _canonical_key(U) > _canonical_key(W)
     A, B = (W, U) if swap else (U, W)
     a_full, b_full = A.weights, B.weights
@@ -451,10 +539,16 @@ def weak_star_distance(U, W, depth):
 
     Sums 2^-(n+k) |integral over A_n x A_k of U - W| for the breadth-first
     dyadic enumeration A_1 = [0,1], A_2 = [0,1/2), A_3 = [1/2,1), ... down to
-    the given depth; all integrals are exact block-overlap sums.
+    the given depth; all integrals are exact block-overlap sums.  Levels past
+    WEAK_STAR_DEPTH_CAP = 10 are dropped: an interval there has n >= 2^11,
+    so each of its terms has n + k >= 2049 and a weight 2^-(n+k) of exactly
+    0.0 in float64 (the smallest positive float64 is 2^-1074).  Every depth
+    from 10 on thus sums the same nonzero terms and returns one value,
+    without the (2^(depth+1) - 1)^2 signatures of a deeper level.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    depth = min(depth, WEAK_STAR_DEPTH_CAP)
     diff = rectangle_signature(U, depth) - rectangle_signature(W, depth)
     return float((signature_weights(depth) * np.abs(diff)).sum())
 

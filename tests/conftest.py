@@ -11,7 +11,7 @@ from stepgraphon import (
     interlace_version,
     stepping,
 )
-from stepgraphon.metrics import rectangle_signature
+from stepgraphon.metrics import _BLOCK_FLOATS, _pattern_table, rectangle_signature
 from stepgraphon.order import canonicalize
 
 # Property tests replay the same examples on every run and carry no per-example
@@ -116,6 +116,36 @@ def envelope_reference(W, n, count, depth, seed=0):
         stepped = stepping(base, PartitionSpec.dyadic(base.weights, d))
         sigs.append(rectangle_signature(stepped, depth).ravel())
     return np.array(sigs)
+
+
+def exact_cut_norm_reference(ay):
+    """The exact cut-norm scan as first written: every block in float64."""
+    k = ay.shape[0]
+    l = (k + 1) // 2
+    low = ay[:l].T @ _pattern_table(l).T
+    high = ay[l:].T @ _pattern_table(k - l).T
+    low_total, high_total = low.sum(axis=0), high.sum(axis=0)
+    n_high = high.shape[1]
+    # Blocks of consecutive hi; axes (column, hi, lo), so a flattened
+    # (hi, lo) slice runs in pattern order.
+    per_block = min(n_high, max(1, _BLOCK_FLOATS // (k << l)))
+    buf = np.empty((k, per_block, 1 << l))
+    best_val, best_idx, best_sign = -1.0, 0, 1.0
+    for hi in range(0, n_high, per_block):
+        n = min(per_block, n_high - hi)
+        cols = np.add(high[:, hi:hi + n, None], low[:, None, :], out=buf[:, :n])
+        np.maximum(cols, 0.0, out=cols)
+        pos = cols.sum(axis=0).ravel()
+        neg = pos - (high_total[hi:hi + n, None] + low_total).ravel()
+        ip, iq = int(pos.argmax()), int(neg.argmax())
+        if pos[ip] > best_val:
+            best_val, best_idx, best_sign = float(pos[ip]), (hi << l) + ip, 1.0
+        if neg[iq] > best_val:
+            best_val, best_idx, best_sign = float(neg[iq]), (hi << l) + iq, -1.0
+    s = ((best_idx >> np.arange(k)) & 1).astype(float)
+    cols = s @ ay
+    t = (best_sign * cols > 0).astype(float)
+    return s, t
 
 
 def random_kernel(rng, k=None):

@@ -199,6 +199,24 @@ def test_bad_values_exit_one_without_traceback(tmp_path, capsys, option, args):
     assert [line for line in lines if line.startswith("error:")] == [lines[-1]]
 
 
+@pytest.mark.parametrize("budget", [
+    '{"restarts":"x"}', '{"tol":"a"}', '{"max_iters":1.5}', '{"restarts":1e9}',
+    '{"restart":4}', '{"restarts":true}', '{"max_iters":-1}', '{"tol":-1e-9}',
+    '{"tol":1e999}', '{"tol":NaN}',
+], ids=["restarts-string", "tol-string", "max-iters-float", "restarts-float",
+        "unknown-key", "restarts-bool", "max-iters-negative", "tol-negative", "tol-infinite",
+        "tol-nan"])
+def test_bad_budgets_exit_one_without_traceback(tmp_path, capsys, budget):
+    u, w = tmp_path / "u.json", tmp_path / "w.json"
+    run_cli(["build", "--name", "constant", "--c", "0.5", "--out", str(u)], capsys)
+    run_cli(["build", "--name", "bipartite", "--out", str(w)], capsys)
+    proc = run_module(["cutdist", "--u", str(u), "--w", str(w), "--budget", budget])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: budget ")
+
+
 NAN, INF = float("nan"), float("inf")
 
 

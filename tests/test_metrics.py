@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stepgraphon import (
     Coupling,
@@ -29,7 +29,8 @@ from stepgraphon.measures import DiscreteMeasure, _flatness_system
 from stepgraphon.metrics import dyadic_intervals
 from stepgraphon.named import bipartite_graphon
 
-from conftest import corner_rule_reference, random_graphon, random_kernel
+from conftest import (corner_rule_reference, exact_cut_norm_reference, random_graphon,
+                      random_kernel)
 
 HALF = StepGraphon([1.0], [[0.5]])
 
@@ -223,6 +224,101 @@ def test_cut_norm_exact_equals_brute_force(kernel):
         brute_force_cut_norm(kernel), abs=1e-12)
 
 
+def screened_kernel(family, k, rng):
+    """A signed kernel of one of the families the float32 screen must not misjudge."""
+    a = rng.dirichlet(np.ones(k))
+    v = rng.uniform(-1, 1, (k, k))
+    if family == "ties":
+        a = np.full(k, 1.0 / k)
+        v = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (k, k))
+    elif family == "duplicate":
+        a[1] = a[0]
+        v[1], v[:, 1] = v[0], v[:, 0]
+        v[1, 1] = v[0, 0]
+    elif family == "zero":
+        v = np.zeros((k, k))
+    elif family == "tiny-masses":
+        # masses down to 1e-30: their products underflow float32
+        a = 10.0 ** rng.permutation(np.linspace(-30.0, 0.0, k))
+    elif family == "dominant":
+        v *= 1e-3
+        i = rng.integers(k)
+        v[i, i] = 1.0
+    return SignedStepKernel(a / a.sum(), np.triu(v) + np.triu(v, 1).T)
+
+
+def assert_scan_matches_reference(kernel):
+    a = kernel.weights
+    ay = (a[:, None] * a[None, :]) * kernel.values
+    s, t = exact_cut_norm_reference(ay)
+    res = cut_norm(kernel, mode="exact")
+    assert res.value == metrics._witness_value(ay, s, t)
+    assert res.witness_s.tolist() == s.astype(int).tolist()
+    assert res.witness_t.tolist() == t.astype(int).tolist()
+
+
+SCREENED_FAMILIES = ["random", "ties", "duplicate", "zero", "tiny-masses", "dominant"]
+
+
+@pytest.mark.parametrize("family", SCREENED_FAMILIES)
+@pytest.mark.parametrize("k", [15, 16, 17, 18, 19, 20, 24])
+def test_screened_scan_is_bit_identical_to_float64_scan(k, family):
+    # from k = 15 the scan screens its blocks in float32; value and witness must
+    # be those of the all-float64 scan, ties and underflow included
+    rng = np.random.default_rng((k, SCREENED_FAMILIES.index(family)))
+    assert_scan_matches_reference(screened_kernel(family, k, rng))
+
+
+@st.composite
+def small_integer_kernels(draw):
+    k = draw(st.sampled_from([15, 16]))
+    w = np.array(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)), dtype=float)
+    v = np.array(draw(st.lists(st.integers(-2, 2), min_size=k * k, max_size=k * k)))
+    v = v.reshape(k, k) / 2.0
+    return SignedStepKernel(w / w.sum(), np.triu(v) + np.triu(v, 1).T)
+
+
+@settings(max_examples=40)
+@given(small_integer_kernels())
+def test_screened_scan_matches_float64_scan_on_integer_kernels(kernel):
+    assert_scan_matches_reference(kernel)
+
+
+def scanned_blocks(monkeypatch, kernel):
+    """Blocks the exact cut norm scans in float32 and in float64."""
+    seen = {np.float32: 0, np.float64: 0}
+    scan = metrics._pattern_blocks
+
+    def counting(low, *args):
+        for block in scan(low, *args):
+            seen[low.dtype.type] += 1
+            yield block
+
+    monkeypatch.setattr(metrics, "_pattern_blocks", counting)
+    cut_norm(kernel, mode="exact")
+    return seen[np.float32], seen[np.float64]
+
+
+def test_screen_leaves_few_blocks_to_rescan(monkeypatch):
+    # k = 19 spans 171 blocks; a screen that keeps them all would still be exact,
+    # so only this count shows it has stopped saving work
+    screened, rescanned = scanned_blocks(monkeypatch, random_kernel(np.random.default_rng(19), 19))
+    assert screened == 171
+    assert 1 <= rescanned <= 4
+
+
+def test_screen_starts_at_eight_blocks(monkeypatch):
+    # k = 14 spans 4 blocks and runs in float64 alone; k = 15 spans 8
+    assert scanned_blocks(monkeypatch, random_kernel(np.random.default_rng(14), 14)) == (0, 4)
+    screened, rescanned = scanned_blocks(monkeypatch, random_kernel(np.random.default_rng(15), 15))
+    assert screened == 8 and 1 <= rescanned < 8
+
+
+def test_screen_rescans_every_block_of_the_zero_kernel(monkeypatch):
+    kernel = SignedStepKernel(np.full(16, 1 / 16), np.zeros((16, 16)))
+    assert scanned_blocks(monkeypatch, kernel) == (16, 16)
+
+
 # --------------------------------------------------------------- cut norm dist
 
 def test_cut_norm_distance_basic():
@@ -246,6 +342,32 @@ def test_metric_ordering_chain(rng):
         dws = weak_star_distance(u, w, 4)
         assert dws <= dcut + 1e-10
         assert dcut <= dl1 + 1e-10
+
+
+@st.composite
+def graphon_pairs(draw):
+    def graphon(k):
+        w = np.array(draw(st.lists(st.integers(1, 6), min_size=k, max_size=k)), dtype=float)
+        values = st.floats(0.0, 1.0, allow_nan=False)
+        v = np.array(draw(st.lists(values, min_size=k * k, max_size=k * k))).reshape(k, k)
+        return StepGraphon(w / w.sum(), np.triu(v) + np.triu(v, 1).T)
+    return graphon(draw(st.integers(1, 12))), graphon(draw(st.integers(1, 12)))
+
+
+def equal_mass_graphon(k, seed):
+    v = np.random.default_rng(seed).random((k, k))
+    return StepGraphon(np.full(k, 1.0 / k), np.triu(v) + np.triu(v, 1).T)
+
+
+@settings(max_examples=30)
+@given(graphon_pairs())
+# equal masses 1/8 and 1/9, and 1/12 and 1/13, share only the breakpoints 0 and
+# 1, so their refinements have 16 and 24 cells and take the screened scan
+@example((equal_mass_graphon(8, 0), equal_mass_graphon(9, 1)))
+@example((equal_mass_graphon(12, 2), equal_mass_graphon(13, 3)))
+def test_aligned_cut_norm_at_most_l1(pair):
+    U, W = pair
+    assert aligned_cut_norm_distance(U, W) <= l1_distance(U, W) + 1e-12
 
 
 # ----------------------------------------------------------------- cut distance
@@ -439,6 +561,24 @@ def test_weak_star_interlacing_collapse():
               for n in (1, 2, 4, 8, 16, 32, 64)]
     assert all(values[i + 1] < values[i] for i in range(len(values) - 1))
     assert values[-1] < 0.01
+
+
+def test_weak_star_depth_stops_at_the_last_nonzero_weight(monkeypatch):
+    # a level-11 interval has index n >= 2^11, so each of its weights 2^-(n+k)
+    # is float64 zero; level 10, from n = 2^10, still has nonzero ones
+    assert 2.0 ** -2049 == 0.0
+    assert metrics.signature_weights(10)[(1 << 10) - 1, 0] == 2.0 ** -1025 > 0.0
+    u, w = interlace_version(bipartite_graphon(), 4), HALF
+    at_ten = weak_star_distance(u, w, 10)
+    signature = metrics.rectangle_signature
+
+    def shallow(W, depth):
+        assert depth <= 10
+        return signature(W, depth)
+
+    monkeypatch.setattr(metrics, "rectangle_signature", shallow)
+    assert weak_star_distance(u, w, 40) == at_ten
+    assert weak_star_distance(u, w, 11) == at_ten
 
 
 # ------------------------------------------------------------------ hausdorff
