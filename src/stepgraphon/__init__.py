@@ -49,7 +49,6 @@ from .measures import (
     add_measures,
     check_flatter,
     compose_couplings,
-    convex_order_test,
     degree_frequencies,
     range_frequencies,
     strictly_flatter,

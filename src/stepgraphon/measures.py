@@ -66,11 +66,6 @@ class DiscreteMeasure:
     def total_mass(self):
         return float(self.masses.sum())
 
-    def integrate(self, f):
-        if self.n == 0:
-            return 0.0
-        return float(np.sum(self.masses * np.vectorize(f, otypes=[float])(self.atoms)))
-
     def first_moment(self):
         return float(np.dot(self.atoms, self.masses))
 
@@ -296,46 +291,6 @@ def compose_couplings(p1, p2, mid):
     return Coupling(xi, p1.row_marginal, p2.col_marginal)
 
 
-DEFAULT_CONVEX_FAMILY = (
-    ("x^2", lambda x: x * x),
-    ("|x-1/4|", lambda x: abs(x - 0.25)),
-    ("|x-1/2|", lambda x: abs(x - 0.5)),
-    ("|x-3/4|", lambda x: abs(x - 0.75)),
-    ("exp(x)", np.exp),
-)
-
-
-class ConvexOrderReport:
-    def __init__(self, entries):
-        self.entries = entries
-
-    @property
-    def violations(self):
-        return [e["name"] for e in self.entries if not e["ok"]]
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def to_dict(self):
-        return {"entries": self.entries, "violations": self.violations}
-
-
-def convex_order_test(l1, l2, family=None, slack=1e-10):
-    """Necessary Choquet-order checks: int f dL1 <= int f dL2 for convex f."""
-    fam = family if family is not None else DEFAULT_CONVEX_FAMILY
-    entries = []
-    for name, f in fam:
-        v1, v2 = l1.integrate(f), l2.integrate(f)
-        entries.append({
-            "name": name,
-            "int_l1": v1,
-            "int_l2": v2,
-            "ok": bool(v1 <= v2 + slack),
-        })
-    return ConvexOrderReport(entries)
-
-
 def strictly_flatter(l1, l2, tol=1e-9):
     """Operational strict flatness: feasible witness and distinct measures."""
     witness = check_flatter(l1, l2, tol=tol)
@@ -357,8 +312,6 @@ __all__ = [
     "degree_frequencies",
     "check_flatter",
     "compose_couplings",
-    "convex_order_test",
-    "ConvexOrderReport",
     "strictly_flatter",
     "add_measures",
 ]

@@ -80,24 +80,42 @@ def _heuristic_starts(seed, n_starts, k):
     return table
 
 
+def _half_sums(ay):
+    """Column sums of every subset of each half of the rows, and their totals.
+
+    ay is one (k, k) kernel or a stack (..., k, k).  With l = ceil(k / 2),
+    column i of low (..., k, 2^l) holds the column sums of the rows among
+    the first l that the bits of i select, and high (..., k, 2^(k - l)) the
+    same for the last k - l rows; the totals sum those columns.
+    """
+    k = ay.shape[-1]
+    l = (k + 1) // 2
+    low = ay[..., :l, :].swapaxes(-1, -2) @ _pattern_table(l).T
+    high = ay[..., l:, :].swapaxes(-1, -2) @ _pattern_table(k - l).T
+    return low, high, low.sum(axis=-2), high.sum(axis=-2)
+
+
 def _pattern_blocks(low, high, low_total, high_total, per_block, keep=None):
     """Yield (hi, pos, neg) for each block of per_block consecutive hi.
 
-    The arrays' dtype sets the precision.  Axes of the work buffer are
-    (column, hi, lo), so pos and neg, flattened, run in pattern order.  keep,
-    one bool per block, skips the blocks it marks False.
+    The arrays' dtype sets the precision, and leading batch axes of low,
+    high and their totals carry through to pos and neg.  Axes of the work
+    buffer are (*batch, column, hi, lo), so pos and neg, flattened after
+    the batch axes, run in pattern order.  keep, one bool per block, skips
+    the blocks it marks False.
     """
-    k, n_low = low.shape
-    n_high = high.shape[1]
-    buf = np.empty((k, per_block, n_low), dtype=low.dtype)
+    *batch, k, n_low = low.shape
+    n_high = high.shape[-1]
+    buf = np.empty((*batch, k, per_block, n_low), dtype=low.dtype)
     for block, hi in enumerate(range(0, n_high, per_block)):
         if keep is not None and not keep[block]:
             continue
         n = min(per_block, n_high - hi)
-        cols = np.add(high[:, hi:hi + n, None], low[:, None, :], out=buf[:, :n])
+        cols = np.add(high[..., hi:hi + n, None], low[..., None, :], out=buf[..., :n, :])
         np.maximum(cols, 0.0, out=cols)
-        pos = cols.sum(axis=0).ravel()
-        neg = pos - (high_total[hi:hi + n, None] + low_total).ravel()
+        pos = cols.sum(axis=-3).reshape(*batch, -1)
+        neg = pos - (high_total[..., hi:hi + n, None]
+                     + low_total[..., None, :]).reshape(*batch, -1)
         yield hi, pos, neg
 
 
@@ -163,12 +181,9 @@ def _exact_cut_norm(ay):
     and with it the witness, is the one a scan of every block finds.
     """
     k = ay.shape[0]
-    l = (k + 1) // 2
-    low = ay[:l].T @ _pattern_table(l).T
-    high = ay[l:].T @ _pattern_table(k - l).T
-    low_total, high_total = low.sum(axis=0), high.sum(axis=0)
-    n_high = high.shape[1]
-    per_block = min(n_high, max(1, _BLOCK_FLOATS // (k << l)))
+    low, high, low_total, high_total = _half_sums(ay)
+    n_low, n_high = low.shape[1], high.shape[1]
+    per_block = min(n_high, max(1, _BLOCK_FLOATS // (k * n_low)))
     keep = None
     if math.ceil(n_high / per_block) >= _SCREEN_BLOCKS:
         keep = _screen_blocks(low, high, low_total, high_total, per_block,
@@ -177,9 +192,9 @@ def _exact_cut_norm(ay):
     for hi, pos, neg in _pattern_blocks(low, high, low_total, high_total, per_block, keep):
         ip, iq = int(pos.argmax()), int(neg.argmax())
         if pos[ip] > best_val:
-            best_val, best_idx, best_sign = float(pos[ip]), (hi << l) + ip, 1.0
+            best_val, best_idx, best_sign = float(pos[ip]), hi * n_low + ip, 1.0
         if neg[iq] > best_val:
-            best_val, best_idx, best_sign = float(neg[iq]), (hi << l) + iq, -1.0
+            best_val, best_idx, best_sign = float(neg[iq]), hi * n_low + iq, -1.0
     s = ((best_idx >> np.arange(k)) & 1).astype(float)
     cols = s @ ay
     t = (best_sign * cols > 0).astype(float)
@@ -391,22 +406,26 @@ def _local_search(U, W, c0, max_iters, tol, seed, memo):
 
 
 def _perm_sweep(U, W):
-    """Exact minimum of the cut norm over cell permutations (equal masses)."""
+    """Exact minimum of the cut norm over cell permutations (equal masses).
+
+    For each permutation p the difference kernel is (U - W[p][:, p]) / k^2,
+    and its cut norm is the exact scan's maximum of pos and neg over every
+    pattern: one _pattern_blocks call per chunk of permutations, on the
+    split-half column sums of the whole chunk, in one block of every hi.
+    The sweep costs O(k! 2^k k), and a chunk's work buffer holds about
+    _BLOCK_FLOATS values.  The first minimum in permutation order wins.
+    """
     k = U.k
     perms = np.array(list(itertools.permutations(range(k))), dtype=int)
-    wv = W.values[perms[:, :, None], perms[:, None, :]]
-    diff = U.values[None, :, :] - wv
     scale = 1.0 / (k * k)
-    patterns = _pattern_table(k)
     best_val, best_perm = np.inf, None
-    chunk = max(1, (1 << 22) // max(1, (1 << k) * k))
+    chunk = max(1, _BLOCK_FLOATS // (k << k))
     for base in range(0, len(perms), chunk):
-        d = diff[base:base + chunk] * scale
-        cols = np.einsum("si,pij->psj", patterns, d)
-        vals = np.maximum(
-            np.maximum(cols, 0.0).sum(axis=2).max(axis=1),
-            np.maximum(-cols, 0.0).sum(axis=2).max(axis=1),
-        )
+        p = perms[base:base + chunk]
+        d = (U.values - W.values[p[:, :, None], p[:, None, :]]) * scale
+        low, high, low_total, high_total = _half_sums(d)
+        _, pos, neg = next(_pattern_blocks(low, high, low_total, high_total, high.shape[-1]))
+        vals = np.maximum(pos.max(axis=-1), neg.max(axis=-1))
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = float(vals[i])

@@ -22,11 +22,12 @@ from .core import (
     grid_version,
     stepping,
 )
-from .errors import NoInteriorValues
+from .errors import NoInteriorValues, StepGraphonError
 from .measures import check_flatter, degree_frequencies, range_frequencies
 from .metrics import dyadic_intervals, l1_hausdorff, rectangle_signature, signature_weights
 
 _STACK_FLOATS = 1 << 20  # cap on the rearranged values one stacked product gathers
+_ENVELOPE_FLOATS = 1 << 26  # cap on the signature values of one envelope (512 MiB)
 
 
 class OrderVerdict:
@@ -194,6 +195,11 @@ def _signature(V, depth):
     return rectangle_signature(V, depth).ravel()
 
 
+def _interlace_levels(n):
+    """The levels whose 2 * level slabs divide an n-cell grid, lowest first."""
+    return [level for level in range(1, n // 2 + 1) if n % (2 * level) == 0]
+
+
 @functools.lru_cache(maxsize=16)
 def _envelope_perms(seed, count, n):
     """Read-only (rows, n) table of the cell orders an n-cell envelope samples.
@@ -204,7 +210,7 @@ def _envelope_perms(seed, count, n):
     The cache is bounded because a seed sweep would otherwise keep every
     table: 200 seeds at count 500 on 64 cells hold 49 MiB.
     """
-    levels = [level for level in range(1, n // 2 + 1) if n % (2 * level) == 0]
+    levels = _interlace_levels(n)
     table = np.empty((count + len(levels), n), dtype=np.intp)
     for idx in range(count):
         table[idx] = np.random.default_rng((seed, idx)).permutation(n)
@@ -224,14 +230,24 @@ def sample_envelope(W, n, count, depth, seed=0):
     keeps the canonical n-cell grid, so its signature is r @ V[P][:, P] @
     r.T for the grid's one dyadic overlap matrix r: all of them come from
     stacked products over the table of cell orders P, in blocks of rows
-    that keep each gathered stack within _STACK_FLOATS values.
+    that keep each gathered stack within _STACK_FLOATS values.  An
+    envelope of more than _ENVELOPE_FLOATS signature values raises
+    StepGraphonError before anything is built: each level of depth
+    quadruples a signature, and depth 12 would need 10 GB for 4 samples
+    on 8 cells.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    m = (1 << (depth + 1)) - 1
+    size = (count + len(_interlace_levels(n)) + depth + 1) * m * m
+    if size > _ENVELOPE_FLOATS:
+        raise StepGraphonError(
+            f"an envelope at depth {depth} holds {size} signature values, "
+            f"over the cap of {_ENVELOPE_FLOATS}")
     base = canonicalize(W, n)
     perms = _envelope_perms(seed, count, n)
     r = _overlaps(base.cumulative(), *zip(*dyadic_intervals(depth)))
-    m, rows = len(r), len(perms)
+    rows = len(perms)
     sigs = np.empty((rows + depth + 1, m * m))
     step = max(1, _STACK_FLOATS // (n * n))
     for lo in range(0, rows, step):

@@ -17,7 +17,7 @@ from .core import (
     l1_distance,
     stepping,
 )
-from .measures import DiscreteMeasure, check_flatter, convex_order_test
+from .measures import DiscreteMeasure, check_flatter
 from .metrics import cut_distance, weak_star_distance
 from .multiway import multiway_hausdorff, sample_multiway_set
 from .named import (
@@ -122,9 +122,11 @@ def flatness_scenario(residual_tol=1e-9):
     ends = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
     forward = check_flatter(dirac, ends)
     backward = check_flatter(ends, dirac)
-    convex = convex_order_test(dirac, ends)
+    exact_forward = check_flatter(dirac, ends, exact=True)
+    exact_backward = check_flatter(ends, dirac, exact=True)
     ok = (forward.feasible and forward.residual < residual_tol
-          and not backward.feasible and convex.ok)
+          and not backward.feasible and exact_forward.feasible
+          and not exact_backward.feasible)
     report = {
         "scenario": "flatness",
         "forward_feasible": forward.feasible,
@@ -132,7 +134,8 @@ def flatness_scenario(residual_tol=1e-9):
         "forward_witness": forward.coupling.matrix.tolist() if forward.coupling is not None else None,
         "backward_feasible": backward.feasible,
         "backward_reason": backward.reason,
-        "convex_order_violations": convex.violations,
+        "exact_forward_feasible": exact_forward.feasible,
+        "exact_backward_feasible": exact_backward.feasible,
     }
     return ok, report
 

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from stepgraphon import (
+    DiscreteMeasure,
     PartitionSpec,
     ScalingDiverged,
     SignedStepKernel,
@@ -146,6 +149,65 @@ def exact_cut_norm_reference(ay):
     cols = s @ ay
     t = (best_sign * cols > 0).astype(float)
     return s, t
+
+
+def perm_sweep_reference(U, W):
+    """The permutation sweep as first written: one einsum per chunk over the
+    full 2^k pattern table and the difference kernels of every permutation."""
+    k = U.k
+    perms = np.array(list(itertools.permutations(range(k))), dtype=int)
+    wv = W.values[perms[:, :, None], perms[:, None, :]]
+    diff = U.values[None, :, :] - wv
+    scale = 1.0 / (k * k)
+    patterns = _pattern_table(k)
+    best_val, best_perm = np.inf, None
+    chunk = max(1, (1 << 22) // max(1, (1 << k) * k))
+    for base in range(0, len(perms), chunk):
+        d = diff[base:base + chunk] * scale
+        cols = np.einsum("si,pij->psj", patterns, d)
+        vals = np.maximum(
+            np.maximum(cols, 0.0).sum(axis=2).max(axis=1),
+            np.maximum(-cols, 0.0).sum(axis=2).max(axis=1),
+        )
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val = float(vals[i])
+            best_perm = perms[base + i]
+    return best_val, best_perm
+
+
+def perm_value_reference(U, W, perm):
+    """One permutation's value as perm_sweep_reference scores it."""
+    k = U.k
+    d = (U.values - W.values[np.ix_(perm, perm)]) * (1.0 / (k * k))
+    cols = _pattern_table(k) @ d
+    return float(max(np.maximum(cols, 0.0).sum(axis=1).max(),
+                     np.maximum(-cols, 0.0).sum(axis=1).max()))
+
+
+def dyadic_measure(rng, max_atoms=6):
+    """Atoms on the 1/64 grid and masses in steps of 1/32.
+
+    Every atom, mass, sum and half of these is a float, so the exact
+    flatness test decides the measure the test means, not a rounding of it.
+    """
+    n = int(rng.integers(1, max_atoms + 1))
+    return DiscreteMeasure(rng.choice(65, size=n, replace=False) / 64,
+                           rng.integers(1, 9, size=n) / 32)
+
+
+def spread_measure(rng, measure):
+    """Mean-preserving spread of a dyadic measure, exact in floats.
+
+    Each atom x of mass m becomes x - d and x + d of mass m / 2, d random
+    on the 1/64 grid and within [0, 1] (d = 0 keeps the atom), so measure
+    is exactly an average of the result.
+    """
+    steps = np.round(measure.atoms * 64).astype(int)
+    d = rng.integers(0, np.minimum(steps, 64 - steps) + 1) / 64
+    half = measure.masses / 2
+    return DiscreteMeasure(np.concatenate((measure.atoms - d, measure.atoms + d)),
+                           np.concatenate((half, half)))
 
 
 def random_kernel(rng, k=None):

@@ -17,7 +17,6 @@ from stepgraphon import (
     StepGraphon,
     check_flatter,
     compose_couplings,
-    convex_order_test,
     cut_distance,
     cut_norm,
     grid_version,
@@ -36,6 +35,8 @@ from stepgraphon import (
 )
 from stepgraphon.named import bipartite_graphon, sandwich_sup, u2_strip_integral
 from stepgraphon.scenarios import hierarchical_graphon
+
+from conftest import dyadic_measure, spread_measure
 
 HALF = StepGraphon([1.0], [[0.5]])
 
@@ -115,7 +116,6 @@ def test_criterion_3_flatness_suite():
         return DiscreteMeasure(atoms, masses)
 
     part_b = True
-    part_c = True
     for _ in range(200):
         c = random_measure()
         b = averaged(c)
@@ -133,12 +133,24 @@ def test_criterion_3_flatness_suite():
             np.abs(psi @ c.atoms - a.masses * a.atoms).max(),
         )
         part_b &= residual < 1e-8
-        part_c &= convex_order_test(a, b).ok and convex_order_test(b, c).ok
-    part_c &= convex_order_test(dirac, ends).ok
+    # part c runs the complete (exact) convex-order test on dyadic chains,
+    # which floats hold exactly: every link holds and no strict link reverses
+    exact_rng = np.random.default_rng(34)
+    part_c = (check_flatter(dirac, ends, exact=True).feasible
+              and not check_flatter(ends, dirac, exact=True).feasible)
+    for _ in range(200):
+        a = dyadic_measure(exact_rng)
+        b = spread_measure(exact_rng, a)
+        c = spread_measure(exact_rng, b)
+        for lo, hi in ((a, b), (b, c)):
+            part_c &= check_flatter(lo, hi, exact=True).feasible
+            part_c &= (lo.approx_equal(hi, tol=0)
+                       or not check_flatter(hi, lo, exact=True).feasible)
     elapsed = time.time() - t0
     ok = part_a and part_b and part_c and elapsed < 20.0
     report(3, ok, f"endpoint pair: {part_a}, 200 composed chains residual<1e-8: "
-                  f"{part_b}, convex order clean: {part_c}, {elapsed:.2f}s")
+                  f"{part_b}, exact convex order on 200 dyadic chains: {part_c}, "
+                  f"{elapsed:.2f}s")
 
 
 def test_criterion_4_stepping_consistency():

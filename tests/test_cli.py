@@ -217,6 +217,22 @@ def test_bad_budgets_exit_one_without_traceback(tmp_path, capsys, budget):
     assert len(lines) == 1 and lines[0].startswith("error: budget ")
 
 
+@pytest.mark.parametrize("args", [
+    ["order", "envelope", "--w", "{w}", "--n", "8", "--count", "4", "--depth", "12"],
+    ["order", "chi", "--u", "{u}", "--w", "{w}", "--n", "8", "--count", "4", "--depth", "40"],
+], ids=["envelope-depth-12", "chi-depth-40"])
+def test_oversized_envelopes_exit_one_without_traceback(tmp_path, capsys, args):
+    paths = {"u": tmp_path / "u.json", "w": tmp_path / "w.json"}
+    run_cli(["build", "--name", "constant", "--c", "0.5", "--out", str(paths["u"])], capsys)
+    run_cli(["build", "--name", "bipartite", "--out", str(paths["w"])], capsys)
+    proc = run_module([arg.format(**{key: str(path) for key, path in paths.items()})
+                       for arg in args])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: an envelope at depth ")
+
+
 NAN, INF = float("nan"), float("inf")
 
 

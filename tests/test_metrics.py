@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +31,8 @@ from stepgraphon.measures import DiscreteMeasure, _flatness_system
 from stepgraphon.metrics import dyadic_intervals
 from stepgraphon.named import bipartite_graphon
 
-from conftest import (corner_rule_reference, exact_cut_norm_reference, random_graphon,
-                      random_kernel)
+from conftest import (corner_rule_reference, exact_cut_norm_reference, perm_sweep_reference,
+                      perm_value_reference, random_graphon, random_kernel)
 
 HALF = StepGraphon([1.0], [[0.5]])
 
@@ -317,6 +319,105 @@ def test_screen_starts_at_eight_blocks(monkeypatch):
 def test_screen_rescans_every_block_of_the_zero_kernel(monkeypatch):
     kernel = SignedStepKernel(np.full(16, 1 / 16), np.zeros((16, 16)))
     assert scanned_blocks(monkeypatch, kernel) == (16, 16)
+
+
+# ------------------------------------------------------------ permutation sweep
+
+def equal_cells(values):
+    k = len(values)
+    return StepGraphon(np.full(k, 1.0 / k), np.triu(values) + np.triu(values, 1).T)
+
+
+def sweep_pair(family, k):
+    rng = np.random.default_rng((k, ["random", "rearranged", "ties", "duplicate"].index(family)))
+    if family == "ties":
+        return tuple(equal_cells(rng.integers(0, 3, (k, k)) / 2.0) for _ in range(2))
+    if family == "duplicate":
+        # cell k - 1 repeats cell 0, so two cells are interchangeable
+        m = max(1, k - 1)
+        idx = np.append(np.arange(m), 0)[:k]
+        bases = (rng.random((m, m)) for _ in range(2))
+        return tuple(equal_cells((b + b.T)[np.ix_(idx, idx)] / 2.0) for b in bases)
+    u = equal_cells(rng.random((k, k)))
+    if family == "rearranged":
+        return u, grid_version(u, k, rng.permutation(k))
+    return u, equal_cells(rng.random((k, k)))
+
+
+@pytest.mark.parametrize("family", ["random", "rearranged", "ties", "duplicate"])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_sweep_matches_reference_sweep(family, k):
+    u, w = sweep_pair(family, k)
+    val, perm = metrics._perm_sweep(u, w)
+    ref_val, ref_perm = perm_sweep_reference(u, w)
+    assert abs(val - ref_val) <= 1e-15
+    assert abs(perm_value_reference(u, w, perm) - val) <= 1e-15
+    if family == "rearranged":
+        assert val == 0.0
+        assert perm.tolist() == ref_perm.tolist()
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_sweep_returns_the_first_zero_in_permutation_order(k):
+    # cell k - 1 repeats cell 0, so at least two permutations map w back onto u
+    u, _ = sweep_pair("duplicate", k)
+    w = grid_version(u, k, np.random.default_rng(k).permutation(k))
+    first = next(p for p in itertools.permutations(range(k))
+                 if (w.values[np.ix_(p, p)] == u.values).all())
+    val, perm = metrics._perm_sweep(u, w)
+    assert val == 0.0 and tuple(perm.tolist()) == first
+
+
+@st.composite
+def equal_mass_pairs(draw):
+    k = draw(st.integers(1, 5))
+    values = st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k)
+    return tuple(equal_cells(np.reshape(draw(values), (k, k))) for _ in range(2))
+
+
+@settings(max_examples=40)
+@given(equal_mass_pairs())
+def test_sweep_is_the_least_exact_cut_norm_over_permutations(pair):
+    u, w = pair
+    best = min(cut_norm(SignedStepKernel(u.weights, u.values - w.values[np.ix_(p, p)]),
+                        mode="exact").value
+               for p in map(list, itertools.permutations(range(u.k))))
+    assert abs(metrics._perm_sweep(u, w)[0] - best) <= 1e-15
+
+
+def test_sweep_builds_no_array_over_every_permutation():
+    # a sweep that gathers all 8! difference kernels at once peaks at 139 MB
+    u, w = sweep_pair("random", 8)
+    tracemalloc.start()
+    try:
+        metrics._perm_sweep(u, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2 ** 20
+
+
+def test_sweep_and_exact_scan_share_the_pattern_blocks(monkeypatch):
+    # the sweep scans each chunk of permutations in one call and one block;
+    # a 14-cell cut norm is one call of 4 float64 blocks, with no float32 screen
+    calls = []
+    scan = metrics._pattern_blocks
+
+    def counting(low, *args):
+        calls.append([low.dtype.type, low.shape[:-2], 0])
+        for block in scan(low, *args):
+            calls[-1][2] += 1
+            yield block
+
+    monkeypatch.setattr(metrics, "_pattern_blocks", counting)
+    metrics._perm_sweep(*sweep_pair("random", 7))
+    chunks = [batch[0] for _, batch, _ in calls]
+    assert sum(chunks) == math.factorial(7)
+    assert len(calls) == math.ceil(math.factorial(7) / chunks[0]) > 1
+    assert all(blocks == 1 for _, _, blocks in calls)
+    calls.clear()
+    cut_norm(random_kernel(np.random.default_rng(14), 14), mode="exact")
+    assert calls == [[np.float64, (), 4]]
 
 
 # --------------------------------------------------------------- cut norm dist

@@ -6,6 +6,7 @@ from stepgraphon import (
     NoInteriorValues,
     PartitionSpec,
     StepGraphon,
+    StepGraphonError,
     chi_estimate,
     classify_extremal,
     cut_distance,
@@ -212,6 +213,26 @@ def test_envelope_builds_no_graphon_per_sample(monkeypatch, rng):
         assert len(es) == 50 + 5 + depth + 1
         assert calls["grid_version"] <= 2
         assert calls["rectangle_signature"] == depth + 1
+
+
+def test_envelope_size_is_checked_before_anything_is_built(monkeypatch):
+    g = bipartite_graphon()
+    # 8 cells add 3 interlacing rows: depth 1 with no samples holds 5 signatures of 9
+    monkeypatch.setattr(order, "_ENVELOPE_FLOATS", 45)
+    assert len(sample_envelope(g, 8, 0, 1)) == 5
+    monkeypatch.setattr(order, "_ENVELOPE_FLOATS", 44)
+    with pytest.raises(StepGraphonError, match="depth 1 holds 45 "):
+        sample_envelope(g, 8, 0, 1)
+    monkeypatch.undo()
+
+    def unreachable(*args):
+        raise AssertionError("envelope built before its size was checked")
+
+    monkeypatch.setattr(order, "canonicalize", unreachable)
+    with pytest.raises(StepGraphonError):
+        sample_envelope(g, 8, 4, 10)
+    with pytest.raises(StepGraphonError):
+        chi_estimate(g, g, 8, 4, 40)
 
 
 # ----------------------------------------------------------------------- chi
