@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from math import fsum
 from operator import mul
 
 import numpy as np
@@ -140,9 +141,14 @@ def range_frequencies(W):
 
 
 def degree_frequencies(W):
-    """Distribution of block degrees weighted by block mass."""
+    """Distribution of block degrees weighted by block mass.
+
+    Each degree is the correctly rounded sum of its row's products, so it
+    does not depend on the order of the cells and rearranged kernels yield
+    bitwise-identical measures.
+    """
     keep = W.weights > 0
-    degs = (W.values @ W.weights)[keep]
+    degs = np.array([fsum(row) for row in W.values[keep] * W.weights])
     atoms, masses = _sorted_group_sums(np.clip(degs, 0.0, 1.0), W.weights[keep])
     return DiscreteMeasure(atoms, masses)
 

@@ -220,33 +220,39 @@ def _envelope_perms(seed, count, n):
     return table
 
 
-def sample_envelope(W, n, count, depth, seed=0):
-    """Sampled rearrangement signatures plus the deterministic family.
+def _check_envelope(n, count, depth):
+    """Reject bad arguments and oversized envelopes before anything is built.
 
-    Includes `count` seeded uniform cell permutations, the interlacing
-    versions at every level dividing the grid, and all dyadic steppings up
-    to the signature depth.  The input is canonicalized first so that
-    cell-permuted inputs produce identical clouds.  Every rearrangement
-    keeps the canonical n-cell grid, so its signature is r @ V[P][:, P] @
-    r.T for the grid's one dyadic overlap matrix r: all of them come from
-    stacked products over the table of cell orders P, in blocks of rows
-    that keep each gathered stack within _STACK_FLOATS values.  An
-    envelope of more than _ENVELOPE_FLOATS signature values raises
-    StepGraphonError before anything is built: each level of depth
-    quadruples a signature, and depth 12 would need 10 GB for 4 samples
-    on 8 cells.
+    Each level of depth quadruples a signature, and depth 12 would need
+    10 GB for 4 samples on 8 cells, so an envelope of more than
+    _ENVELOPE_FLOATS signature values raises StepGraphonError.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if count < 0:
         raise ValueError("count must be >= 0")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     m = (1 << (depth + 1)) - 1
     size = (count + len(_interlace_levels(n)) + depth + 1) * m * m
     if size > _ENVELOPE_FLOATS:
         raise StepGraphonError(
             f"an envelope at depth {depth} holds {size} signature values, "
             f"over the cap of {_ENVELOPE_FLOATS}")
-    base = canonicalize(W, n)
+
+
+def _envelope_cloud(base, count, depth, seed):
+    """The signatures, one row each, of the envelope of a canonical n-cell base.
+
+    Every rearrangement keeps the grid, so its signature is r @ V[P][:, P] @
+    r.T for the grid's one dyadic overlap matrix r: all of them come from
+    stacked products over the table of cell orders P, in blocks of rows
+    that keep each gathered stack within _STACK_FLOATS values.
+    """
+    n = base.k
     perms = _envelope_perms(seed, count, n)
     r = _overlaps(base.cumulative(), *zip(*dyadic_intervals(depth)))
+    m = len(r)
     rows = len(perms)
     sigs = np.empty((rows + depth + 1, m * m))
     step = max(1, _STACK_FLOATS // (n * n))
@@ -257,7 +263,20 @@ def sample_envelope(W, n, count, depth, seed=0):
     for d in range(depth + 1):
         sigs[rows + d] = _signature(
             stepping(base, PartitionSpec.dyadic(base.weights, d)), depth)
-    return EnvelopeSample(n, depth, sigs)
+    return sigs
+
+
+def sample_envelope(W, n, count, depth, seed=0):
+    """Sampled rearrangement signatures plus the deterministic family.
+
+    Includes `count` seeded uniform cell permutations, the interlacing
+    versions at every level dividing the grid, and all dyadic steppings up
+    to the signature depth.  The input is canonicalized first so that
+    cell-permuted inputs produce identical clouds.  Arguments and the
+    envelope size are checked before anything is built.
+    """
+    _check_envelope(n, count, depth)
+    return EnvelopeSample(n, depth, _envelope_cloud(canonicalize(W, n), count, depth, seed))
 
 
 def chi_estimate(U, W, n, count, depth, seed=0):
@@ -265,8 +284,19 @@ def chi_estimate(U, W, n, count, depth, seed=0):
 
     Estimates the hyperspace distance between the two envelopes; both clouds
     are subsamples, so the value is neither an upper nor a lower bound.
+    Inputs whose canonical n-cell forms are equal have equal envelopes and
+    give exactly 0.0 without sampling.  Otherwise signatures and weights are
+    symmetric, so the distance runs over the m(m+1)/2 upper-triangle
+    coordinates with doubled off-diagonal weights; that moves the value
+    from the full-coordinate sum only by rounding.
     """
-    eu = sample_envelope(U, n, count, depth, seed)
-    ew = sample_envelope(W, n, count, depth, seed)
-    return l1_hausdorff(eu.signatures, ew.signatures,
-                        signature_weights(depth).ravel())
+    _check_envelope(n, count, depth)
+    bu, bw = canonicalize(U, n), canonicalize(W, n)
+    if np.array_equal(bu.values, bw.values):
+        return 0.0
+    full = signature_weights(depth)
+    i, j = np.triu_indices(len(full))
+    upper = i * len(full) + j
+    weights = np.where(i == j, 1.0, 2.0) * full[i, j]
+    return l1_hausdorff(_envelope_cloud(bu, count, depth, seed)[:, upper],
+                        _envelope_cloud(bw, count, depth, seed)[:, upper], weights)

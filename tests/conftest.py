@@ -14,7 +14,8 @@ from stepgraphon import (
     interlace_version,
     stepping,
 )
-from stepgraphon.metrics import _BLOCK_FLOATS, _pattern_table, rectangle_signature
+from stepgraphon.metrics import (_BLOCK_FLOATS, _pattern_table, l1_hausdorff,
+                                 rectangle_signature, signature_weights)
 from stepgraphon.order import canonicalize
 
 # Property tests replay the same examples on every run and carry no per-example
@@ -119,6 +120,13 @@ def envelope_reference(W, n, count, depth, seed=0):
         stepped = stepping(base, PartitionSpec.dyadic(base.weights, d))
         sigs.append(rectangle_signature(stepped, depth).ravel())
     return np.array(sigs)
+
+
+def chi_reference(U, W, n, count, depth, seed=0):
+    """chi_estimate as first computed: both envelopes, every signature coordinate."""
+    return l1_hausdorff(envelope_reference(U, n, count, depth, seed),
+                        envelope_reference(W, n, count, depth, seed),
+                        signature_weights(depth).ravel())
 
 
 def exact_cut_norm_reference(ay):

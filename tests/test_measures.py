@@ -104,6 +104,24 @@ def test_range_frequencies_exact_under_rearrangement(rng):
     assert a.masses.tolist() == b.masses.tolist()
 
 
+@given(st.data())
+def test_frequencies_unchanged_by_cell_permutations(data):
+    # blocks whose masses are multiples of 1/k, refined to k cells and permuted
+    k = data.draw(st.integers(1, 12))
+    cuts = data.draw(st.lists(st.integers(1, k - 1), max_size=5, unique=True)) if k > 1 else []
+    cells = np.diff([0, *sorted(cuts), k])
+    v = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(cells) ** 2,
+                                    max_size=len(cells) ** 2))).reshape(len(cells), -1)
+    g = StepGraphon(np.array(cells) / k, np.triu(v) + np.triu(v, 1).T)
+    perm = data.draw(st.permutations(range(k)))
+    base, permuted = grid_version(g, k), grid_version(g, k, perm)
+    for freq in (range_frequencies, degree_frequencies):
+        a, b = freq(base), freq(permuted)
+        assert a.atoms.tolist() == b.atoms.tolist()
+        assert a.masses.tolist() == b.masses.tolist()
+        assert a.approx_equal(freq(g), 1e-12)
+
+
 # -------------------------------------------------------------- flatness
 
 def test_flatter_diagonal_case():

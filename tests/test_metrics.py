@@ -446,13 +446,13 @@ def test_metric_ordering_chain(rng):
 
 
 @st.composite
-def graphon_pairs(draw):
+def graphon_pairs(draw, max_k=12):
     def graphon(k):
         w = np.array(draw(st.lists(st.integers(1, 6), min_size=k, max_size=k)), dtype=float)
         values = st.floats(0.0, 1.0, allow_nan=False)
         v = np.array(draw(st.lists(values, min_size=k * k, max_size=k * k))).reshape(k, k)
         return StepGraphon(w / w.sum(), np.triu(v) + np.triu(v, 1).T)
-    return graphon(draw(st.integers(1, 12))), graphon(draw(st.integers(1, 12)))
+    return graphon(draw(st.integers(1, max_k))), graphon(draw(st.integers(1, max_k)))
 
 
 def equal_mass_graphon(k, seed):
@@ -511,6 +511,18 @@ def test_cut_distance_symmetry(rng):
     d2, c2 = cut_distance(w, u, budget=budget, seed=3)
     assert abs(d1 - d2) <= 1e-9
     assert np.allclose(c1.matrix, c2.matrix.T, atol=1e-12)
+
+
+@settings(max_examples=30)
+@given(graphon_pairs(max_k=4), st.integers(0, 100))
+def test_cut_distance_is_symmetric_with_transposed_couplings(pair, seed):
+    u, w = pair
+    budget = {"restarts": 1, "max_iters": 3}
+    d1, c1 = cut_distance(u, w, budget=budget, seed=seed)
+    d2, c2 = cut_distance(w, u, budget=budget, seed=seed)
+    assert d1 == d2
+    assert np.array_equal(c1.matrix, c2.matrix.T)
+    c1.require_marginals(u.weights, w.weights)
 
 
 def test_cut_distance_upper_bound_contract(rng):
