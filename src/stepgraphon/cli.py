@@ -9,6 +9,7 @@ default and machine JSON with --json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -37,42 +38,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value, depth=0):
+    """Indented text: dict keys sorted, each followed by ':'; list items after '-'."""
     pad = "  " * depth
     if isinstance(value, dict):
-        lines = []
-        for key in sorted(value):
-            item = value[key]
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_fmt(item, depth + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar(item)}")
-        return "\n".join(lines)
-    if isinstance(value, list):
-        lines = []
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_fmt(item, depth + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(item)}")
-        return "\n".join(lines)
-    return f"{pad}{_scalar(value)}"
+        rows = [(f"{key}:", value[key]) for key in sorted(value)]
+    elif isinstance(value, list):
+        rows = [("-", item) for item in value]
+    else:
+        return f"{pad}{_scalar(value)}"
+    lines = []
+    for label, item in rows:
+        if isinstance(item, (dict, list)):
+            lines += [pad + label, _fmt(item, depth + 1)]
+        else:
+            lines.append(f"{pad}{label} {_scalar(item)}")
+    return "\n".join(lines)
 
 
 def _scalar(x):
     if isinstance(x, float):
         return repr(x)
     return str(x)
-
-
-def _emit(args, report, obj=None):
-    if getattr(args, "out", None) and obj is not None:
-        io.save(obj, args.out)
-    if getattr(args, "json", False):
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(_fmt(report))
 
 
 def _budget(text):
@@ -106,221 +92,201 @@ def _int_from(low):
     return parse
 
 
+_INTF = {"x2": lambda x: x * x, "abs": lambda x: abs(x - 0.5), "exp": math.exp}
+
+
+def _build(args):
+    g = build_named_graphon(args.name, c=args.c, eps=args.eps)
+    report = {"name": args.name, "blocks": g.k, "density": edge_density(g)}
+    if not args.out:
+        report["graphon"] = g.to_dict()
+    return report, g, EXIT_OK
+
+
+def _density(args):
+    return {"density": edge_density(io.load(args.w, StepGraphon))}, None, EXIT_OK
+
+
+def _intf(args):
+    value = int_f(io.load(args.w, StepGraphon), _INTF[args.f])
+    return {"f": args.f, "value": value}, None, EXIT_OK
+
+
+def _cutnorm(args):
+    kernel = io.load(args.y, SignedStepKernel)
+    res = cut_norm(kernel, mode="heuristic" if args.heuristic else "exact", seed=args.seed)
+    return res.to_dict(), res, EXIT_OK
+
+
+def _cutdist(args):
+    u, w = io.load(args.u, StepGraphon), io.load(args.w, StepGraphon)
+    val, coupling = cut_distance(u, w, budget=args.budget, seed=args.seed)
+    report = {"cut_distance_upper_bound": val}
+    if not args.out:
+        report["coupling"] = coupling.to_dict()
+    return report, coupling, EXIT_OK
+
+
+def _wstar(args):
+    u, w = io.load(args.u, StepGraphon), io.load(args.w, StepGraphon)
+    report = {"weak_star_distance": weak_star_distance(u, w, args.depth), "depth": args.depth}
+    return report, None, EXIT_OK
+
+
+def _flatness(args):
+    l1, l2 = io.load(args.l1, DiscreteMeasure), io.load(args.l2, DiscreteMeasure)
+    witness = check_flatter(l1, l2, exact=args.exact_rational)
+    return witness.to_dict(), witness, EXIT_OK if witness.feasible else EXIT_REFUTED
+
+
+def _order_check(args):
+    verdict = order_check(io.load(args.u, StepGraphon), io.load(args.w, StepGraphon))
+    return verdict.to_dict(), None, EXIT_REFUTED if verdict.refuted else EXIT_OK
+
+
+def _order_envelope(args):
+    w = io.load(args.w, StepGraphon)
+    sample = sample_envelope(w, args.n, args.count, args.depth, args.seed)
+    report = {"resolution": sample.resolution, "depth": sample.depth, "count": len(sample)}
+    if not args.out:
+        report["signatures"] = sample.signatures.tolist()
+    return report, sample, EXIT_OK
+
+
+def _order_chi(args):
+    u, w = io.load(args.u, StepGraphon), io.load(args.w, StepGraphon)
+    val = chi_estimate(u, w, args.n, args.count, args.depth, args.seed)
+    return {"chi_estimate": val}, None, EXIT_OK
+
+
+def _multiway_sample(args):
+    sample = sample_multiway_set(io.load(args.w, StepGraphon), args.a, args.count, args.seed)
+    report = {"a": sample.a.tolist(), "count": len(sample)}
+    if not args.out:
+        report["matrices"] = [m.tolist() for m in sample.matrices]
+    return report, sample, EXIT_OK
+
+
+def _multiway_hausdorff(args):
+    su, sw = io.load(args.su, MultiwayMatrixSet), io.load(args.sw, MultiwayMatrixSet)
+    return {"hausdorff": multiway_hausdorff(su, sw)}, None, EXIT_OK
+
+
+def _reproduce(args):
+    passed, report = reproduce(args.which, eps=args.eps, seed=args.seed)
+    report["passed"] = passed
+    return report, None, EXIT_OK if passed else EXIT_TOLERANCE
+
+
 def build_parser():
+    """The parser; every leaf command sets `run` to its handler."""
+
+    @contextlib.contextmanager
+    def leaf(parent, name, help, run):
+        """Add a leaf command; --json follows its own options, last in its usage line."""
+        cmd = parent.add_parser(name, help=help)
+        yield cmd
+        cmd.add_argument("--json", action="store_true")
+        cmd.set_defaults(run=run)
+
     p = _Parser(prog="stepgraphon",
                 description="step-kernel calculus: metrics, orders, cut sets")
     sub = p.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("build", help="construct a named kernel")
-    b.add_argument("--name", required=True, choices=NAMED)
-    b.add_argument("--c", type=float, default=None, help="constant level")
-    b.add_argument("--eps", type=float, default=None, help="2**-k, 3 <= k <= 10")
-    b.add_argument("--out")
-    b.add_argument("--json", action="store_true")
+    with leaf(sub, "build", "construct a named kernel", _build) as b:
+        b.add_argument("--name", required=True, choices=NAMED)
+        b.add_argument("--c", type=float, default=None, help="constant level")
+        b.add_argument("--eps", type=float, default=None, help="2**-k, 3 <= k <= 10")
+        b.add_argument("--out")
 
-    d = sub.add_parser("density", help="edge density of a kernel")
-    d.add_argument("--w", required=True)
-    d.add_argument("--json", action="store_true")
+    with leaf(sub, "density", "edge density of a kernel", _density) as d:
+        d.add_argument("--w", required=True)
 
-    f = sub.add_parser("intf", help="integral of f(W) over the square")
-    f.add_argument("--w", required=True)
-    f.add_argument("--f", required=True, choices=("x2", "abs", "exp"))
-    f.add_argument("--json", action="store_true")
+    with leaf(sub, "intf", "integral of f(W) over the square", _intf) as f:
+        f.add_argument("--w", required=True)
+        f.add_argument("--f", required=True, choices=_INTF)
 
-    cn = sub.add_parser("cutnorm", help="cut norm of a signed kernel")
-    cn.add_argument("--y", required=True)
-    mode = cn.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--heuristic", action="store_true")
-    cn.add_argument("--seed", type=_int_from(0), default=0)
-    cn.add_argument("--out")
-    cn.add_argument("--json", action="store_true")
+    with leaf(sub, "cutnorm", "cut norm of a signed kernel", _cutnorm) as cn:
+        cn.add_argument("--y", required=True)
+        mode = cn.add_mutually_exclusive_group()
+        mode.add_argument("--exact", action="store_true")
+        mode.add_argument("--heuristic", action="store_true")
+        cn.add_argument("--seed", type=_int_from(0), default=0)
+        cn.add_argument("--out")
 
-    cd = sub.add_parser("cutdist", help="cut distance upper bound over couplings")
-    cd.add_argument("--u", required=True)
-    cd.add_argument("--w", required=True)
-    cd.add_argument("--budget", type=_budget, default=None,
-                    help='JSON, e.g. {"restarts":32,"max_iters":200,"tol":1e-9}')
-    cd.add_argument("--seed", type=_int_from(0), default=0)
-    cd.add_argument("--out", help="write the best coupling")
-    cd.add_argument("--json", action="store_true")
+    with leaf(sub, "cutdist", "cut distance upper bound over couplings", _cutdist) as cd:
+        cd.add_argument("--u", required=True)
+        cd.add_argument("--w", required=True)
+        cd.add_argument("--budget", type=_budget, default=None,
+                        help='JSON, e.g. {"restarts":32,"max_iters":200,"tol":1e-9}')
+        cd.add_argument("--seed", type=_int_from(0), default=0)
+        cd.add_argument("--out", help="write the best coupling")
 
-    ws = sub.add_parser("wstar", help="truncated weak* distance")
-    ws.add_argument("--u", required=True)
-    ws.add_argument("--w", required=True)
-    ws.add_argument("--depth", type=_int_from(0), required=True)
-    ws.add_argument("--json", action="store_true")
+    with leaf(sub, "wstar", "truncated weak* distance", _wstar) as ws:
+        ws.add_argument("--u", required=True)
+        ws.add_argument("--w", required=True)
+        ws.add_argument("--depth", type=_int_from(0), required=True)
 
-    fl = sub.add_parser("flatness", help="flatness-order feasibility")
-    fl.add_argument("--l1", required=True)
-    fl.add_argument("--l2", required=True)
-    fl.add_argument("--exact-rational", action="store_true")
-    fl.add_argument("--out", help="write the witness")
-    fl.add_argument("--json", action="store_true")
+    with leaf(sub, "flatness", "flatness-order feasibility", _flatness) as fl:
+        fl.add_argument("--l1", required=True)
+        fl.add_argument("--l2", required=True)
+        fl.add_argument("--exact-rational", action="store_true")
+        fl.add_argument("--out", help="write the witness")
 
-    o = sub.add_parser("order", help="structuredness-order probes")
-    osub = o.add_subparsers(dest="order_command", required=True)
-    oc = osub.add_parser("check", help="necessary conditions for u below w")
-    oc.add_argument("--u", required=True)
-    oc.add_argument("--w", required=True)
-    oc.add_argument("--json", action="store_true")
-    oe = osub.add_parser("envelope", help="sampled envelope signatures")
-    oe.add_argument("--w", required=True)
-    oe.add_argument("--n", type=_int_from(1), required=True)
-    oe.add_argument("--count", type=_int_from(0), default=500)
-    oe.add_argument("--depth", type=_int_from(0), default=4)
-    oe.add_argument("--seed", type=_int_from(0), default=7)
-    oe.add_argument("--out")
-    oe.add_argument("--json", action="store_true")
-    och = osub.add_parser("chi", help="hyperspace distance estimate")
-    och.add_argument("--u", required=True)
-    och.add_argument("--w", required=True)
-    och.add_argument("--n", type=_int_from(1), required=True)
-    och.add_argument("--count", type=_int_from(0), default=200)
-    och.add_argument("--depth", type=_int_from(0), default=4)
-    och.add_argument("--seed", type=_int_from(0), default=7)
-    och.add_argument("--json", action="store_true")
+    osub = sub.add_parser("order", help="structuredness-order probes").add_subparsers(
+        dest="order_command", required=True)
+    with leaf(osub, "check", "necessary conditions for u below w", _order_check) as oc:
+        oc.add_argument("--u", required=True)
+        oc.add_argument("--w", required=True)
+    with leaf(osub, "envelope", "sampled envelope signatures", _order_envelope) as oe:
+        oe.add_argument("--w", required=True)
+        oe.add_argument("--n", type=_int_from(1), required=True)
+        oe.add_argument("--count", type=_int_from(0), default=500)
+        oe.add_argument("--depth", type=_int_from(0), default=4)
+        oe.add_argument("--seed", type=_int_from(0), default=7)
+        oe.add_argument("--out")
+    with leaf(osub, "chi", "hyperspace distance estimate", _order_chi) as och:
+        och.add_argument("--u", required=True)
+        och.add_argument("--w", required=True)
+        och.add_argument("--n", type=_int_from(1), required=True)
+        och.add_argument("--count", type=_int_from(0), default=200)
+        och.add_argument("--depth", type=_int_from(0), default=4)
+        och.add_argument("--seed", type=_int_from(0), default=7)
 
-    m = sub.add_parser("multiway", help="multiway cut matrix sets")
-    msub = m.add_subparsers(dest="multiway_command", required=True)
-    ms = msub.add_parser("sample", help="sample the cut set")
-    ms.add_argument("--w", required=True)
-    ms.add_argument("--a", required=True, type=_masses, help="comma-separated part masses")
-    ms.add_argument("--count", type=_int_from(0), default=200)
-    ms.add_argument("--seed", type=_int_from(0), default=1)
-    ms.add_argument("--out")
-    ms.add_argument("--json", action="store_true")
-    mh = msub.add_parser("hausdorff", help="l1-Hausdorff distance of two sets")
-    mh.add_argument("--su", required=True)
-    mh.add_argument("--sw", required=True)
-    mh.add_argument("--json", action="store_true")
+    msub = sub.add_parser("multiway", help="multiway cut matrix sets").add_subparsers(
+        dest="multiway_command", required=True)
+    with leaf(msub, "sample", "sample the cut set", _multiway_sample) as ms:
+        ms.add_argument("--w", required=True)
+        ms.add_argument("--a", required=True, type=_masses, help="comma-separated part masses")
+        ms.add_argument("--count", type=_int_from(0), default=200)
+        ms.add_argument("--seed", type=_int_from(0), default=1)
+        ms.add_argument("--out")
+    with leaf(msub, "hausdorff", "l1-Hausdorff distance of two sets", _multiway_hausdorff) as mh:
+        mh.add_argument("--su", required=True)
+        mh.add_argument("--sw", required=True)
 
-    r = sub.add_parser("reproduce", help="run a worked-example scenario")
-    r.add_argument("--which", required=True, choices=SCENARIOS)
-    r.add_argument("--eps", type=float, default=None)
-    r.add_argument("--seed", type=_int_from(0), default=0)
-    r.add_argument("--json", action="store_true")
+    with leaf(sub, "reproduce", "run a worked-example scenario", _reproduce) as r:
+        r.add_argument("--which", required=True, choices=SCENARIOS)
+        r.add_argument("--eps", type=float, default=None)
+        r.add_argument("--seed", type=_int_from(0), default=0)
 
     return p
 
 
-def _run(args):
-    """Run the parsed command and return its exit code."""
-    if args.command == "build":
-        g = build_named_graphon(args.name, c=args.c, eps=args.eps)
-        report = {"name": args.name, "blocks": g.k, "density": edge_density(g)}
-        if not args.out:
-            report["graphon"] = g.to_dict()
-        _emit(args, report, obj=g)
-        return EXIT_OK
-
-    if args.command == "density":
-        g = io.load(args.w, StepGraphon)
-        report = {"density": edge_density(g)}
-        _emit(args, report)
-        return EXIT_OK
-
-    if args.command == "intf":
-        g = io.load(args.w, StepGraphon)
-        funcs = {"x2": lambda x: x * x,
-                 "abs": lambda x: abs(x - 0.5),
-                 "exp": math.exp}
-        report = {"f": args.f, "value": int_f(g, funcs[args.f])}
-        _emit(args, report)
-        return EXIT_OK
-
-    if args.command == "cutnorm":
-        kernel = io.load(args.y, SignedStepKernel)
-        mode = "heuristic" if args.heuristic else "exact"
-        res = cut_norm(kernel, mode=mode, seed=args.seed)
-        report = res.to_dict()
-        _emit(args, report, obj=res)
-        return EXIT_OK
-
-    if args.command == "cutdist":
-        u = io.load(args.u, StepGraphon)
-        w = io.load(args.w, StepGraphon)
-        val, coupling = cut_distance(u, w, budget=args.budget,
-                                     seed=args.seed)
-        report = {"cut_distance_upper_bound": val}
-        if not args.out:
-            report["coupling"] = coupling.to_dict()
-        _emit(args, report, obj=coupling)
-        return EXIT_OK
-
-    if args.command == "wstar":
-        u = io.load(args.u, StepGraphon)
-        w = io.load(args.w, StepGraphon)
-        report = {"weak_star_distance": weak_star_distance(u, w, args.depth),
-                  "depth": args.depth}
-        _emit(args, report)
-        return EXIT_OK
-
-    if args.command == "flatness":
-        l1 = io.load(args.l1, DiscreteMeasure)
-        l2 = io.load(args.l2, DiscreteMeasure)
-        witness = check_flatter(l1, l2, exact=args.exact_rational)
-        report = witness.to_dict()
-        _emit(args, report, obj=witness)
-        code = EXIT_OK if witness.feasible else EXIT_REFUTED
-        return code
-
-    if args.command == "order":
-        if args.order_command == "check":
-            u = io.load(args.u, StepGraphon)
-            w = io.load(args.w, StepGraphon)
-            verdict = order_check(u, w)
-            report = verdict.to_dict()
-            _emit(args, report)
-            code = EXIT_REFUTED if verdict.refuted else EXIT_OK
-            return code
-        if args.order_command == "envelope":
-            w = io.load(args.w, StepGraphon)
-            sample = sample_envelope(w, args.n, args.count, args.depth, args.seed)
-            report = {"resolution": sample.resolution, "depth": sample.depth,
-                      "count": len(sample)}
-            if not args.out:
-                report["signatures"] = sample.signatures.tolist()
-            _emit(args, report, obj=sample)
-            return EXIT_OK
-        if args.order_command == "chi":
-            u = io.load(args.u, StepGraphon)
-            w = io.load(args.w, StepGraphon)
-            val = chi_estimate(u, w, args.n, args.count, args.depth, args.seed)
-            report = {"chi_estimate": val}
-            _emit(args, report)
-            return EXIT_OK
-
-    if args.command == "multiway":
-        if args.multiway_command == "sample":
-            w = io.load(args.w, StepGraphon)
-            sample = sample_multiway_set(w, args.a, args.count, args.seed)
-            report = {"a": sample.a.tolist(), "count": len(sample)}
-            if not args.out:
-                report["matrices"] = [m.tolist() for m in sample.matrices]
-            _emit(args, report, obj=sample)
-            return EXIT_OK
-        if args.multiway_command == "hausdorff":
-            su = io.load(args.su, MultiwayMatrixSet)
-            sw = io.load(args.sw, MultiwayMatrixSet)
-            report = {"hausdorff": multiway_hausdorff(su, sw)}
-            _emit(args, report)
-            return EXIT_OK
-
-    if args.command == "reproduce":
-        passed, report = reproduce(args.which, eps=args.eps, seed=args.seed)
-        report["passed"] = passed
-        _emit(args, report)
-        return EXIT_OK if passed else EXIT_TOLERANCE
-
-    raise StepGraphonError(f"unhandled command {args.command!r}")
-
-
 def main(argv=None):
+    """Run one command and return its exit code.
+
+    A handler returns (report, obj, exit code); main saves obj to --out,
+    then prints the report as JSON with --json or as indented text.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _run(args)
+        report, obj, code = args.run(args)
+        if getattr(args, "out", None):
+            io.save(obj, args.out)
+        print(json.dumps(report, sort_keys=True) if args.json else _fmt(report))
+        return code
     except (SolverFailure, ScalingDiverged) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

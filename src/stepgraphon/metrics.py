@@ -548,9 +548,9 @@ def rectangle_signature(W, depth):
 
 
 def signature_weights(depth):
-    m = (1 << (depth + 1)) - 1
-    n = np.arange(1, m + 1)
-    return 2.0 ** -(n[:, None] + n[None, :])
+    """The (M x M) weights 2^-(n+k), as products of exact powers of two."""
+    u = 2.0 ** -np.arange(1, (1 << (depth + 1)))
+    return np.outer(u, u)
 
 
 def weak_star_distance(U, W, depth):
@@ -568,8 +568,11 @@ def weak_star_distance(U, W, depth):
     if depth < 0:
         raise ValueError("depth must be >= 0")
     depth = min(depth, WEAK_STAR_DEPTH_CAP)
-    diff = rectangle_signature(U, depth) - rectangle_signature(W, depth)
-    return float((signature_weights(depth) * np.abs(diff)).sum())
+    diff = rectangle_signature(U, depth)
+    diff -= rectangle_signature(W, depth)
+    np.abs(diff, out=diff)
+    diff *= signature_weights(depth)
+    return float(diff.sum())
 
 
 def l1_hausdorff(points_a, points_b, weights):

@@ -26,7 +26,7 @@ from .errors import NoInteriorValues, StepGraphonError
 from .measures import check_flatter, degree_frequencies, range_frequencies
 from .metrics import dyadic_intervals, l1_hausdorff, rectangle_signature, signature_weights
 
-_STACK_FLOATS = 1 << 20  # cap on the rearranged values one stacked product gathers
+_STACK_FLOATS = 1 << 20  # cap on an envelope's base and on the values one stacked product gathers
 _ENVELOPE_FLOATS = 1 << 26  # cap on the signature values of one envelope (512 MiB)
 
 
@@ -225,7 +225,9 @@ def _check_envelope(n, count, depth):
 
     Each level of depth quadruples a signature, and depth 12 would need
     10 GB for 4 samples on 8 cells, so an envelope of more than
-    _ENVELOPE_FLOATS signature values raises StepGraphonError.
+    _ENVELOPE_FLOATS signature values raises StepGraphonError.  So do a
+    base of more than _STACK_FLOATS values (n > 1024; n = 100000 would
+    need 75 GiB) and a cell-order table of more than _ENVELOPE_FLOATS entries.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -233,8 +235,16 @@ def _check_envelope(n, count, depth):
         raise ValueError("count must be >= 0")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if n * n > _STACK_FLOATS:
+        raise StepGraphonError(
+            f"an envelope on {n} cells holds {n * n} base values, over the cap of {_STACK_FLOATS}")
+    rows = count + len(_interlace_levels(n))
+    if rows * n > _ENVELOPE_FLOATS:
+        raise StepGraphonError(
+            f"an envelope of {rows} cell orders on {n} cells holds {rows * n} order entries, "
+            f"over the cap of {_ENVELOPE_FLOATS}")
     m = (1 << (depth + 1)) - 1
-    size = (count + len(_interlace_levels(n)) + depth + 1) * m * m
+    size = (rows + depth + 1) * m * m
     if size > _ENVELOPE_FLOATS:
         raise StepGraphonError(
             f"an envelope at depth {depth} holds {size} signature values, "
@@ -255,7 +265,7 @@ def _envelope_cloud(base, count, depth, seed):
     m = len(r)
     rows = len(perms)
     sigs = np.empty((rows + depth + 1, m * m))
-    step = max(1, _STACK_FLOATS // (n * n))
+    step = _STACK_FLOATS // (n * n)
     for lo in range(0, rows, step):
         p = perms[lo:lo + step]
         stack = base.values[p[:, :, None], p[:, None, :]]

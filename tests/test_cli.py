@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from stepgraphon import io
-from stepgraphon.cli import main
+from stepgraphon.cli import build_parser, main
 from stepgraphon.core import StepGraphon
 from stepgraphon.order import EnvelopeSample
 
@@ -162,6 +163,23 @@ def test_reproduce_tolerance_failure_exits_four(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_every_leaf_command_has_a_handler_and_json():
+    def leaves(parser):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield parser
+        for action in subs:
+            for child in action.choices.values():
+                yield from leaves(child)
+
+    found = list(leaves(build_parser()))
+    assert {"stepgraphon build", "stepgraphon order chi",
+            "stepgraphon multiway hausdorff"} <= {leaf.prog for leaf in found}
+    for leaf in found:
+        assert callable(leaf.get_default("run")), leaf.prog
+        assert leaf._option_string_actions["--json"].dest == "json", leaf.prog
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["density", "--w", str(tmp_path / "missing.json")]) == 1
     assert main(["build", "--name", "w1", "--eps", "0.3"]) == 1
@@ -217,11 +235,16 @@ def test_bad_budgets_exit_one_without_traceback(tmp_path, capsys, budget):
     assert len(lines) == 1 and lines[0].startswith("error: budget ")
 
 
-@pytest.mark.parametrize("args", [
-    ["order", "envelope", "--w", "{w}", "--n", "8", "--count", "4", "--depth", "12"],
-    ["order", "chi", "--u", "{u}", "--w", "{w}", "--n", "8", "--count", "4", "--depth", "40"],
-], ids=["envelope-depth-12", "chi-depth-40"])
-def test_oversized_envelopes_exit_one_without_traceback(tmp_path, capsys, args):
+@pytest.mark.parametrize("args, message", [
+    (["order", "envelope", "--w", "{w}", "--n", "8", "--count", "4", "--depth", "12"],
+     "error: an envelope at depth "),
+    (["order", "chi", "--u", "{u}", "--w", "{w}", "--n", "8", "--count", "4", "--depth", "40"],
+     "error: an envelope at depth "),
+    (["order", "envelope", "--w", "{w}", "--n", "100000"], "error: an envelope on 100000 cells "),
+    (["order", "chi", "--u", "{u}", "--w", "{w}", "--n", "100000"],
+     "error: an envelope on 100000 cells "),
+], ids=["envelope-depth-12", "chi-depth-40", "envelope-n-100000", "chi-n-100000"])
+def test_oversized_envelopes_exit_one_without_traceback(tmp_path, capsys, args, message):
     paths = {"u": tmp_path / "u.json", "w": tmp_path / "w.json"}
     run_cli(["build", "--name", "constant", "--c", "0.5", "--out", str(paths["u"])], capsys)
     run_cli(["build", "--name", "bipartite", "--out", str(paths["w"])], capsys)
@@ -230,7 +253,24 @@ def test_oversized_envelopes_exit_one_without_traceback(tmp_path, capsys, args):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: an envelope at depth ")
+    assert len(lines) == 1 and lines[0].startswith(message)
+
+
+@pytest.mark.parametrize("args", [
+    ["build", "--name", "w1", "--eps", "nan"],
+    ["build", "--name", "w1", "--eps", "inf"],
+    ["reproduce", "--which", "counterexample", "--eps", "nan"],
+    ["reproduce", "--which", "counterexample", "--eps", "inf"],
+    ["reproduce", "--which", "counterexample", "--eps", "0"],
+    ["reproduce", "--which", "counterexample", "--eps", "1e-400"],
+], ids=["build-nan", "build-inf", "reproduce-nan", "reproduce-inf", "reproduce-zero",
+        "reproduce-underflow"])
+def test_bad_eps_exits_one_without_traceback(args):
+    proc = run_module(args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: eps ")
 
 
 NAN, INF = float("nan"), float("inf")

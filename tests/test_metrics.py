@@ -694,6 +694,23 @@ def test_weak_star_depth_stops_at_the_last_nonzero_weight(monkeypatch):
     assert weak_star_distance(u, w, 11) == at_ten
 
 
+def _exponent_weights(depth):
+    n = np.arange(1, 1 << (depth + 1))
+    return 2.0 ** -(n[:, None] + n[None, :])
+
+
+def test_weak_star_equals_exponent_table_formula(rng):
+    # reference: the weights 2^-(n+k) straight from their exponents
+    for depth in range(11):
+        assert np.array_equal(metrics.signature_weights(depth), _exponent_weights(depth))
+    for depth, pairs in ((0, 10), (3, 10), (6, 6), (10, 2)):
+        for _ in range(pairs):
+            u, w = random_graphon(rng), random_graphon(rng)
+            diff = metrics.rectangle_signature(u, depth) - metrics.rectangle_signature(w, depth)
+            expect = float((_exponent_weights(depth) * np.abs(diff)).sum())
+            assert weak_star_distance(u, w, depth) == expect
+
+
 # ------------------------------------------------------------------ hausdorff
 
 def _points(xs):

@@ -20,7 +20,7 @@ from stepgraphon.named import _linear_segments
 
 
 def test_eps_validation():
-    for bad in (0.3, 0.25, 2 ** -11, 0.0, None):
+    for bad in (0.3, 0.25, 2 ** -11, 0.0, None, float("nan"), float("inf")):
         with pytest.raises(UnsupportedEps):
             w1_graphon(bad)
     for k in range(3, 11):

@@ -230,10 +230,20 @@ def test_envelope_size_is_checked_before_anything_is_built(monkeypatch):
         raise AssertionError("envelope built before its size was checked")
 
     monkeypatch.setattr(order, "canonicalize", unreachable)
+    monkeypatch.setattr(order, "_envelope_perms", unreachable)
     with pytest.raises(StepGraphonError):
         sample_envelope(g, 8, 4, 10)
     with pytest.raises(StepGraphonError):
         chi_estimate(g, g, 8, 4, 40)
+    # a 60000003 x 8 table of cell orders, and a 1025-cell base, are over their caps
+    with pytest.raises(StepGraphonError, match="holds 480000024 order entries"):
+        sample_envelope(g, 8, 60_000_000, 0)
+    with pytest.raises(StepGraphonError, match="holds 480000024 order entries"):
+        chi_estimate(g, g, 8, 60_000_000, 0)
+    with pytest.raises(StepGraphonError, match="on 1025 cells holds 1050625 base values"):
+        sample_envelope(g, 1025, 0, 0)
+    with pytest.raises(StepGraphonError, match="on 100000 cells"):
+        chi_estimate(g, g, 100_000, 0, 0)
 
 
 # ----------------------------------------------------------------------- chi

@@ -1,5 +1,6 @@
 import pytest
 
+from stepgraphon import UnsupportedEps
 from stepgraphon.scenarios import (
     chains_scenario,
     chessboard_scenario,
@@ -55,6 +56,13 @@ def test_reproduce_counterexample_single_eps():
     ok, report = reproduce("counterexample", eps=2 ** -5)
     assert ok
     assert len(report["rows"]) == 1
+
+
+@pytest.mark.parametrize("eps", [0.0, float("nan"), float("inf")])
+def test_reproduce_counterexample_rejects_a_given_bad_eps(eps):
+    # only a missing eps selects the three default values
+    with pytest.raises(UnsupportedEps):
+        reproduce("counterexample", eps=eps)
 
 
 def test_scenario_tolerance_overrides():
