@@ -493,6 +493,39 @@ def grid_version(W, n, perm=None):
     return StepGraphon(out_weights, vals)
 
 
+def _rank(keys):
+    lookup = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [lookup[k] for k in keys]
+
+
+def _canonical_cell_order(weights, values):
+    """Deterministic cell ordering by iterated neighborhood refinement.
+
+    Each cell starts from the color (weight, sorted row), and colors are
+    refined by (own color, multiset of (neighbor color, value)).  Cells of
+    cell-permuted copies carry bitwise-identical weights and values, so
+    both copies get the same class ordering.  Classes that survive
+    refinement are treated as interchangeable; for value-homogeneous
+    classes (constants, generic random kernels) any within-class order
+    yields the same reordered kernel.  Regular kernels are not resolved:
+    the two-block kernel on 16 cells stays one class with values 0 and 1,
+    so two of its rearrangements can reorder to different kernels, and
+    callers must compare the reordered kernels.
+    """
+    rows = [tuple(row) for row in values.tolist()]
+    n = len(rows)
+    colors = _rank([(w, tuple(sorted(row))) for w, row in zip(weights.tolist(), rows)])
+    for _ in range(n):
+        keys = [(colors[c], tuple(sorted(zip(colors, rows[c])))) for c in range(n)]
+        new_colors = _rank(keys)
+        stable = len(set(new_colors)) == len(set(colors))
+        colors = new_colors
+        if stable or len(set(colors)) == n:
+            break
+    order = sorted(range(n), key=lambda c: colors[c])
+    return np.asarray(order, dtype=int)
+
+
 def interlace_version(W, n):
     """The interlacing rearrangement at level n.
 

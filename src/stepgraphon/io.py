@@ -19,9 +19,14 @@ def dumps(obj, indent=None):
 
 
 def save(obj, path, indent=2):
-    with open(path, "w") as fh:
-        fh.write(dumps(obj, indent=indent))
-        fh.write("\n")
+    """Write `dumps(obj)` and a newline to path; an unwritable path raises StepGraphonError."""
+    text = dumps(obj, indent=indent)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        raise StepGraphonError(f"cannot write {path}: {exc}") from exc
 
 
 def load(path, cls):

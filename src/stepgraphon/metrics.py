@@ -3,7 +3,8 @@
 The exact cut norm enumerates one side of the bilinear box problem and solves
 the other side greedily; bilinearity puts the optimum at 0/1 vertices, so the
 enumeration is exact.  The cut distance over couplings is an upper bound on
-the true rearrangement infimum, exact on the equal-mass permutation sweep.
+the true rearrangement infimum, exact on the equal-mass permutation sweep and
+on pairs that are bitwise equal up to a cell permutation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .core import (
     Coupling,
     SignedStepKernel,
     StepGraphon,
+    _canonical_cell_order,
     _overlaps,
     common_refinement,
     corner_rule,
@@ -452,6 +454,26 @@ def _expand_coupling(cmat, idx_u, idx_w, ku, kw, wu, ww):
     return Coupling(full, wu, ww)
 
 
+def _isomorphic_start(A, B):
+    """The coupling that matches B's cells to equal cells of A, or None.
+
+    Both sides are put in canonical cell order; when the reordered weights
+    and values are bitwise equal, matching the cells in that order gives a
+    difference kernel that is exactly 0.  Otherwise, including cell-permuted
+    pairs whose refinement leaves unequal classes, there is no such start.
+    """
+    if A.k != B.k or not np.array_equal(np.sort(A.weights), np.sort(B.weights)):
+        return None
+    pa = _canonical_cell_order(A.weights, A.values)
+    pb = _canonical_cell_order(B.weights, B.values)
+    if not (np.array_equal(A.weights[pa], B.weights[pb])
+            and np.array_equal(A.values[np.ix_(pa, pa)], B.values[np.ix_(pb, pb)])):
+        return None
+    cmat = np.zeros((A.k, B.k))
+    cmat[pa, pb] = A.weights[pa]
+    return cmat
+
+
 def _search_budget(budget):
     """DEFAULT_BUDGET updated by budget, or StepGraphonError for a bad entry."""
     cfg = dict(DEFAULT_BUDGET)
@@ -476,10 +498,16 @@ def cut_distance(U, W, budget=None, seed=0):
     match) plus seeded random corner-rule vertices through an alternating
     local search, and an exact permutation sweep when both sides refine to
     at most 8 equal-mass cells.  The result is the minimum over everything
-    evaluated; exactness is claimed only for the sweep family.  Starts
-    often converge onto the same couplings, so the search memoizes its cut
-    norms and transport LPs for the length of the call; a memo hit returns
-    exactly what recomputing would, so results do not depend on it.
+    evaluated; exactness is claimed for the sweep family and for a value of
+    0.  When the pruned sides are bitwise equal up to a cell permutation,
+    found by matching their canonical cell orders, that permutation's
+    coupling is the first start; its difference kernel is exactly 0, so
+    the value is exactly 0.0 at any number of cells.  The search stops at
+    the first start that reaches 0 and then skips the sweep: no later value
+    can be lower.  Starts often converge onto the same couplings, so the
+    search memoizes its cut norms and transport LPs for the length of the
+    call; a memo hit returns exactly what recomputing would, so results do
+    not depend on it.
     """
     cfg = _search_budget(budget)
     swap = _canonical_key(U) > _canonical_key(W)
@@ -495,7 +523,9 @@ def cut_distance(U, W, budget=None, seed=0):
         row_orders.append(rng.permutation(len(a)))
         col_orders.append(rng.permutation(len(b)))
     corners = corner_rule(a, b, row_orders, col_orders)
-    starts = [corners[0]]
+    iso = _isomorphic_start(Ap, Bp)
+    starts = [] if iso is None else [iso]
+    starts.append(corners[0])
     if Ap.k * Bp.k <= 1024:
         starts.append(Coupling.product(a, b).matrix)
     if Ap.k == Bp.k and np.abs(a - b).max() <= 1e-12:
@@ -508,11 +538,13 @@ def cut_distance(U, W, budget=None, seed=0):
         val, cmat = _local_search(Ap, Bp, c0, cfg["max_iters"], cfg["tol"], seed, memo)
         if val < best_val:
             best_val, best_c = val, cmat
+        if best_val == 0.0:
+            break
 
     equal_a = np.abs(a - a[0]).max() <= 1e-12
     equal_b = np.abs(b - b[0]).max() <= 1e-12
     common = math.lcm(Ap.k, Bp.k) if equal_a and equal_b else None
-    if common is not None and common <= SWEEP_BLOCK_CAP:
+    if best_val > 0.0 and common is not None and common <= SWEEP_BLOCK_CAP:
         Ar = grid_version(Ap, common)
         Br = grid_version(Bp, common)
         val, perm = _perm_sweep(Ar, Br)

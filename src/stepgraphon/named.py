@@ -23,9 +23,9 @@ NAMED = ("constant", "bipartite", "w1", "w2", "u1", "u2")
 
 
 def _validate_eps(eps):
-    if eps is None or eps <= 0:
+    if eps is None:
         raise UnsupportedEps("eps is required for this kernel")
-    k = round(-math.log2(eps)) if eps < 1 else 0  # NaN and inf fail here, not in the log
+    k = round(-math.log2(eps)) if 0 < eps < 1 else 0  # 0, negatives, NaN and inf fail here
     if not (3 <= k <= 10) or eps != 2.0 ** -k:
         raise UnsupportedEps(f"eps must be 2**-k with 3 <= k <= 10, got {eps!r}")
     return eps

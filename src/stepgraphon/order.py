@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     PartitionSpec,
     StepGraphon,
+    _canonical_cell_order,
     _interlace_order,
     _overlaps,
     edge_density,
@@ -132,40 +133,10 @@ def strictify(W, eps):
     return StepGraphon(weights, np.clip(vals, 0.0, 1.0))
 
 
-def _rank(keys):
-    lookup = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [lookup[k] for k in keys]
-
-
-def _canonical_cell_order(values):
-    """Deterministic cell ordering by iterated neighborhood refinement.
-
-    Cells of rearranged copies carry bitwise-identical values, so refining
-    colors by (own color, multiset of (neighbor color, value)) yields the
-    same class ordering for any two cell-permuted versions of one kernel.
-    Classes that survive refinement are treated as interchangeable; for
-    value-homogeneous classes (constants, chessboards, generic random
-    kernels) any within-class order yields the same canonical matrix.
-    """
-    rows = [tuple(row) for row in values]
-    n = len(rows)
-    colors = _rank([tuple(sorted(row)) for row in rows])
-    for _ in range(n):
-        keys = [(colors[c], tuple(sorted(zip(colors, rows[c])))) for c in range(n)]
-        new_colors = _rank(keys)
-        stable = len(set(new_colors)) == len(set(colors))
-        colors = new_colors
-        if stable or len(set(colors)) == n:
-            break
-    order = sorted(range(n), key=lambda c: colors[c])
-    return np.asarray(order, dtype=int)
-
-
 def canonicalize(W, n):
     """Refine W to n equal cells and reorder them canonically."""
     base = grid_version(W, n)
-    order = _canonical_cell_order(base.values)
-    return grid_version(base, n, order)
+    return grid_version(base, n, _canonical_cell_order(base.weights, base.values))
 
 
 class EnvelopeSample:

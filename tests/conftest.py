@@ -103,6 +103,30 @@ def overlaps_reference(cum, intervals):
     return per_interval, np.clip(right - left, 0.0, None)
 
 
+def canonical_cell_order_reference(values):
+    """The canonical cell order of an equal-mass grid, as first written.
+
+    Colors start from each cell's sorted row and are refined by (own color,
+    multiset of (neighbor color, value)) until the class count is stable.
+    """
+    def rank(keys):
+        lookup = {k: i for i, k in enumerate(sorted(set(keys)))}
+        return [lookup[k] for k in keys]
+
+    rows = [tuple(row) for row in values]
+    n = len(rows)
+    colors = rank([tuple(sorted(row)) for row in rows])
+    for _ in range(n):
+        keys = [(colors[c], tuple(sorted(zip(colors, rows[c])))) for c in range(n)]
+        new_colors = rank(keys)
+        stable = len(set(new_colors)) == len(set(colors))
+        colors = new_colors
+        if stable or len(set(colors)) == n:
+            break
+    order = sorted(range(n), key=lambda c: colors[c])
+    return np.asarray(order, dtype=int)
+
+
 def envelope_reference(W, n, count, depth, seed=0):
     """sample_envelope's signatures as first computed, one graphon per sample."""
     base = canonicalize(W, n)

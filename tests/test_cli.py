@@ -263,14 +263,31 @@ def test_oversized_envelopes_exit_one_without_traceback(tmp_path, capsys, args, 
     ["reproduce", "--which", "counterexample", "--eps", "inf"],
     ["reproduce", "--which", "counterexample", "--eps", "0"],
     ["reproduce", "--which", "counterexample", "--eps", "1e-400"],
+    ["build", "--name", "w1", "--eps", "0"],
+    ["build", "--name", "w1", "--eps=-1"],
+    ["reproduce", "--which", "counterexample", "--eps=-1"],
+    ["build", "--name", "w1"],
 ], ids=["build-nan", "build-inf", "reproduce-nan", "reproduce-inf", "reproduce-zero",
-        "reproduce-underflow"])
+        "reproduce-underflow", "build-zero", "build-negative", "reproduce-negative",
+        "build-missing"])
 def test_bad_eps_exits_one_without_traceback(args):
     proc = run_module(args)
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: eps ")
+    # only a missing eps is "required"; an explicit bad one is told the valid form
+    expected = "error: eps must be 2**-k" if "--eps" in " ".join(args) else "error: eps is required"
+    assert len(lines) == 1 and lines[0].startswith(expected)
+
+
+def test_out_into_missing_directory_exits_one_without_traceback(tmp_path):
+    path = tmp_path / "nodir" / "x.json"
+    proc = run_module(["build", "--name", "bipartite", "--out", str(path)])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path}: ")
+    assert not path.parent.exists()
 
 
 NAN, INF = float("nan"), float("inf")

@@ -58,3 +58,9 @@ def test_overflowing_field_is_a_named_error(tmp_path):
     path.write_text('{"resolution": 1e400, "depth": 1, "signatures": [[0.0]]}')
     with pytest.raises(StepGraphonError, match="not a EnvelopeSample file"):
         io.load(path, EnvelopeSample)
+
+
+def test_save_into_missing_directory_is_a_named_error(tmp_path):
+    path = tmp_path / "nodir" / "x.json"
+    with pytest.raises(StepGraphonError, match="cannot write"):
+        io.save(SIGNED, path)

@@ -604,6 +604,90 @@ def test_failing_transport_is_solved_once_per_gradient(monkeypatch, rng):
     assert len(set(gradients)) == len(gradients) < 35
 
 
+@st.composite
+def cell_permuted_pairs(draw, max_k=16, equal_mass=True):
+    """(U, W) with W = U on permuted cells; unequal masses are dyadic.
+
+    The constructor divides masses by their sum, which can move masses of
+    1/k by an ulp, so equal-mass copies come from grid_version, which
+    builds its masses the same way as U.  Dyadic masses are counts over a
+    power of two whose last cell takes the rest, so they and every sum of
+    them are exact in floats.
+    """
+    k = draw(st.integers(1, max_k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if equal_mass:
+        w = np.full(k, 1.0 / k)
+    else:
+        counts = rng.integers(1, 5, size=k)
+        total = 1 << int(counts.sum() - 1).bit_length()
+        counts[-1] += total - counts.sum()
+        w = counts / total
+    v = rng.random((k, k))
+    U = StepGraphon(w, np.triu(v) + np.triu(v, 1).T)
+    perm = np.array(draw(st.permutations(range(k))), dtype=int)
+    if equal_mass:
+        return U, grid_version(U, k, perm)
+    return U, StepGraphon(U.weights[perm], U.values[np.ix_(perm, perm)])
+
+
+def assert_exact_zero(U, W):
+    for A, B in ((U, W), (W, U)):
+        val, coupling = cut_distance(A, B)
+        assert val == 0.0
+        assert np.count_nonzero(coupling.matrix) == np.count_nonzero(A.weights)
+        assert cut_norm_distance(A, B, coupling) == 0.0
+
+
+@settings(max_examples=60)
+@given(cell_permuted_pairs())
+def test_cell_permuted_equal_mass_pair_is_exactly_zero(pair):
+    # past 8 cells no sweep runs, and past 14 the search scores heuristically
+    assert_exact_zero(*pair)
+
+
+@settings(max_examples=40)
+@given(cell_permuted_pairs(max_k=10, equal_mass=False))
+def test_cell_permuted_dyadic_pair_is_exactly_zero(pair):
+    assert_exact_zero(*pair)
+
+
+def test_zero_weight_blocks_do_not_hide_a_cell_permutation():
+    U = equal_mass_graphon(10, 5)
+    perm = np.random.default_rng(5).permutation(10)
+    W = grid_version(U, 10, perm)
+    padded = StepGraphon(np.concatenate((U.weights[:3], [0.0], U.weights[3:])),
+                         np.insert(np.insert(U.values, 3, 0.5, axis=0), 3, 0.5, axis=1))
+    assert_exact_zero(padded, W)
+
+
+def test_isomorphic_pair_stops_after_one_search(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran after a zero")
+
+    searches = _count_calls(monkeypatch, "_local_search")
+    monkeypatch.setattr(metrics, "_perm_sweep", no_sweep)
+    U = equal_mass_graphon(6, 6)
+    W = grid_version(U, 6, [3, 0, 5, 1, 4, 2])
+    assert cut_distance(U, W)[0] == 0.0
+    assert len(searches) == 1
+
+
+def test_changed_value_gets_no_isomorphic_start(monkeypatch):
+    U = equal_mass_graphon(6, 7)
+    perm = [3, 0, 5, 1, 4, 2]
+    assert metrics._isomorphic_start(U, grid_version(U, 6, perm)) is not None
+    v = grid_version(U, 6, perm).values.copy()
+    v[1, 4] = v[4, 1] = np.nextafter(v[1, 4], 2.0)
+    W = StepGraphon(U.weights, v)
+    assert metrics._isomorphic_start(U, W) is None
+    searches = _count_calls(monkeypatch, "_local_search")
+    val, _ = cut_distance(U, W)
+    assert val > 0.0
+    # corner rule, product, diagonal and 32 random corner-rule starts
+    assert len(searches) == 35
+
+
 def test_transport_constraints_are_row_and_column_sums(monkeypatch):
     n, m = 3, 4
     expected = np.zeros((n + m, n * m))

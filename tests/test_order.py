@@ -27,7 +27,8 @@ from stepgraphon.metrics import signature_weights
 from stepgraphon.named import bipartite_graphon, w1_graphon
 from stepgraphon.order import _signature
 
-from conftest import chi_reference, envelope_reference, random_graphon
+from conftest import (canonical_cell_order_reference, chi_reference, envelope_reference,
+                      random_graphon)
 
 HALF = StepGraphon([1.0], [[0.5]])
 
@@ -170,6 +171,32 @@ def grid_graphon(rng, n, equal_mass):
         w = (rng.multinomial(n - k, rng.dirichlet(np.ones(k))) + 1) / n
     v = rng.random((k, k))
     return StepGraphon(w, (v + v.T) / 2)
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from([1, 2, 6, 8, 16, 32]), equal_mass=st.booleans(),
+       levels=st.sampled_from([0, 1, 2, 3]), data=st.integers(0, 2 ** 32 - 1))
+def test_canonicalize_keeps_the_reference_cell_order(n, equal_mass, levels, data):
+    # levels > 0 rounds the values to levels + 1 steps, so refinement meets ties
+    rng = np.random.default_rng(data)
+    g = grid_graphon(rng, n, equal_mass)
+    if levels:
+        g = StepGraphon(g.weights, np.round(g.values * levels) / levels)
+    base = grid_version(g, n)
+    reference = grid_version(base, n, canonical_cell_order_reference(base.values))
+    canonical = order.canonicalize(g, n)
+    assert np.array_equal(canonical.weights, reference.weights)
+    assert np.array_equal(canonical.values, reference.values)
+
+
+@pytest.mark.parametrize("g, n", [
+    (bipartite_graphon(), 8), (HALF, 4), (w1_graphon(0.125), 16),
+    (core.interlace_version(bipartite_graphon(), 3), 12)],
+    ids=["bipartite", "constant", "w1", "chessboard"])
+def test_canonical_order_of_structured_grids_is_the_reference_order(g, n):
+    base = grid_version(g, n)
+    assert np.array_equal(core._canonical_cell_order(base.weights, base.values),
+                          canonical_cell_order_reference(base.values))
 
 
 @settings(max_examples=60)
