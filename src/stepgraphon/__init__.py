@@ -21,6 +21,7 @@ from .core import (
     int_f,
     interlace_version,
     l1_distance,
+    overlap_coupling,
     rectangle_integral,
     reorder_by_ordered_partition,
     split_reconstruct,
@@ -60,7 +61,6 @@ from .metrics import (
     cut_norm,
     cut_norm_distance,
     l1_hausdorff,
-    overlap_coupling,
     weak_star_distance,
 )
 from .multiway import (

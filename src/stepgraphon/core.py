@@ -3,9 +3,12 @@
 A step graphon is stored as a vector of block masses (summing to 1) plus a
 symmetric matrix of block values; block i occupies the interval
 [cum_i, cum_{i+1}) of [0,1], so the list order fixes the geometry.  This
-module alone computes that layout (_cumulative, _overlaps) and decides when
-two mass vectors match (_mismatch, within MATCH_TOL).  All operations are
-pure; arrays are frozen after construction.
+module alone computes that layout: the breakpoints (_cumulative), interval
+overlaps (_overlaps), the block holding a point (_locate), the blocks that
+carry mass (_support), the overlay of two kernels (overlap_coupling) and the
+dyadic interval family (dyadic_intervals).  It also decides when two mass
+vectors match (_mismatch, within MATCH_TOL).  All operations are pure;
+arrays are frozen after construction.
 """
 
 from __future__ import annotations
@@ -106,6 +109,37 @@ def _overlaps(cum, lo, hi):
     return np.clip(np.minimum(hi, cum[1:]) - np.maximum(lo, cum[:-1]), 0.0, None)
 
 
+def _locate(cum, x):
+    """Index of the block of the breakpoints cum holding each x.
+
+    Blocks are right-open; x = 1 (and anything past it) maps to the last
+    block, anything below 0 to the first.  x is a scalar or an array.
+    """
+    return np.clip(np.searchsorted(cum, x, side="right") - 1, 0, len(cum) - 2)
+
+
+def _support(G):
+    """G without its zero-weight blocks, and the indices of the kept blocks.
+
+    The kept blocks keep their weights and values bit for bit; G itself
+    comes back when every weight is positive.
+    """
+    keep = G.weights > 0
+    idx = np.flatnonzero(keep)
+    if keep.all():
+        return G, idx
+    return type(G)(G.weights[idx], G.values[np.ix_(idx, idx)]), idx
+
+
+def dyadic_intervals(depth):
+    """Breadth-first dyadic intervals of [0,1], levels 0..depth, 1-indexed."""
+    out = []
+    for level in range(depth + 1):
+        n = 1 << level
+        out.extend((i / n, (i + 1) / n) for i in range(n))
+    return out
+
+
 class StepGraphon:
     """Symmetric step kernel with block masses summing to 1 and values in [0,1].
 
@@ -119,7 +153,6 @@ class StepGraphon:
         v = np.array(values, dtype=float)
         _validate_weights(w)
         _validate_symmetric(v, len(w), self.lo, self.hi)
-        w = w / w.sum()
         self.weights = _freeze(w)
         self.values = _freeze(v)
 
@@ -182,10 +215,7 @@ class StepFunction1D:
         self.values = _freeze(vals)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
-                      0, len(self.values) - 1)
-        return self.values[idx]
+        return self.values[_locate(self.breakpoints, np.asarray(x, dtype=float))]
 
     def prefix_integral(self, x):
         """Exact integral of the function over [0, x]."""
@@ -277,9 +307,7 @@ class PartitionSpec:
     @classmethod
     def dyadic(cls, weights, depth):
         """Overlap assignment onto the 2**depth dyadic cells of [0,1]."""
-        n = 2 ** depth
-        targets = [(i / n, (i + 1) / n) for i in range(n)]
-        return cls.from_intervals(weights, targets)
+        return cls.from_intervals(weights, dyadic_intervals(depth)[(1 << depth) - 1:])
 
 
 class Coupling:
@@ -378,12 +406,6 @@ def corner_rule(row, col, row_orders, col_orders):
     return m.reshape(n, k, q)
 
 
-def _locate(cum, x):
-    """Index of the block interval containing x (right-open; 1 maps to the last)."""
-    i = int(np.searchsorted(cum, x, side="right") - 1)
-    return min(max(i, 0), len(cum) - 2)
-
-
 def _symmetrize(m):
     """Bitwise-symmetric copy; commutativity of + makes (m + m.T) exact."""
     return 0.5 * (m + m.T)
@@ -436,24 +458,20 @@ def common_refinement(U, W, C):
     Uv = U.values[np.ix_(ii, ii)]
     Wv = W.values[np.ix_(jj, jj)]
     w_cells = w_cells / w_cells.sum()
-    return StepGraphon(w_cells, Uv), StepGraphon(w_cells, Wv)
+    return type(U)(w_cells, Uv), type(W)(w_cells, Wv)
 
 
-def refine_on_shared_breakpoints(U, W):
-    """Cell masses and value matrices of both graphons on merged breakpoints."""
-    cu, cw = U.cumulative(), W.cumulative()
-    cum = np.unique(np.concatenate((cu, cw)))
-    mids = 0.5 * (cum[:-1] + cum[1:])
-    iu = np.clip(np.searchsorted(cu, mids, side="right") - 1, 0, U.k - 1)
-    iw = np.clip(np.searchsorted(cw, mids, side="right") - 1, 0, W.k - 1)
-    lengths = np.diff(cum)
-    return lengths, U.values[np.ix_(iu, iu)], W.values[np.ix_(iw, iw)]
+def overlap_coupling(U, W):
+    """Coupling by interval overlap of the two block structures (no shuffle)."""
+    cu = U.cumulative()
+    return Coupling(_overlaps(W.cumulative(), cu[:-1], cu[1:]), U.weights, W.weights)
 
 
 def l1_distance(U, W):
     """Exact L1 distance of two step kernels on the shared ground space."""
-    lengths, Uv, Wv = refine_on_shared_breakpoints(U, W)
-    return float(lengths @ np.abs(Uv - Wv) @ lengths)
+    ru, rw = common_refinement(U, W, overlap_coupling(U, W))
+    a = ru.weights
+    return float(a @ np.abs(ru.values - rw.values) @ a)
 
 
 def rectangle_integral(W, xint, yint):
@@ -466,7 +484,7 @@ def _grid_cells(weights, n):
     """Map of each of n equal cells to its source block, or raise."""
     counts_f = np.asarray(weights, dtype=float) * n
     counts = np.rint(counts_f).astype(int)
-    if np.abs(counts_f - counts).max() > 1e-9 or counts.sum() != n:
+    if np.abs(counts_f - counts).max() > MATCH_TOL or counts.sum() != n:
         raise ResolutionIncompatible(
             f"weights are not multiples of 1/{n} within tolerance")
     return np.repeat(np.arange(len(counts)), counts)
@@ -487,10 +505,7 @@ def grid_version(W, n, perm=None):
         raise ResolutionIncompatible(f"perm is not a permutation of {n} cells")
     src = cell_block[perm]
     vals = W.values[np.ix_(src, src)]
-    out_weights = np.full(n, 1.0 / n)
-    if isinstance(W, SignedStepKernel):
-        return SignedStepKernel(out_weights, vals)
-    return StepGraphon(out_weights, vals)
+    return type(W)(np.full(n, 1.0 / n), vals)
 
 
 def _rank(keys):
@@ -599,7 +614,7 @@ def split_reconstruct(Wt, s, n):
     if n < 1:
         raise ResolutionIncompatible("grid resolution must be >= 1")
     for b in s.breakpoints:
-        if abs(b * n - round(b * n)) > 1e-9:
+        if abs(b * n - round(b * n)) > MATCH_TOL:
             raise ResolutionIncompatible(
                 f"split-function breakpoint {b!r} is not a multiple of 1/{n}")
     x = (np.arange(n) + 0.5) / n
@@ -608,8 +623,8 @@ def split_reconstruct(Wt, s, n):
     psi1 = float(s.prefix_integral(np.array(1.0)))
     phi = psi1 + x - psi
     cum = Wt.cumulative()
-    p = np.clip(np.searchsorted(cum, psi, side="right") - 1, 0, Wt.k - 1)
-    q = np.clip(np.searchsorted(cum, phi, side="right") - 1, 0, Wt.k - 1)
+    p = _locate(cum, psi)
+    q = _locate(cum, phi)
     v = Wt.values
     m_pp = v[np.ix_(p, p)] * np.outer(sx, sx)
     m_pq = v[np.ix_(p, q)] * np.outer(sx, 1.0 - sx)

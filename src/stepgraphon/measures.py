@@ -32,6 +32,10 @@ class DiscreteMeasure:
     """Finite measure on [0,1]: strictly increasing atoms with positive masses.
 
     Atoms outside [0,1] and negative or non-finite masses raise ValueOutOfRange.
+    The input pairs are sorted by (atom, mass) and atoms within ATOM_DEDUP_TOL
+    of a group's first atom are merged into it, so exactly equal atoms sum in
+    ascending-mass order: any reordering of the pairs gives the same bits,
+    which makes the frequency measures of rearranged kernels bitwise equal.
     """
 
     def __init__(self, atoms, masses):
@@ -47,7 +51,7 @@ class DiscreteMeasure:
         if bad.any():
             i = int(np.argwhere(bad)[0])
             raise ValueOutOfRange(i, i, m[i], 0.0, float("inf"))
-        order = np.argsort(a, kind="stable")
+        order = np.lexsort((m, a))
         a, m = a[order], m[order]
         out_a, out_m = [], []
         for x, w in zip(a, m):
@@ -111,33 +115,12 @@ class FlatnessWitness:
         return f"FlatnessWitness({tag}, residual={self.residual:.3g})"
 
 
-def _sorted_group_sums(keys, contributions):
-    """Group contributions by key with a canonical summation order.
-
-    Sorting by (key, contribution) before accumulating makes the sums
-    independent of the input enumeration order, so rearranged kernels yield
-    bitwise-identical measures.
-    """
-    order = np.lexsort((contributions, keys))
-    keys, contributions = keys[order], contributions[order]
-    atoms, masses = [], []
-    for k, c in zip(keys, contributions):
-        if atoms and k == atoms[-1]:
-            masses[-1] += c
-        else:
-            atoms.append(float(k))
-            masses.append(float(c))
-    return np.array(atoms), np.array(masses)
-
-
 def range_frequencies(W):
     """Distribution of block values weighted by pair mass."""
     a = W.weights
     mass = np.outer(a, a).ravel()
-    vals = W.values.ravel()
     keep = mass > 0
-    atoms, masses = _sorted_group_sums(vals[keep], mass[keep])
-    return DiscreteMeasure(atoms, masses)
+    return DiscreteMeasure(W.values.ravel()[keep], mass[keep])
 
 
 def degree_frequencies(W):
@@ -149,8 +132,7 @@ def degree_frequencies(W):
     """
     keep = W.weights > 0
     degs = np.array([fsum(row) for row in W.values[keep] * W.weights])
-    atoms, masses = _sorted_group_sums(np.clip(degs, 0.0, 1.0), W.weights[keep])
-    return DiscreteMeasure(atoms, masses)
+    return DiscreteMeasure(np.clip(degs, 0.0, 1.0), W.weights[keep])
 
 
 def _flatness_system(l1, l2):

@@ -3,8 +3,11 @@
 The exact cut norm enumerates one side of the bilinear box problem and solves
 the other side greedily; bilinearity puts the optimum at 0/1 vertices, so the
 enumeration is exact.  The cut distance over couplings is an upper bound on
-the true rearrangement infimum, exact on the equal-mass permutation sweep and
-on pairs that are bitwise equal up to a cell permutation.
+the true rearrangement infimum, the cut distance delta.  Its permutation
+sweep is exact over cell permutations only: it gives the permutation distance
+delta-hat of equal-mass grids (Lovasz, Large Networks, section 8.1), itself an
+upper bound on delta, which a fractional coupling can undercut.  A value of 0,
+as for pairs that are bitwise equal up to a cell permutation, is exact.
 """
 
 from __future__ import annotations
@@ -19,14 +22,18 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .core import (
+    WEIGHT_TOL,
     Coupling,
     SignedStepKernel,
-    StepGraphon,
     _canonical_cell_order,
+    _grid_cells,
     _overlaps,
+    _support,
     common_refinement,
     corner_rule,
+    dyadic_intervals,
     grid_version,
+    overlap_coupling,
 )
 from .errors import EmptySet, SolverFailure, StepGraphonError, TooManyBlocksForExact
 
@@ -236,11 +243,10 @@ def cut_norm(Y, mode="exact", seed=0, restarts=32):
     seeded alternating maximization on both signs of the kernel and always
     reports an achieved (hence lower-bounding) value.
     """
-    keep = Y.weights > 0
-    a = Y.weights[keep]
-    v = Y.values[np.ix_(keep, keep)]
+    Yp, idx = _support(Y)
+    a = Yp.weights
     k = len(a)
-    ay = (a[:, None] * a[None, :]) * v
+    ay = (a[:, None] * a[None, :]) * Yp.values
     if mode == "exact":
         if k > EXACT_BLOCK_CAP:
             raise TooManyBlocksForExact(
@@ -259,8 +265,8 @@ def cut_norm(Y, mode="exact", seed=0, restarts=32):
     value = _witness_value(ay, s, t)
     full_s = np.zeros(Y.k, dtype=int)
     full_t = np.zeros(Y.k, dtype=int)
-    full_s[np.flatnonzero(keep)] = s.astype(int)
-    full_t[np.flatnonzero(keep)] = t.astype(int)
+    full_s[idx] = s
+    full_t[idx] = t
     return CutNormResult(value, full_s, full_t, mode)
 
 
@@ -288,12 +294,6 @@ def cut_norm_distance(U, W, C, mode=None, seed=0):
     else:
         res = cut_norm(kernel, mode=mode, seed=seed)
     return res.value
-
-
-def overlap_coupling(U, W):
-    """Coupling by interval overlap of the two block structures (no shuffle)."""
-    cu = U.cumulative()
-    return Coupling(_overlaps(W.cumulative(), cu[:-1], cu[1:]), U.weights, W.weights)
 
 
 def aligned_cut_norm_distance(U, W, seed=0):
@@ -439,15 +439,6 @@ def _canonical_key(G):
     return (G.k, tuple(G.weights.tolist()), tuple(G.values.ravel().tolist()))
 
 
-def _prune_zero_blocks(G):
-    keep = G.weights > 0
-    if keep.all():
-        return G, np.arange(G.k)
-    idx = np.flatnonzero(keep)
-    cls = SignedStepKernel if isinstance(G, SignedStepKernel) else StepGraphon
-    return cls(G.weights[idx], G.values[np.ix_(idx, idx)]), idx
-
-
 def _expand_coupling(cmat, idx_u, idx_w, ku, kw, wu, ww):
     full = np.zeros((ku, kw))
     full[np.ix_(idx_u, idx_w)] = cmat
@@ -496,25 +487,29 @@ def cut_distance(U, W, budget=None, seed=0):
 
     Runs deterministic starts (corner rule, product, diagonal when shapes
     match) plus seeded random corner-rule vertices through an alternating
-    local search, and an exact permutation sweep when both sides refine to
-    at most 8 equal-mass cells.  The result is the minimum over everything
-    evaluated; exactness is claimed for the sweep family and for a value of
-    0.  When the pruned sides are bitwise equal up to a cell permutation,
-    found by matching their canonical cell orders, that permutation's
-    coupling is the first start; its difference kernel is exactly 0, so
-    the value is exactly 0.0 at any number of cells.  The search stops at
-    the first start that reaches 0 and then skips the sweep: no later value
-    can be lower.  Starts often converge onto the same couplings, so the
-    search memoizes its cut norms and transport LPs for the length of the
-    call; a memo hit returns exactly what recomputing would, so results do
-    not depend on it.
+    local search, and a permutation sweep when both sides refine to at most
+    8 equal-mass cells and neither has a single cell (one cell leaves one
+    coupling, the product, and it is a start).  The result is the minimum
+    over everything evaluated, an upper bound on the cut distance.  The
+    sweep is exact over cell permutations only: its minimum is the
+    permutation distance delta-hat of the two grids, an upper bound on the
+    cut distance, and a fractional coupling from the search can be lower.
+    Only a value of 0 is claimed exact.  When the pruned sides are bitwise
+    equal up to a cell permutation, found by matching their canonical cell
+    orders, that permutation's coupling is the first start; its difference
+    kernel is exactly 0, so the value is exactly 0.0 at any number of cells.
+    The search stops at the first start that reaches 0 and then skips the
+    sweep: no later value can be lower.  Starts often converge onto the same
+    couplings, so the search memoizes its cut norms and transport LPs for the
+    length of the call; a memo hit returns exactly what recomputing would, so
+    results do not depend on it.
     """
     cfg = _search_budget(budget)
     swap = _canonical_key(U) > _canonical_key(W)
     A, B = (W, U) if swap else (U, W)
     a_full, b_full = A.weights, B.weights
-    Ap, idx_a = _prune_zero_blocks(A)
-    Bp, idx_b = _prune_zero_blocks(B)
+    Ap, idx_a = _support(A)
+    Bp, idx_b = _support(B)
     a, b = Ap.weights, Bp.weights
 
     row_orders, col_orders = [np.arange(len(a))], [np.arange(len(b))]
@@ -528,7 +523,7 @@ def cut_distance(U, W, budget=None, seed=0):
     starts.append(corners[0])
     if Ap.k * Bp.k <= 1024:
         starts.append(Coupling.product(a, b).matrix)
-    if Ap.k == Bp.k and np.abs(a - b).max() <= 1e-12:
+    if Ap.k == Bp.k and np.abs(a - b).max() <= WEIGHT_TOL:
         starts.append(np.diag(a))
     starts.extend(corners[1:])
 
@@ -541,35 +536,24 @@ def cut_distance(U, W, budget=None, seed=0):
         if best_val == 0.0:
             break
 
-    equal_a = np.abs(a - a[0]).max() <= 1e-12
-    equal_b = np.abs(b - b[0]).max() <= 1e-12
+    equal_a = np.abs(a - a[0]).max() <= WEIGHT_TOL
+    equal_b = np.abs(b - b[0]).max() <= WEIGHT_TOL
     common = math.lcm(Ap.k, Bp.k) if equal_a and equal_b else None
-    if best_val > 0.0 and common is not None and common <= SWEEP_BLOCK_CAP:
+    if (best_val > 0.0 and min(Ap.k, Bp.k) > 1
+            and common is not None and common <= SWEEP_BLOCK_CAP):
         Ar = grid_version(Ap, common)
         Br = grid_version(Bp, common)
         val, perm = _perm_sweep(Ar, Br)
         if val < best_val:
             best_val = val
-            cmat = np.zeros((Ap.k, Bp.k))
-            pa = common // Ap.k
-            pb = common // Bp.k
-            for cell, target in enumerate(perm):
-                cmat[cell // pa, target // pb] += 1.0 / common
-            best_c = cmat
+            best_c = np.zeros((Ap.k, Bp.k))
+            np.add.at(best_c, (_grid_cells(a, common), _grid_cells(b, common)[perm]),
+                      1.0 / common)
 
     coupling = _expand_coupling(best_c, idx_a, idx_b, A.k, B.k, a_full, b_full)
     if swap:
         coupling = coupling.transpose()
     return float(best_val), coupling
-
-
-def dyadic_intervals(depth):
-    """Breadth-first dyadic intervals of [0,1], levels 0..depth, 1-indexed."""
-    out = []
-    for level in range(depth + 1):
-        n = 1 << level
-        out.extend((i / n, (i + 1) / n) for i in range(n))
-    return out
 
 
 def rectangle_signature(W, depth):

@@ -16,12 +16,15 @@ import math
 import numpy as np
 
 from .core import (
+    MATCH_TOL,
+    WEIGHT_TOL,
     PartitionSpec,
     _cumulative,
     _mismatch,
     _nonnegative,
     _require_source,
     corner_rule,
+    dyadic_intervals,
     edge_density,
 )
 from .errors import (
@@ -31,7 +34,7 @@ from .errors import (
     ScalingDiverged,
     StepGraphonError,
 )
-from .metrics import dyadic_intervals, l1_hausdorff
+from .metrics import l1_hausdorff
 
 VERTEX_ENUM_CAP = 10_000
 
@@ -39,10 +42,10 @@ VERTEX_ENUM_CAP = 10_000
 class MultiwayMatrixSet:
     """Finite sample of cut matrices with the partitions that produced them.
 
-    Entries are finite and lie in [0, a_l*a_m] within 1e-9.  Each matrix
-    has one provenance partition.  Every partition sends its mass onto parts
-    with masses a, and all of them split one source weight vector, both
-    within core.MATCH_TOL.
+    Entries are finite and lie in [0, a_l*a_m].  Each matrix has one
+    provenance partition.  Every partition sends its mass onto parts with
+    masses a, and all of them split one source weight vector.  All three
+    hold within core.MATCH_TOL.
     """
 
     def __init__(self, a, matrices, provenance):
@@ -54,7 +57,7 @@ class MultiwayMatrixSet:
         for m in self.matrices:
             if m.shape != (q, q):
                 raise DimensionMismatch(f"matrix shape {m.shape} != ({q}, {q})")
-            if not ((m >= -1e-9) & (m <= bound + 1e-9)).all():
+            if not ((m >= -MATCH_TOL) & (m <= bound + MATCH_TOL)).all():
                 raise StepGraphonError("cut matrix entry is not a number in [0, a_l*a_m]")
         if len(self.provenance) != len(self.matrices):
             raise ProvenanceMismatch(
@@ -199,7 +202,7 @@ def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
         raise ValueError("count must be >= 0")
     if not dedup_tol >= 0:
         raise ValueError("dedup_tol must be >= 0")
-    if not (abs(a.sum() - 1.0) <= 1e-9 and (a >= 0).all()):
+    if not (abs(a.sum() - 1.0) <= MATCH_TOL and (a >= 0).all()):
         raise MarginalMismatch("part masses must be nonnegative and sum to 1")
     w = W.weights
     k, q = len(w), len(a)
@@ -252,7 +255,7 @@ def part_index_bound(a, depth):
     for lo, hi in zip(cum[:-1], cum[1:]):
         found = None
         for idx, (x, y) in enumerate(family, start=1):
-            if abs(x - lo) <= 1e-12 and abs(y - hi) <= 1e-12:
+            if abs(x - lo) <= WEIGHT_TOL and abs(y - hi) <= WEIGHT_TOL:
                 found = idx
                 break
         if found is None:

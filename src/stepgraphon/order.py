@@ -19,13 +19,14 @@ from .core import (
     _canonical_cell_order,
     _interlace_order,
     _overlaps,
+    dyadic_intervals,
     edge_density,
     grid_version,
     stepping,
 )
 from .errors import NoInteriorValues, StepGraphonError
 from .measures import check_flatter, degree_frequencies, range_frequencies
-from .metrics import dyadic_intervals, l1_hausdorff, rectangle_signature, signature_weights
+from .metrics import l1_hausdorff, rectangle_signature, signature_weights
 
 _STACK_FLOATS = 1 << 20  # cap on an envelope's base and on the values one stacked product gathers
 _ENVELOPE_FLOATS = 1 << 26  # cap on the signature values of one envelope (512 MiB)

@@ -84,11 +84,24 @@ def cumulative_reference(weights):
     return cum
 
 
+def l1_reference(U, W):
+    """The L1 distance as first computed: both kernels read at the midpoints
+    of the cells between their merged breakpoints."""
+    cu, cw = U.cumulative(), W.cumulative()
+    cum = np.unique(np.concatenate((cu, cw)))
+    mids = 0.5 * (cum[:-1] + cum[1:])
+    iu = np.clip(np.searchsorted(cu, mids, side="right") - 1, 0, U.k - 1)
+    iw = np.clip(np.searchsorted(cw, mids, side="right") - 1, 0, W.k - 1)
+    lengths = np.diff(cum)
+    diff = np.abs(U.values[np.ix_(iu, iu)] - W.values[np.ix_(iw, iw)])
+    return float(lengths @ diff @ lengths)
+
+
 def overlaps_reference(cum, intervals):
     """Block overlaps of each interval, (len(intervals), k), in both first forms.
 
     The first is the per-interval loop of PartitionSpec.from_intervals and
-    rectangle_integral, the second the broadcast of metrics.overlap_coupling
+    rectangle_integral, the second the broadcast of core.overlap_coupling
     and the dyadic rectangle signature.
     """
     per_interval = np.zeros((len(intervals), len(cum) - 1))

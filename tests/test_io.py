@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from stepgraphon import io
-from stepgraphon.core import SignedStepKernel, StepFunction1D, StepGraphon
+from stepgraphon.core import SignedStepKernel, StepFunction1D, StepGraphon, grid_version
 from stepgraphon.errors import StepGraphonError, ValueOutOfRange
 from stepgraphon.measures import DiscreteMeasure
+from stepgraphon.metrics import cut_distance
 from stepgraphon.core import Coupling
 from stepgraphon.multiway import sample_multiway_set
 from stepgraphon.named import bipartite_graphon
@@ -64,3 +66,19 @@ def test_save_into_missing_directory_is_a_named_error(tmp_path):
     path = tmp_path / "nodir" / "x.json"
     with pytest.raises(StepGraphonError, match="cannot write"):
         io.save(SIGNED, path)
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_round_trip_keeps_equal_masses_bitwise(tmp_path, k):
+    g = StepGraphon(np.full(k, 1.0 / k), np.full((k, k), 0.5))
+    path = tmp_path / "g.json"
+    io.save(g, path)
+    assert io.load(path, StepGraphon).weights.tobytes() == g.weights.tobytes()
+
+
+def test_loaded_cell_permuted_copy_is_at_distance_zero(tmp_path):
+    v = np.random.default_rng(13).random((13, 13))
+    U = StepGraphon(np.full(13, 1.0 / 13), np.triu(v) + np.triu(v, 1).T)
+    path = tmp_path / "w.json"
+    io.save(grid_version(U, 13, np.random.default_rng(14).permutation(13)), path)
+    assert cut_distance(U, io.load(path, StepGraphon))[0] == 0.0

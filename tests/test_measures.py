@@ -310,6 +310,20 @@ def test_measure_dedup_and_sorting():
     assert m.masses.tolist() == [0.4, 0.6]
 
 
+@given(st.data())
+def test_measure_is_bitwise_invariant_under_reordered_pairs(data):
+    # pairs are summed in (atom, mass) order, repeated atoms included
+    atoms = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.3 + 1e-13, 1.0]),
+                               min_size=1, max_size=12))
+    masses = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(atoms),
+                                max_size=len(atoms)))
+    perm = data.draw(st.permutations(range(len(atoms))))
+    m = DiscreteMeasure(atoms, masses)
+    p = DiscreteMeasure(np.array(atoms)[perm], np.array(masses)[perm])
+    assert m.atoms.tobytes() == p.atoms.tobytes()
+    assert m.masses.tobytes() == p.masses.tobytes()
+
+
 def test_stepping_measures_flatten(rng):
     # blockwise averaging flattens both pushforward measures
     for _ in range(10):

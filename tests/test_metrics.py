@@ -31,8 +31,9 @@ from stepgraphon.measures import DiscreteMeasure, _flatness_system
 from stepgraphon.metrics import dyadic_intervals
 from stepgraphon.named import bipartite_graphon
 
-from conftest import (corner_rule_reference, exact_cut_norm_reference, perm_sweep_reference,
-                      perm_value_reference, random_graphon, random_kernel)
+from conftest import (corner_rule_reference, exact_cut_norm_reference, l1_reference,
+                      perm_sweep_reference, perm_value_reference, random_graphon,
+                      random_kernel)
 
 HALF = StepGraphon([1.0], [[0.5]])
 
@@ -446,9 +447,14 @@ def test_metric_ordering_chain(rng):
 
 
 @st.composite
-def graphon_pairs(draw, max_k=12):
+def graphon_pairs(draw, max_k=12, min_count=1):
+    """Two graphons whose block masses are counts over their totals.
+
+    Counts start at min_count, so min_count=0 gives zero-weight blocks.
+    """
     def graphon(k):
-        w = np.array(draw(st.lists(st.integers(1, 6), min_size=k, max_size=k)), dtype=float)
+        counts = st.lists(st.integers(min_count, 6), min_size=k, max_size=k).filter(any)
+        w = np.array(draw(counts), dtype=float)
         values = st.floats(0.0, 1.0, allow_nan=False)
         v = np.array(draw(st.lists(values, min_size=k * k, max_size=k * k))).reshape(k, k)
         return StepGraphon(w / w.sum(), np.triu(v) + np.triu(v, 1).T)
@@ -469,6 +475,20 @@ def equal_mass_graphon(k, seed):
 def test_aligned_cut_norm_at_most_l1(pair):
     U, W = pair
     assert aligned_cut_norm_distance(U, W) <= l1_distance(U, W) + 1e-12
+
+
+@settings(max_examples=60)
+@given(graphon_pairs(min_count=0))
+@example((equal_mass_graphon(8, 0), equal_mass_graphon(9, 1)))
+@example((StepGraphon([0.0, 0.3, 0.0, 0.7], np.full((4, 4), 0.25)),
+          StepGraphon([0.5, 0.0, 0.5], [[0.0, 1.0, 1.0], [1.0, 0.5, 1.0], [1.0, 1.0, 0.0]])))
+@example((SignedStepKernel([0.25, 0.75], [[-0.5, 1.0], [1.0, 0.0]]),
+          SignedStepKernel([0.5, 0.5], [[0.0, -1.0], [-1.0, 0.5]])))
+def test_l1_distance_matches_merged_breakpoint_reference(pair):
+    # the overlay of the overlap coupling against midpoint lookups on the
+    # merged breakpoints, with unaligned breakpoints and zero-weight blocks
+    U, W = pair
+    assert math.isclose(l1_distance(U, W), l1_reference(U, W), rel_tol=1e-14, abs_tol=1e-16)
 
 
 # ----------------------------------------------------------------- cut distance
@@ -501,6 +521,27 @@ def test_cut_distance_bipartite_vs_half_is_an_eighth():
     for val in vals:
         assert val == pytest.approx(0.125, abs=1e-9)
     assert weak_star_distance(interlace_version(bip, 4), HALF, 6) < vals[2]
+
+
+def test_one_cell_side_skips_the_sweep(monkeypatch):
+    # one cell leaves the product as the only coupling, and it is a start
+    sweeps = _count_calls(monkeypatch, "_perm_sweep")
+    bip = bipartite_graphon()
+    for n in range(1, 9):
+        for pair in ((interlace_version(bip, n), HALF), (HALF, interlace_version(bip, n))):
+            assert cut_distance(*pair)[0] == pytest.approx(0.125, abs=1e-15)
+    assert sweeps == []
+
+
+def test_sweep_is_exact_over_permutations_only():
+    # the sweep gives the permutation distance, an upper bound on the cut
+    # distance: here the search finds a fractional coupling below it
+    U, W = equal_mass_graphon(3, 30), equal_mass_graphon(3, 31)
+    val, coupling = cut_distance(U, W)
+    sweep, _ = metrics._perm_sweep(U, W)
+    assert val < sweep - 0.01
+    assert cut_norm_distance(U, W, coupling, mode="exact") == val
+    assert np.count_nonzero(coupling.matrix) > 3
 
 
 def test_cut_distance_symmetry(rng):
@@ -608,11 +649,9 @@ def test_failing_transport_is_solved_once_per_gradient(monkeypatch, rng):
 def cell_permuted_pairs(draw, max_k=16, equal_mass=True):
     """(U, W) with W = U on permuted cells; unequal masses are dyadic.
 
-    The constructor divides masses by their sum, which can move masses of
-    1/k by an ulp, so equal-mass copies come from grid_version, which
-    builds its masses the same way as U.  Dyadic masses are counts over a
-    power of two whose last cell takes the rest, so they and every sum of
-    them are exact in floats.
+    Equal-mass copies come from grid_version.  Dyadic masses are counts
+    over a power of two whose last cell takes the rest, so they and every
+    sum of them are exact in floats.
     """
     k = draw(st.integers(1, max_k))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
