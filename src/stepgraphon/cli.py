@@ -95,6 +95,18 @@ def _int_from(low):
 _INTF = {"x2": lambda x: x * x, "abs": lambda x: abs(x - 0.5), "exp": math.exp}
 
 
+def _graphon(path):
+    """io.load(path, StepGraphon), refusing a signed kernel.
+
+    io.load reads a file flagged "signed" as a SignedStepKernel; graphon
+    commands need values in [0, 1], so they raise StepGraphonError instead.
+    """
+    g = io.load(path, StepGraphon)
+    if isinstance(g, SignedStepKernel):
+        raise StepGraphonError(f"{path} holds a signed kernel, not a graphon")
+    return g
+
+
 def _build(args):
     g = build_named_graphon(args.name, c=args.c, eps=args.eps)
     report = {"name": args.name, "blocks": g.k, "density": edge_density(g)}
@@ -104,11 +116,11 @@ def _build(args):
 
 
 def _density(args):
-    return {"density": edge_density(io.load(args.w, StepGraphon))}, None, EXIT_OK
+    return {"density": edge_density(_graphon(args.w))}, None, EXIT_OK
 
 
 def _intf(args):
-    value = int_f(io.load(args.w, StepGraphon), _INTF[args.f])
+    value = int_f(_graphon(args.w), _INTF[args.f])
     return {"f": args.f, "value": value}, None, EXIT_OK
 
 
@@ -119,7 +131,7 @@ def _cutnorm(args):
 
 
 def _cutdist(args):
-    u, w = io.load(args.u, StepGraphon), io.load(args.w, StepGraphon)
+    u, w = _graphon(args.u), _graphon(args.w)
     val, coupling = cut_distance(u, w, budget=args.budget, seed=args.seed)
     report = {"cut_distance_upper_bound": val}
     if not args.out:
@@ -128,7 +140,7 @@ def _cutdist(args):
 
 
 def _wstar(args):
-    u, w = io.load(args.u, StepGraphon), io.load(args.w, StepGraphon)
+    u, w = _graphon(args.u), _graphon(args.w)
     report = {"weak_star_distance": weak_star_distance(u, w, args.depth), "depth": args.depth}
     return report, None, EXIT_OK
 
@@ -140,12 +152,12 @@ def _flatness(args):
 
 
 def _order_check(args):
-    verdict = order_check(io.load(args.u, StepGraphon), io.load(args.w, StepGraphon))
+    verdict = order_check(_graphon(args.u), _graphon(args.w))
     return verdict.to_dict(), None, EXIT_REFUTED if verdict.refuted else EXIT_OK
 
 
 def _order_envelope(args):
-    w = io.load(args.w, StepGraphon)
+    w = _graphon(args.w)
     sample = sample_envelope(w, args.n, args.count, args.depth, args.seed)
     report = {"resolution": sample.resolution, "depth": sample.depth, "count": len(sample)}
     if not args.out:
@@ -154,13 +166,13 @@ def _order_envelope(args):
 
 
 def _order_chi(args):
-    u, w = io.load(args.u, StepGraphon), io.load(args.w, StepGraphon)
+    u, w = _graphon(args.u), _graphon(args.w)
     val = chi_estimate(u, w, args.n, args.count, args.depth, args.seed)
     return {"chi_estimate": val}, None, EXIT_OK
 
 
 def _multiway_sample(args):
-    sample = sample_multiway_set(io.load(args.w, StepGraphon), args.a, args.count, args.seed)
+    sample = sample_multiway_set(_graphon(args.w), args.a, args.count, args.seed)
     report = {"a": sample.a.tolist(), "count": len(sample)}
     if not args.out:
         report["matrices"] = [m.tolist() for m in sample.matrices]

@@ -59,6 +59,19 @@ def _freeze(a):
     return a
 
 
+def _derived(cls, weights, values):
+    """A cls kernel on arrays that pass its checks by construction.
+
+    Freezes weights and values as given, without __init__'s copy and checks.
+    Only for kernels derived from validated ones, such as the refinements
+    inside the cut-distance search; public constructors and readers validate.
+    """
+    G = cls.__new__(cls)
+    G.weights = _freeze(weights)
+    G.values = _freeze(values)
+    return G
+
+
 def _mismatch(x, y):
     """Whether x and y differ in shape or by more than MATCH_TOL somewhere.
 
@@ -207,8 +220,9 @@ class StepFunction1D:
             raise WeightsNotNormalized("breakpoints must start at 0 and end at 1")
         if not (np.diff(bp) > 0).all():
             raise WeightsNotNormalized("breakpoints must be strictly increasing")
-        if ((vals < 0) | (vals > 1) | ~np.isfinite(vals)).any():
-            i = int(np.argwhere((vals < 0) | (vals > 1) | ~np.isfinite(vals))[0])
+        bad = np.flatnonzero((vals < 0) | (vals > 1) | ~np.isfinite(vals))
+        if len(bad):
+            i = int(bad[0])
             raise ValueOutOfRange(i, i, vals[i], 0.0, 1.0)
         bp[0], bp[-1] = 0.0, 1.0
         self.breakpoints = _freeze(bp)
@@ -448,7 +462,9 @@ def common_refinement(U, W, C):
 
     Cells (i, j) with C[i, j] > 0 are laid out row-major, so the first output
     is a plain refinement of U while the second is a rearranged refinement of
-    W carried onto U's geometry.
+    W carried onto U's geometry.  Both outputs are index gathers of the
+    validated symmetric values, on the positive coupling cells divided by
+    their sum, so they are built without re-running the checks.
     """
     if not isinstance(C, Coupling):
         raise MarginalMismatch("expected a Coupling")
@@ -458,7 +474,7 @@ def common_refinement(U, W, C):
     Uv = U.values[np.ix_(ii, ii)]
     Wv = W.values[np.ix_(jj, jj)]
     w_cells = w_cells / w_cells.sum()
-    return type(U)(w_cells, Uv), type(W)(w_cells, Wv)
+    return _derived(type(U), w_cells, Uv), _derived(type(W), w_cells, Wv)
 
 
 def overlap_coupling(U, W):

@@ -19,11 +19,10 @@ from math import fsum
 from operator import mul
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .errors import MarginalMismatch, SolverFailure, StepGraphonError, ValueOutOfRange
 from .core import Coupling, _freeze, _mismatch
-from .metrics import _marginal_rows
+from .metrics import _marginal_rows, linprog
 
 ATOM_DEDUP_TOL = 1e-12
 
@@ -45,11 +44,11 @@ class DiscreteMeasure:
             raise StepGraphonError("atoms and masses must be equal-length vectors")
         bad = (a < -ATOM_DEDUP_TOL) | (a > 1 + ATOM_DEDUP_TOL) | ~np.isfinite(a)
         if bad.any():
-            i = int(np.argwhere(bad)[0])
+            i = int(np.flatnonzero(bad)[0])
             raise ValueOutOfRange(i, i, a[i], 0.0, 1.0)
         bad = (m < 0) | ~np.isfinite(m)
         if bad.any():
-            i = int(np.argwhere(bad)[0])
+            i = int(np.flatnonzero(bad)[0])
             raise ValueOutOfRange(i, i, m[i], 0.0, float("inf"))
         order = np.lexsort((m, a))
         a, m = a[order], m[order]
@@ -152,6 +151,8 @@ def _flatness_system(l1, l2):
 
 def _cleanup_solution(a, b, x, support_tol=1e-11):
     """Re-fit the LP solution on its support with nonnegative least squares."""
+    from scipy.optimize import nnls
+
     support = np.flatnonzero(x > support_tol)
     if len(support) == 0:
         x2 = np.zeros_like(x)

@@ -19,13 +19,13 @@ import numbers
 import sys
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     WEIGHT_TOL,
     Coupling,
     SignedStepKernel,
     _canonical_cell_order,
+    _derived,
     _grid_cells,
     _overlaps,
     _support,
@@ -211,29 +211,40 @@ def _exact_cut_norm(ay):
 
 
 def _alternating_max_batch(ay, s0):
-    """Batched alternating 0/1 maximization of the bilinear form.
+    """Batched alternating 0/1 maximization of the bilinear form on both signs.
 
-    Each row of s0 is an independent start; rows stop updating once their
-    objective stalls.  Returns the best (s, t, value) across the batch.
+    Each row of s0 is an independent start, run once on ay and once on -ay;
+    rows stop updating once their objective stalls.  The two signs are the
+    two halves of a (2, n, k) stack.  A product multiplies each half by ay
+    in its own (n, k) @ (k, k) BLAS call, as a single sign would, and then
+    negates the second half; negation is exact, so it equals the product
+    with -ay bit for bit, without a copy of the kernel.  (One call on all 2n
+    rows would not: BLAS may sum a row in another order when the number of
+    rows changes.)  Returns the best (s, t, value) of ay, then that of -ay.
     """
-    s = s0.astype(float)
-    vals = np.full(len(s), -np.inf)
+    def product(x, m):
+        out = x @ m
+        out[1] *= -1.0
+        return out
+
+    s = np.stack((s0, s0)).astype(float)
+    vals = np.full(s.shape[:2], -np.inf)
     for _ in range(100):
-        cols = s @ ay
+        cols = product(s, ay)
         t = (cols > 0).astype(float)
-        rows = t @ ay.T
+        rows = product(t, ay.T)
         s_new = (rows > 0).astype(float)
-        new_vals = np.einsum("ri,ri->r", s_new @ ay, t)
+        new_vals = np.einsum("hri,hri->hr", product(s_new, ay), t)
         improved = new_vals > vals + 1e-15
         if not improved.any():
             break
-        s = np.where(improved[:, None], s_new, s)
+        s = np.where(improved[..., None], s_new, s)
         vals = np.maximum(new_vals, vals)
-    cols = s @ ay
+    cols = product(s, ay)
     t = (cols > 0).astype(float)
-    vals = np.einsum("ri,ri->r", cols, t)
-    best = int(np.argmax(vals))
-    return s[best], t[best], float(vals[best])
+    vals = np.einsum("hri,hri->hr", cols, t)
+    best = vals.argmax(axis=1)
+    return [(s[h, best[h]], t[h, best[h]], float(vals[h, best[h]])) for h in (0, 1)]
 
 
 def cut_norm(Y, mode="exact", seed=0, restarts=32):
@@ -255,8 +266,7 @@ def cut_norm(Y, mode="exact", seed=0, restarts=32):
     elif mode == "heuristic":
         s0 = _heuristic_starts(seed, max(restarts, 1), k)
         best = (-1.0, np.zeros(k), np.zeros(k))
-        for sign in (1.0, -1.0):
-            s, t, val = _alternating_max_batch(sign * ay, s0)
+        for s, t, val in _alternating_max_batch(ay, s0):
             if abs(val) > best[0]:
                 best = (abs(val), s, t)
         _, s, t = best
@@ -273,7 +283,7 @@ def cut_norm(Y, mode="exact", seed=0, restarts=32):
 def _difference_kernel(U, W, C):
     ru, rw = common_refinement(U, W, C)
     dv = np.clip(ru.values - rw.values, -1.0, 1.0)
-    return SignedStepKernel(ru.weights, dv)
+    return _derived(SignedStepKernel, ru.weights, dv)
 
 
 def _auto_cut_norm(kernel, seed=0, restarts=32, exact_cap=EXACT_BLOCK_CAP):
@@ -299,6 +309,16 @@ def cut_norm_distance(U, W, C, mode=None, seed=0):
 def aligned_cut_norm_distance(U, W, seed=0):
     """Cut norm distance on the shared ground space (identity alignment)."""
     return cut_norm_distance(U, W, overlap_coupling(U, W), seed=seed)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first LP solve.
+
+    Importing scipy.optimize costs most of a process start, and only the
+    transport and flatness LPs need it.  measures binds this same function.
+    """
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 def _marginal_rows(n, m):

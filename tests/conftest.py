@@ -14,8 +14,9 @@ from stepgraphon import (
     interlace_version,
     stepping,
 )
-from stepgraphon.metrics import (_BLOCK_FLOATS, _pattern_table, l1_hausdorff,
-                                 rectangle_signature, signature_weights)
+from stepgraphon.core import _support
+from stepgraphon.metrics import (_BLOCK_FLOATS, _heuristic_starts, _pattern_table,
+                                 l1_hausdorff, rectangle_signature, signature_weights)
 from stepgraphon.order import canonicalize
 
 # Property tests replay the same examples on every run and carry no per-example
@@ -194,6 +195,49 @@ def exact_cut_norm_reference(ay):
     cols = s @ ay
     t = (best_sign * cols > 0).astype(float)
     return s, t
+
+
+def heuristic_reference(Y, seed=0, restarts=32):
+    """Heuristic cut_norm as first written: one batch per sign, on a negated copy.
+
+    Returns (value, witness_s, witness_t) over all of Y's blocks.
+    """
+    def batch(ay, s0):
+        s = s0.astype(float)
+        vals = np.full(len(s), -np.inf)
+        for _ in range(100):
+            cols = s @ ay
+            t = (cols > 0).astype(float)
+            rows = t @ ay.T
+            s_new = (rows > 0).astype(float)
+            new_vals = np.einsum("ri,ri->r", s_new @ ay, t)
+            improved = new_vals > vals + 1e-15
+            if not improved.any():
+                break
+            s = np.where(improved[:, None], s_new, s)
+            vals = np.maximum(new_vals, vals)
+        cols = s @ ay
+        t = (cols > 0).astype(float)
+        vals = np.einsum("ri,ri->r", cols, t)
+        best = int(np.argmax(vals))
+        return s[best], t[best], float(vals[best])
+
+    Yp, idx = _support(Y)
+    a = Yp.weights
+    k = len(a)
+    ay = (a[:, None] * a[None, :]) * Yp.values
+    s0 = _heuristic_starts(seed, max(restarts, 1), k)
+    best = (-1.0, np.zeros(k), np.zeros(k))
+    for sign in (1.0, -1.0):
+        s, t, val = batch(sign * ay, s0)
+        if abs(val) > best[0]:
+            best = (abs(val), s, t)
+    _, s, t = best
+    full_s = np.zeros(Y.k, dtype=int)
+    full_t = np.zeros(Y.k, dtype=int)
+    full_s[idx] = s
+    full_t[idx] = t
+    return float(abs(s @ ay @ t)), full_s, full_t
 
 
 def perm_sweep_reference(U, W):

@@ -16,10 +16,13 @@ from stepgraphon.order import EnvelopeSample
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_module(args):
-    """Run `python -m stepgraphon.cli args` with this checkout's src/ first on the path."""
+def run_module(args, module=("-m", "stepgraphon.cli")):
+    """Run `python -m stepgraphon.cli args` with this checkout's src/ first on the path.
+
+    module replaces `-m stepgraphon.cli`, e.g. by `-c` and a program.
+    """
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "stepgraphon.cli"] + args,
+    return subprocess.run([sys.executable, *module] + args,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
 
@@ -365,3 +368,77 @@ def test_cut_set_without_provenance_exits_one_without_traceback(tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["density", "--w", "{s}"],
+    ["intf", "--w", "{s}", "--f", "x2"],
+    ["cutdist", "--u", "{s}", "--w", "{g}"],
+    ["wstar", "--u", "{g}", "--w", "{s}", "--depth", "2"],
+    ["order", "check", "--u", "{s}", "--w", "{g}"],
+    ["order", "envelope", "--w", "{s}", "--n", "2", "--count", "2"],
+    ["order", "chi", "--u", "{g}", "--w", "{s}", "--n", "2", "--count", "2"],
+    ["multiway", "sample", "--w", "{s}", "--a", "0.5,0.5", "--count", "2"],
+], ids=["density", "intf", "cutdist", "wstar", "order-check", "order-envelope", "order-chi",
+        "multiway-sample"])
+def test_graphon_commands_refuse_signed_kernels(tmp_path, capsys, args):
+    # io.load reads the flagged file as a SignedStepKernel; these commands
+    # need a graphon, and without the refusal cutdist, density and order
+    # check answered for the wrong kernel class or raised a TypeError
+    paths = {"s": tmp_path / "signed.json", "g": tmp_path / "g.json"}
+    paths["s"].write_text(json.dumps({"weights": [0.5, 0.5], "signed": True,
+                                      "values": [[-1, 1], [1, -1]]}))
+    run_cli(["build", "--name", "constant", "--c", "1", "--out", str(paths["g"])], capsys)
+    proc = run_module([arg.format(**{key: str(path) for key, path in paths.items()})
+                       for arg in args])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines == [f"error: {paths['s']} holds a signed kernel, not a graphon"]
+
+
+def test_bad_measure_file_names_the_bad_entry(tmp_path):
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({"atoms": [0.25, 0.5], "masses": [1.0, -1.0]}))
+    proc = run_module(["flatness", "--l1", str(path), "--l2", str(path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: value ") and "at (1, 1) outside [0.0, inf]" in lines[0]
+
+
+IMPORT_GUARD = """
+import sys
+
+import stepgraphon.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+
+import numpy as np
+from stepgraphon import DiscreteMeasure, StepGraphon, check_flatter, cut_distance
+from stepgraphon import measures, metrics
+assert measures.linprog is metrics.linprog
+solves = {}
+for module in (metrics, measures):
+    def counted(*args, _solve=module.linprog, _name=module.__name__, **kwargs):
+        solves[_name] = solves.get(_name, 0) + 1
+        return _solve(*args, **kwargs)
+    module.linprog = counted
+U = StepGraphon([0.3, 0.7], [[0.9, 0.1], [0.1, 0.6]])
+W = StepGraphon([0.2, 0.3, 0.5], [[0.2, 0.8, 0.4], [0.8, 0.1, 0.3], [0.4, 0.3, 0.7]])
+value, _ = cut_distance(U, W)
+assert value > 0.0
+witness = check_flatter(DiscreteMeasure([0.5], [1.0]), DiscreteMeasure([0.0, 1.0], [0.5, 0.5]))
+assert witness.feasible and witness.coupling is not None
+assert solves["stepgraphon.metrics"] > 0 and solves["stepgraphon.measures"] > 0, solves
+assert "scipy.optimize" in sys.modules
+print("ok")
+"""
+
+
+def test_cli_import_loads_no_scipy_until_an_lp_is_solved():
+    proc = run_module([], module=("-c", IMPORT_GUARD))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -394,6 +394,10 @@ def test_step_function_validation():
         StepFunction1D([0.0, 0.5], [1.0])
     with pytest.raises(WeightsNotNormalized):
         StepFunction1D([0.0, 0.5, 0.5, 1.0], [1.0, 0.0, 1.0])
+    for values, index in (([0.5, 2.0, -1.0], 1), ([float("nan"), 0.5, 0.5], 0)):
+        with pytest.raises(ValueOutOfRange) as info:
+            StepFunction1D([0.0, 0.25, 0.5, 1.0], values)
+        assert info.value.index == (index, index)
     f = StepFunction1D([0.0, 0.25, 1.0], [1.0, 0.0])
     assert f(0.1) == 1.0 and f(0.25) == 0.0 and f(1.0) == 0.0
     assert f.prefix_integral(np.array(0.5)) == pytest.approx(0.25)

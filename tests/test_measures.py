@@ -15,6 +15,7 @@ from stepgraphon import (
     range_frequencies,
     stepping,
     PartitionSpec,
+    ValueOutOfRange,
 )
 from stepgraphon.named import bipartite_graphon, w1_graphon
 
@@ -308,6 +309,21 @@ def test_measure_dedup_and_sorting():
     assert m.n == 2
     assert m.atoms.tolist() == [0.1, 0.5]
     assert m.masses.tolist() == [0.4, 0.6]
+
+
+@pytest.mark.parametrize("atoms, masses, index", [
+    ([0.5], [-1.0], 0),
+    ([0.2, 1.5, -3.0], [0.5, 0.5, 0.5], 1),
+    ([0.2, 0.4, 0.6], [0.5, -1.0, float("inf")], 1),
+    ([0.2, 0.4], [0.5, float("inf")], 1),
+    ([0.2, float("nan")], [0.5, 0.5], 1),
+], ids=["negative-mass", "atom-above-one", "negative-mass-after-valid", "infinite-mass",
+        "nan-atom"])
+def test_measure_rejects_the_first_bad_entry(atoms, masses, index):
+    with pytest.raises(ValueOutOfRange) as info:
+        DiscreteMeasure(atoms, masses)
+    assert info.value.index == (index, index)
+    assert f" at ({index}, {index}) outside " in str(info.value)
 
 
 @given(st.data())

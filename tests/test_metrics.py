@@ -25,15 +25,15 @@ from stepgraphon import (
     overlap_coupling,
     weak_star_distance,
 )
-from stepgraphon import metrics
-from stepgraphon.core import corner_rule
+from stepgraphon import core, metrics
+from stepgraphon.core import common_refinement, corner_rule
 from stepgraphon.measures import DiscreteMeasure, _flatness_system
 from stepgraphon.metrics import dyadic_intervals
 from stepgraphon.named import bipartite_graphon
 
-from conftest import (corner_rule_reference, exact_cut_norm_reference, l1_reference,
-                      perm_sweep_reference, perm_value_reference, random_graphon,
-                      random_kernel)
+from conftest import (corner_rule_reference, exact_cut_norm_reference, heuristic_reference,
+                      l1_reference, perm_sweep_reference, perm_value_reference,
+                      random_graphon, random_kernel)
 
 HALF = StepGraphon([1.0], [[0.5]])
 
@@ -992,3 +992,68 @@ def test_corner_rule_keeps_signed_zeros_of_the_scalar_walk():
     for m, (row_order, col_order) in zip(plans, pairs):
         assert m.tobytes() == corner_rule_reference(row, col, row_order, col_order).tobytes()
     assert northwest(row, col).tobytes() == corner_rule_reference(row, col).tobytes()
+
+
+def _heuristic_kernel(kind, k, rng):
+    """A signed kernel of k cells: random, all-negative, zero or tie-heavy values."""
+    if kind == "ties":
+        # equal masses and three levels, so column sums tie and cancel exactly
+        w = np.full(k, 1.0 / k)
+        v = rng.choice([-0.5, 0.0, 0.5], (k, k))
+    else:
+        w = rng.dirichlet(np.ones(k))
+        v = {"random": rng.uniform(-1.0, 1.0, (k, k)),
+             "negative": -rng.uniform(0.0, 1.0, (k, k)),
+             "zero": np.zeros((k, k))}[kind]
+    return SignedStepKernel(w, np.triu(v) + np.triu(v, 1).T)
+
+
+@pytest.mark.parametrize("kind", ["random", "negative", "zero", "ties"])
+@pytest.mark.parametrize("k", [1, 2, 14, 15, 64, 200, 1024])
+def test_heuristic_batch_equals_per_sign_reference(kind, k):
+    # both signs run as one stack; each must equal the per-sign loop bit for bit
+    rng = np.random.default_rng((k, len(kind)))
+    Y = _heuristic_kernel(kind, k, rng)
+    for restarts in (1, 8, 32):
+        for seed in (0, 5):
+            res = cut_norm(Y, mode="heuristic", seed=seed, restarts=restarts)
+            value, s, t = heuristic_reference(Y, seed=seed, restarts=restarts)
+            assert res.value == value, (restarts, seed)
+            assert np.array_equal(res.witness_s, s) and np.array_equal(res.witness_t, t)
+
+
+@settings(max_examples=60)
+@given(graphon_pairs(max_k=8, min_count=0), st.data())
+def test_search_refinements_equal_validated_copies(pair, data):
+    # the refinements the search derives skip the checks; the public
+    # constructors accept them and rebuild them bit for bit
+    U, W = pair
+    n = data.draw(st.integers(1, 3))
+    shuffle = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    corners = corner_rule(U.weights, W.weights,
+                          [shuffle.permutation(U.k) for _ in range(n)],
+                          [shuffle.permutation(W.k) for _ in range(n)])
+    gamma = data.draw(st.sampled_from([1.0, 0.5, 0.25, 0.1]))
+    for cmat in (*corners, (1.0 - gamma) * corners[0] + gamma * corners[-1]):
+        C = Coupling(cmat, U.weights, W.weights)
+        derived = (*common_refinement(U, W, C), metrics._difference_kernel(U, W, C))
+        for G in derived:
+            copy = type(G)(G.weights, G.values)
+            assert np.array_equal(copy.weights, G.weights)
+            assert np.array_equal(copy.values, G.values)
+            assert not G.weights.flags.writeable and not G.values.flags.writeable
+        assert type(derived[0]) is type(U) and type(derived[1]) is type(W)
+        assert type(derived[2]) is SignedStepKernel
+
+
+def test_cut_distance_search_does_not_revalidate(monkeypatch):
+    rng = np.random.default_rng(7)
+    U, W = random_graphon(rng, k=5), random_graphon(rng, k=6)
+    checks = []
+    validate = core._validate_symmetric
+    monkeypatch.setattr(core, "_validate_symmetric",
+                        lambda *args: checks.append(args) or validate(*args))
+    evals = _count_calls(monkeypatch, "_difference_kernel")
+    val, _ = cut_distance(U, W)
+    assert val > 0.0 and len(evals) > 0
+    assert checks == []
