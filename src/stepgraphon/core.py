@@ -34,7 +34,7 @@ def _validate_weights(w):
     bad = np.flatnonzero(~np.isfinite(w) | (w < 0.0))
     if len(bad):
         i = int(bad[0])
-        raise WeightsNotNormalized(f"weight {w[i]!r} at index {i} is not a valid mass",
+        raise WeightsNotNormalized(f"weight {float(w[i])!r} at index {i} is not a valid mass",
                                    index=i)
     s = float(w.sum())
     if abs(s - 1.0) > WEIGHT_TOL:
@@ -89,7 +89,7 @@ def _nonnegative(r):
     bad = r < -MATCH_TOL
     if bad.any():
         idx = tuple(np.argwhere(bad)[0])
-        raise PartitionMismatch(f"negative mass {r[idx]!r} at ({idx[-2]}, {idx[-1]})")
+        raise PartitionMismatch(f"negative mass {float(r[idx])!r} at ({idx[-2]}, {idx[-1]})")
     return np.clip(r, 0.0, None)
 
 
@@ -632,7 +632,7 @@ def split_reconstruct(Wt, s, n):
     for b in s.breakpoints:
         if abs(b * n - round(b * n)) > MATCH_TOL:
             raise ResolutionIncompatible(
-                f"split-function breakpoint {b!r} is not a multiple of 1/{n}")
+                f"split-function breakpoint {float(b)!r} is not a multiple of 1/{n}")
     x = (np.arange(n) + 0.5) / n
     sx = np.asarray(s(x), dtype=float)
     psi = np.asarray(s.prefix_integral(x), dtype=float)

@@ -13,7 +13,7 @@ class AsymmetricValues(StepGraphonError):
     def __init__(self, i, j, vij, vji):
         self.index = (i, j)
         super().__init__(
-            f"value matrix not symmetric at ({i}, {j}): {vij!r} != {vji!r}"
+            f"value matrix not symmetric at ({i}, {j}): {float(vij)!r} != {float(vji)!r}"
         )
 
 
@@ -27,7 +27,7 @@ class ValueOutOfRange(StepGraphonError):
     def __init__(self, i, j, value, lo, hi):
         self.index = (i, j)
         super().__init__(
-            f"value {value!r} at ({i}, {j}) outside [{lo}, {hi}]"
+            f"value {float(value)!r} at ({i}, {j}) outside [{lo}, {hi}]"
         )
 
 
@@ -52,7 +52,7 @@ class EmptySet(StepGraphonError):
 
 
 class SolverFailure(StepGraphonError):
-    """Numerical breakdown in an LP/least-squares solve (distinct from infeasibility)."""
+    """Numerical breakdown in an LP solve or a shadow coupling (distinct from infeasibility)."""
 
 
 class NoInteriorValues(StepGraphonError):

@@ -15,13 +15,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import fsum
+from math import fsum, log2
 from operator import mul
 
 import numpy as np
 
 from .errors import MarginalMismatch, SolverFailure, StepGraphonError, ValueOutOfRange
-from .core import Coupling, _freeze, _mismatch
+from .core import MATCH_TOL, Coupling, _freeze, _mismatch
 from .metrics import _marginal_rows, linprog
 
 ATOM_DEDUP_TOL = 1e-12
@@ -93,7 +93,12 @@ class DiscreteMeasure:
 
 
 class FlatnessWitness:
-    """Outcome of a flatness check: coupling witness or a refusal reason."""
+    """Outcome of a flatness check: coupling witness or a refusal reason.
+
+    `residual` is the largest violation of the marginal and barycenter
+    equations by the returned coupling.  The last column sum is not among
+    them (it is implied by the others); Coupling checks it on construction.
+    """
 
     def __init__(self, feasible, coupling=None, residual=float("inf"), reason=""):
         self.feasible = bool(feasible)
@@ -137,44 +142,30 @@ def degree_frequencies(W):
 def _flatness_system(l1, l2):
     """Equality system A psi = b for the coupling variables (row-major).
 
-    The marginal rows come first, then row n + m + i takes the barycenter
-    of row i of psi.
+    The independent marginal rows come first (see _marginal_rows), then row
+    n + m - 1 + i takes the barycenter of row i of psi.
     """
     n, m = l1.n, l2.n
     i = np.arange(n)
     bary = np.zeros((n, n, m))
     bary[i, i, :] = l2.atoms
     a = np.vstack((_marginal_rows(n, m), bary.reshape(n, n * m)))
-    b = np.concatenate((l1.masses, l2.masses, l1.masses * l1.atoms))
+    b = np.concatenate((l1.masses, l2.masses[:-1], l1.masses * l1.atoms))
     return a, b
-
-
-def _cleanup_solution(a, b, x, support_tol=1e-11):
-    """Re-fit the LP solution on its support with nonnegative least squares."""
-    from scipy.optimize import nnls
-
-    support = np.flatnonzero(x > support_tol)
-    if len(support) == 0:
-        x2 = np.zeros_like(x)
-    else:
-        try:
-            coef, _ = nnls(a[:, support], b)
-        except Exception as exc:  # pragma: no cover - nnls rarely fails
-            raise SolverFailure(f"support refit failed: {exc}") from exc
-        x2 = np.zeros_like(x)
-        x2[support] = coef
-    res2 = float(np.abs(a @ x2 - b).max())
-    res1 = float(np.abs(a @ x - b).max())
-    return (x2, res2) if res2 <= res1 else (np.clip(x, 0.0, None), res1)
 
 
 def check_flatter(l1, l2, tol=1e-9, exact=False):
     """Decide whether l1 is at least as flat as l2, returning a witness.
 
     Fast-fails on total-mass or first-moment mismatch (both are forced by
-    the coupling constraints), then solves the feasibility LP with the
+    the coupling constraints), then solves the feasibility LP once with the
     transport cost |x - y| as objective, which pins the witness to the
-    diagonal whenever the measures coincide.  The exact mode re-decides
+    diagonal whenever the measures coincide.  HiGHS is held to a primal
+    feasibility tolerance of min(tol, MATCH_TOL), the marginal tolerance
+    Coupling then enforces on the witness.  The masses are divided by
+    2**round(log2(total mass)) for the solve and the witness is multiplied
+    back: the scaling is exact, 1 for totals near 1, and lets extreme
+    totals reach the solver near 1.  The exact mode re-decides
     feasibility over the exact binary expansions of the inputs with
     Strassen's convex-order test and returns the shadow coupling as witness
     (see _check_flatter_exact).
@@ -193,15 +184,17 @@ def check_flatter(l1, l2, tol=1e-9, exact=False):
     if exact:
         return _check_flatter_exact(l1, l2)
     a, b = _flatness_system(l1, l2)
+    scale = 2.0 ** round(log2(t1))
     cost = np.abs(np.subtract.outer(l1.atoms, l2.atoms)).ravel()
-    res = linprog(cost, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    res = linprog(cost, A_eq=a, b_eq=b / scale, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": min(tol, MATCH_TOL)})
     if res.status == 2:
         return FlatnessWitness(False, reason="no coupling satisfies the barycenter constraints")
     if res.status != 0 or res.x is None:
         raise SolverFailure(f"flatness LP ended with status {res.status}: {res.message}")
-    x, residual = _cleanup_solution(a, b, res.x)
+    x = np.clip(res.x, 0.0, None) * scale
     coupling = Coupling(x.reshape(l1.n, l2.n), l1.masses, l2.masses)
-    return FlatnessWitness(True, coupling, residual=residual)
+    return FlatnessWitness(True, coupling, residual=float(np.abs(a @ x - b).max()))
 
 
 def _check_flatter_exact(l1, l2):

@@ -322,24 +322,25 @@ def linprog(*args, **kwargs):
 
 
 def _marginal_rows(n, m):
-    """0/1 marginal constraints on a row-major n x m plan, (n + m) x nm.
+    """Independent 0/1 marginal constraints on a row-major n x m plan.
 
-    Row i sums cells (i, *) and row n + j cells (*, j).
+    Row i sums cells (i, *) and row n + j cells (*, j) for j < m - 1.  The
+    last column sum is implied by the others, and its right-hand side could
+    disagree with them by rounding, so it is left out: callers pass the
+    column marginal without its last entry.
     """
-    rows = np.zeros((n + m, n, m))
-    i, j = np.arange(n), np.arange(m)
+    rows = np.zeros((n + m - 1, n, m))
+    i, j = np.arange(n), np.arange(m - 1)
     rows[i, i, :] = 1.0
     rows[n + j, :, j] = 1.0
-    return rows.reshape(n + m, n * m)
+    return rows.reshape(n + m - 1, n * m)
 
 
 def _min_cost_transport(cost, row, col):
     """Exact linear-programming solve of the transportation problem."""
     n, m = cost.shape
-    a_eq = _marginal_rows(n, m)
-    b_eq = np.concatenate((row, col))
-    res = linprog(cost.ravel(), A_eq=a_eq[:-1], b_eq=b_eq[:-1],
-                  bounds=(0, None), method="highs")
+    res = linprog(cost.ravel(), A_eq=_marginal_rows(n, m),
+                  b_eq=np.concatenate((row, col[:-1])), bounds=(0, None), method="highs")
     if res.status != 0:
         raise SolverFailure(f"transport LP failed with status {res.status}")
     return np.clip(res.x.reshape(n, m), 0.0, None)

@@ -37,6 +37,7 @@ from .errors import (
 from .metrics import l1_hausdorff
 
 VERTEX_ENUM_CAP = 10_000
+DEDUP_TOL = 1e-9
 
 
 class MultiwayMatrixSet:
@@ -178,7 +179,7 @@ def _stacked_matrices(W, plans):
     return plans.transpose(0, 2, 1) @ W.values @ plans
 
 
-def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
+def sample_multiway_set(W, a, count, seed=0):
     """Sampled cut matrices for part masses a.
 
     Deterministic generation first: the full corner-rule vertex family when
@@ -192,7 +193,7 @@ def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
     of W's block weights all at once (PartitionMismatch as PartitionSpec
     and require_source raise it) and their matrices come from one stacked
     product.  Walking the kept matrices in order, every later matrix within
-    l1 distance `dedup_tol` of a kept one is dropped, so the next survivor
+    l1 distance DEDUP_TOL of a kept one is dropped, so the next survivor
     is the next kept matrix: the kept matrices and their provenance are
     those of testing every plan's matrix in turn against the kept ones.
     Only kept plans become a PartitionSpec and go through multiway_matrix.
@@ -200,8 +201,6 @@ def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
     a = np.asarray(a, dtype=float)
     if count < 0:
         raise ValueError("count must be >= 0")
-    if not dedup_tol >= 0:
-        raise ValueError("dedup_tol must be >= 0")
     if not (abs(a.sum() - 1.0) <= MATCH_TOL and (a >= 0).all()):
         raise MarginalMismatch("part masses must be nonnegative and sum to 1")
     w = W.weights
@@ -220,7 +219,7 @@ def sample_multiway_set(W, a, count, seed=0, dedup_tol=1e-9):
     rest = np.arange(len(stack))
     while len(rest):
         i, rest = rest[0], rest[1:]
-        rest = rest[~(np.abs(stack[rest] - stack[i]).sum(axis=(1, 2)) <= dedup_tol)]
+        rest = rest[~(np.abs(stack[rest] - stack[i]).sum(axis=(1, 2)) <= DEDUP_TOL)]
         spec = PartitionSpec(plans[i])
         m = multiway_matrix(W, spec)
         if abs(m.sum() - density) > 1e-10:

@@ -25,6 +25,27 @@ settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 
+QUARTERS = [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
+
+# Benchmark order pairs stepping(G) vs G (seed, job index) on which the float
+# flatness route once failed: a witness off Coupling's 1e-9 marginal tolerance
+# (MarginalMismatch) or, at (3, 39), a false "no coupling".
+FLATNESS_DEFECT_PAIRS = [(1, 7), (1, 27), (1, 40), (3, 20), (3, 23), (3, 39), (5, 20)]
+
+
+def stepped_dirichlet_pair(rng, k, intervals):
+    """(stepping of G onto intervals, G) for a k-cell G with Dirichlet weights."""
+    w = rng.dirichlet(np.ones(k))
+    v = rng.uniform(0.0, 1.0, (k, k))
+    G = StepGraphon(w, np.triu(v) + np.triu(v, 1).T)
+    return stepping(G, PartitionSpec.from_intervals(G.weights, intervals)), G
+
+
+def flatness_defect_pair(seed, index):
+    """The 12-cell benchmark order pair of `probes` job `index` at `seed`."""
+    return stepped_dirichlet_pair(np.random.default_rng((seed, 2, index, 0)), 12, QUARTERS)
+
+
 def random_graphon(rng, k=None, equal_mass=False):
     k = k or int(rng.integers(2, 9))
     if equal_mass:

@@ -12,6 +12,8 @@ from stepgraphon.cli import build_parser, main
 from stepgraphon.core import StepGraphon
 from stepgraphon.order import EnvelopeSample
 
+from conftest import flatness_defect_pair
+
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -114,6 +116,30 @@ def test_order_check_exit_codes(tmp_path, capsys):
     assert code == 0
     code, _ = run_cli(["order", "check", "--u", str(bip), "--w", str(half)], capsys)
     assert code == 3
+
+
+def test_order_check_accepts_a_benchmark_stepping(tmp_path, capsys):
+    # its float flatness witness once missed Coupling's marginal tolerance,
+    # and the command exited 1 with "column sums do not match"
+    stepped, g = flatness_defect_pair(1, 7)
+    io.save(stepped, tmp_path / "s.json")
+    io.save(g, tmp_path / "g.json")
+    code, out = run_cli(["order", "check", "--u", str(tmp_path / "s.json"),
+                         "--w", str(tmp_path / "g.json"), "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "consistent"
+
+
+def test_flatness_keeps_the_diagonal_witness_at_extreme_masses(tmp_path, capsys):
+    for mass in (1e100, 1e-100):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"atoms": [0.25, 0.75], "masses": [mass, mass]}))
+        code, out = run_cli(["flatness", "--l1", str(path), "--l2", str(path), "--json"],
+                            capsys)
+        assert code == 0
+        witness = json.loads(out)
+        assert witness["feasible"] and witness["residual"] == 0.0
+        assert witness["coupling"]["matrix"] == [[mass, 0.0], [0.0, mass]]
 
 
 def test_order_envelope_and_chi(tmp_path, capsys):
@@ -405,8 +431,7 @@ def test_bad_measure_file_names_the_bad_entry(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: value ") and "at (1, 1) outside [0.0, inf]" in lines[0]
+    assert lines == ["error: value -1.0 at (1, 1) outside [0.0, inf]"]
 
 
 IMPORT_GUARD = """

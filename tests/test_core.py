@@ -64,17 +64,20 @@ def test_construction_errors_name_offender():
     with pytest.raises(AsymmetricValues) as err:
         StepGraphon([0.5, 0.5], [[0.0, 1.0], [0.5, 0.0]])
     assert err.value.index == (0, 1)
+    assert str(err.value) == "value matrix not symmetric at (0, 1): 1.0 != 0.5"
     with pytest.raises(ValueOutOfRange) as err:
         StepGraphon([0.5, 0.5], [[0.0, 1.5], [1.5, 0.0]])
     assert err.value.index == (0, 1)
+    assert str(err.value) == "value 1.5 at (0, 1) outside [0.0, 1.0]"
     with pytest.raises(WeightsNotNormalized):
         StepGraphon([0.5, 0.6], [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(WeightsNotNormalized) as err:
         StepGraphon([-0.5, 1.5], [[0.0, 1.0], [1.0, 0.0]])
     assert err.value.index == 0
     values = np.zeros((3, 3))
-    with pytest.raises(WeightsNotNormalized, match="at index 1") as err:
+    with pytest.raises(WeightsNotNormalized) as err:
         StepGraphon([0.5, -0.25, 0.75], values)
+    assert str(err.value) == "weight -0.25 at index 1 is not a valid mass"
     assert err.value.index == 1
     with pytest.raises(WeightsNotNormalized, match="at index 1") as err:
         StepGraphon([0.5, float("nan"), -0.25], values)
@@ -356,6 +359,13 @@ def test_split_reconstruct_degenerate_split():
     for level in (0.0, 1.0):
         s = StepFunction1D.constant(level)
         assert l1_distance(split_reconstruct(bip, s, 4), bip) == 0.0
+
+
+def test_split_reconstruct_rejects_off_grid_breakpoints():
+    s = StepFunction1D([0.0, 0.3, 1.0], [0.0, 1.0])
+    with pytest.raises(ResolutionIncompatible) as err:
+        split_reconstruct(bipartite_graphon(), s, 4)
+    assert str(err.value) == "split-function breakpoint 0.3 is not a multiple of 1/4"
 
 
 def test_split_reconstruct_half_split_averages():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stepgraphon import (
     Coupling,
@@ -17,9 +17,10 @@ from stepgraphon import (
     PartitionSpec,
     ValueOutOfRange,
 )
+from stepgraphon import measures
 from stepgraphon.named import bipartite_graphon, w1_graphon
 
-from conftest import dyadic_measure, random_graphon, spread_measure
+from conftest import dyadic_measure, random_graphon, spread_measure, stepped_dirichlet_pair
 
 DIRAC_HALF = DiscreteMeasure([0.5], [1.0])
 ENDS = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
@@ -348,6 +349,47 @@ def test_stepping_measures_flatten(rng):
         sg = stepping(g, p)
         assert check_flatter(range_frequencies(sg), range_frequencies(g)).feasible
         assert check_flatter(degree_frequencies(sg), degree_frequencies(g)).feasible
+
+
+@settings(max_examples=60)
+@given(st.integers(4, 12), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.integers(1, 15), max_size=4, unique=True))
+def test_float_route_accepts_steppings(k, seed, cuts):
+    # stepping onto consecutive intervals flattens both frequency measures,
+    # and the witness must meet the marginals and barycenters within 1e-9
+    ends = [0.0, *sorted(c / 16 for c in cuts), 1.0]
+    stepped, g = stepped_dirichlet_pair(np.random.default_rng(seed), k, list(zip(ends, ends[1:])))
+    for freq in (range_frequencies, degree_frequencies):
+        l1, l2 = freq(stepped), freq(g)
+        w = check_flatter(l1, l2)
+        assert w.feasible, w.reason
+        assert witness_residual(w, l1, l2) <= 1e-9
+
+
+@pytest.mark.parametrize("tol, held", [(1e-9, 1e-9), (1e-10, 1e-10), (1e-6, 1e-9)])
+def test_float_route_is_one_solve_held_to_tol(monkeypatch, tol, held):
+    calls = []
+    solve = measures.linprog
+
+    def capture(*args, **kwargs):
+        calls.append(kwargs["options"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "linprog", capture)
+    g = random_graphon(np.random.default_rng(5), k=6)
+    stepped = stepping(g, PartitionSpec.dyadic(g.weights, 1))
+    assert check_flatter(range_frequencies(stepped), range_frequencies(g), tol=tol).feasible
+    assert calls == [{"primal_feasibility_tolerance": held}]
+
+
+@pytest.mark.parametrize("mass", [1e100, 1e-100])
+def test_float_route_keeps_the_diagonal_at_extreme_masses(mass):
+    # the masses reach the LP scaled to a total near 1, so neither a huge
+    # nor a tiny total is mistaken for infeasibility or for zero
+    m = DiscreteMeasure([0.25, 0.75], [mass, mass])
+    w = check_flatter(m, m)
+    assert w.feasible and w.residual == 0.0
+    assert w.coupling.matrix.tolist() == [[mass, 0.0], [0.0, mass]]
 
 
 def test_strictly_flatter_operational_definition():

@@ -746,15 +746,16 @@ def test_transport_constraints_are_row_and_column_sums(monkeypatch):
                                        np.full(n, 1 / n), np.full(m, 1 / m))
     assert np.array_equal(seen[0], expected[:-1])
     assert np.allclose(plan.sum(axis=1), 1 / n) and np.allclose(plan.sum(axis=0), 1 / m)
-    # the flatness system stacks one barycenter row per atom of l1 below them
+    # the flatness system stacks one barycenter row per atom of l1 below the
+    # same independent marginal rows (the last column sum is implied)
     l1 = DiscreteMeasure([0.2, 0.5, 0.9], [0.3, 0.3, 0.4])
     l2 = DiscreteMeasure([0.0, 0.25, 0.75, 1.0], [0.25] * 4)
     bary = np.zeros((n, n * m))
     for i in range(n):
         bary[i, i * m:(i + 1) * m] = l2.atoms
     a, b = _flatness_system(l1, l2)
-    assert np.array_equal(a, np.vstack((expected, bary)))
-    assert np.array_equal(b, np.concatenate((l1.masses, l2.masses, l1.masses * l1.atoms)))
+    assert np.array_equal(a, np.vstack((expected[:-1], bary)))
+    assert np.array_equal(b, np.concatenate((l1.masses, l2.masses[:-1], l1.masses * l1.atoms)))
 
 
 def test_heuristic_start_table_is_cached_and_read_only():

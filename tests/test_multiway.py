@@ -317,8 +317,9 @@ ZERO = StepGraphon([0.1, 0.2, 0.3, 0.4], np.zeros((4, 4)))
 def test_sampler_rejects_a_plan_with_negative_mass(monkeypatch):
     assert len(sample_multiway_set(ZERO, [0.5, 0.5], count=2)) == 1
     _corrupt_last_vertex(monkeypatch, -1.0)
-    with pytest.raises(PartitionMismatch, match="negative mass"):
+    with pytest.raises(PartitionMismatch) as err:
         sample_multiway_set(ZERO, [0.5, 0.5], count=2)
+    assert str(err.value) == "negative mass -0.9 at (0, 0)"
 
 
 def test_sampler_rejects_a_plan_off_the_block_weights(monkeypatch):
@@ -338,11 +339,6 @@ def test_cut_set_is_invariant_under_cell_permutations(k, q, data):
     su = sample_multiway_set(u, a, count=0)
     sv = sample_multiway_set(grid_version(u, k, perm), a, count=0)
     assert multiway_hausdorff(su, sv) <= 1e-12
-
-
-def test_sampler_rejects_negative_tolerance():
-    with pytest.raises(ValueError):
-        sample_multiway_set(bipartite_graphon(), [0.5, 0.5], count=0, dedup_tol=-1.0)
 
 
 def test_sampler_rejects_nan_part_masses():

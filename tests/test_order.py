@@ -27,8 +27,8 @@ from stepgraphon.metrics import signature_weights
 from stepgraphon.named import bipartite_graphon, w1_graphon
 from stepgraphon.order import _signature
 
-from conftest import (canonical_cell_order_reference, chi_reference, envelope_reference,
-                      random_graphon)
+from conftest import (FLATNESS_DEFECT_PAIRS, canonical_cell_order_reference, chi_reference,
+                      envelope_reference, flatness_defect_pair, random_graphon)
 
 HALF = StepGraphon([1.0], [[0.5]])
 
@@ -41,6 +41,15 @@ def test_stepping_is_consistent(rng):
         p = PartitionSpec.dyadic(g.weights, int(rng.integers(0, 4)))
         verdict = order_check(stepping(g, p), g)
         assert verdict.status == "consistent", verdict.to_dict()
+
+
+@pytest.mark.parametrize("seed, index", FLATNESS_DEFECT_PAIRS)
+def test_benchmark_steppings_are_consistent_and_not_reversed(seed, index):
+    # the float flatness LP once raised MarginalMismatch or refuted these
+    stepped, g = flatness_defect_pair(seed, index)
+    verdict = order_check(stepped, g)
+    assert verdict.status == "consistent", verdict.to_dict()
+    assert order_check(g, stepped).status == "refuted"
 
 
 def test_half_below_bipartite():
