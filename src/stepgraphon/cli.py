@@ -242,7 +242,10 @@ def build_parser():
     with leaf(sub, "flatness", "flatness-order feasibility", _flatness) as fl:
         fl.add_argument("--l1", required=True)
         fl.add_argument("--l2", required=True)
-        fl.add_argument("--exact-rational", action="store_true")
+        fl.add_argument("--exact-rational", action="store_true",
+                        help="decide the inputs' exact binary expansions (no LP); "
+                             "measures computed in floats, such as averages or "
+                             "frequency measures of a stepping, need the float route")
         fl.add_argument("--out", help="write the witness")
 
     osub = sub.add_parser("order", help="structuredness-order probes").add_subparsers(

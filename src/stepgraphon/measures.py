@@ -8,6 +8,9 @@ L1 precedes L2 in the convex (Choquet) order, so the exact mode needs no LP:
 Strassen's theorem (Ann. Math. Statist. 1965) reduces feasibility to finitely
 many call-function inequalities, and the shadow construction (Beiglboeck and
 Juillet, Ann. Probab. 2016) builds a witness coupling one atom at a time.
+The float route refutes by the same call functions, with a margin that no
+coupling within the LP's tolerance can exceed, and solves the LP only for
+pairs that pass, to get their witness.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .core import MATCH_TOL, Coupling, _freeze, _mismatch
 from .metrics import _marginal_rows, linprog
 
 ATOM_DEDUP_TOL = 1e-12
+# HiGHS rejects a primal feasibility tolerance below this and runs at 1e-7.
+HIGHS_TOL_FLOOR = 1e-10
+NO_COUPLING = "no coupling satisfies the barycenter constraints"
 
 
 class DiscreteMeasure:
@@ -158,18 +164,42 @@ def check_flatter(l1, l2, tol=1e-9, exact=False):
     """Decide whether l1 is at least as flat as l2, returning a witness.
 
     Fast-fails on total-mass or first-moment mismatch (both are forced by
-    the coupling constraints), then solves the feasibility LP once with the
+    the coupling constraints).  The float route then refutes by Strassen's
+    call functions C(t) = sum p (x - t)_+, compared at every atom of l2,
+    and solves the feasibility LP only for pairs that pass.  The LP has the
     transport cost |x - y| as objective, which pins the witness to the
     diagonal whenever the measures coincide.  HiGHS is held to a primal
     feasibility tolerance of min(tol, MATCH_TOL), the marginal tolerance
-    Coupling then enforces on the witness.  The masses are divided by
-    2**round(log2(total mass)) for the solve and the witness is multiplied
-    back: the scaling is exact, 1 for totals near 1, and lets extreme
-    totals reach the solver near 1.  The exact mode re-decides
-    feasibility over the exact binary expansions of the inputs with
-    Strassen's convex-order test and returns the shadow coupling as witness
-    (see _check_flatter_exact).
+    Coupling then enforces on the witness; a tol below HiGHS's floor
+    HIGHS_TOL_FLOOR raises StepGraphonError.  The masses are divided by
+    s = 2**round(log2(total mass)) for the solve and the witness is
+    multiplied back: the scaling is exact, 1 for totals near 1, and lets
+    extreme totals reach the solver near 1.
+
+    The screen refutes only what that LP cannot satisfy.  Let e =
+    min(tol, MATCH_TOL) * s and let psi >= 0 meet the 2n + m - 1 equations
+    within e, with row sums r_i and barycenters b_i.  The dropped last
+    column sum then misses q_m by at most (n + m - 1) e + |T1 - T2|.  For
+    t in [0, 1], Jensen's inequality on each row gives
+    sum_j c_j (y_j - t)_+ >= sum_i (b_i - r_i t)_+ >= C1(t) - 2 n e, and
+    the column sums c_j give sum_j c_j (y_j - t)_+ <= C2(t) + (m - 1) e +
+    (n + m - 1) e + |T1 - T2|.  So C1 - C2 <= (3n + 2m - 2) e + |T1 - T2|.
+    Each float call sum of k nonnegative terms, each at most its mass, is
+    off by at most (k + 1) eps/2 times its total, so (n + m + 4)(T1 + T2) eps
+    also covers the difference, the totals and the barycenter right-hand
+    sides.  A pair above the sum of both gets the LP's own refusal.
+
+    The exact mode re-decides feasibility over the exact binary expansions
+    of the inputs with Strassen's convex-order test and returns the shadow
+    coupling as witness (see _check_flatter_exact).  It decides the floats
+    as given, so it can refute measures that were computed in floats, such
+    as averages or the frequency measures of a stepping, whose true
+    relation the rounding broke; the float route is the one for those.
     """
+    if not exact and not tol >= HIGHS_TOL_FLOOR:
+        raise StepGraphonError(
+            f"tol {tol!r} is below HiGHS's primal feasibility floor {HIGHS_TOL_FLOOR!r}; "
+            "use exact=True for a tighter decision")
     t1, t2 = l1.total_mass(), l2.total_mass()
     if abs(t1 - t2) > tol:
         return FlatnessWitness(False, reason="total mass mismatch")
@@ -183,18 +213,28 @@ def check_flatter(l1, l2, tol=1e-9, exact=False):
         return FlatnessWitness(False, reason="first moment mismatch")
     if exact:
         return _check_flatter_exact(l1, l2)
-    a, b = _flatness_system(l1, l2)
     scale = 2.0 ** round(log2(t1))
+    n, m = l1.n, l2.n
+    margin = ((3 * n + 2 * m - 2) * min(tol, MATCH_TOL) * scale + abs(t1 - t2)
+              + (n + m + 4) * (t1 + t2) * np.finfo(float).eps)
+    if (_calls(l1, l2.atoms) - _calls(l2, l2.atoms)).max() > margin:
+        return FlatnessWitness(False, reason=NO_COUPLING)
+    a, b = _flatness_system(l1, l2)
     cost = np.abs(np.subtract.outer(l1.atoms, l2.atoms)).ravel()
     res = linprog(cost, A_eq=a, b_eq=b / scale, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": min(tol, MATCH_TOL)})
     if res.status == 2:
-        return FlatnessWitness(False, reason="no coupling satisfies the barycenter constraints")
+        return FlatnessWitness(False, reason=NO_COUPLING)
     if res.status != 0 or res.x is None:
         raise SolverFailure(f"flatness LP ended with status {res.status}: {res.message}")
     x = np.clip(res.x, 0.0, None) * scale
     coupling = Coupling(x.reshape(l1.n, l2.n), l1.masses, l2.masses)
     return FlatnessWitness(True, coupling, residual=float(np.abs(a @ x - b).max()))
+
+
+def _calls(measure, t):
+    """Call function t -> sum p (x - t)_+ of measure at each point of t."""
+    return measure.masses @ np.maximum(np.subtract.outer(measure.atoms, t), 0.0)
 
 
 def _check_flatter_exact(l1, l2):
@@ -219,7 +259,7 @@ def _check_flatter_exact(l1, l2):
 
     if (sum(map(mul, p, x)) != sum(map(mul, q, y))
             or any(call(x, p, t) > call(y, q, t) for t in y)):
-        return FlatnessWitness(False, reason="no coupling satisfies the barycenter constraints (exact)")
+        return FlatnessWitness(False, reason=f"{NO_COUPLING} (exact)")
     rest = list(q)
     rows = [_take_shadow(rest, y, pi, pi * xi) for xi, pi in zip(x, p)]
     if any(rest):

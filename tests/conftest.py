@@ -1,4 +1,5 @@
 import itertools
+from math import log2
 
 import numpy as np
 import pytest
@@ -8,15 +9,18 @@ from stepgraphon import (
     DiscreteMeasure,
     PartitionSpec,
     ScalingDiverged,
+    SolverFailure,
     SignedStepKernel,
     StepGraphon,
     grid_version,
     interlace_version,
     stepping,
 )
-from stepgraphon.core import _support
+from stepgraphon.core import MATCH_TOL, Coupling, _support
+from stepgraphon.measures import FlatnessWitness, _flatness_system
 from stepgraphon.metrics import (_BLOCK_FLOATS, _heuristic_starts, _pattern_table,
-                                 l1_hausdorff, rectangle_signature, signature_weights)
+                                 l1_hausdorff, linprog, rectangle_signature,
+                                 signature_weights)
 from stepgraphon.order import canonicalize
 
 # Property tests replay the same examples on every run and carry no per-example
@@ -186,6 +190,39 @@ def chi_reference(U, W, n, count, depth, seed=0):
     return l1_hausdorff(envelope_reference(U, n, count, depth, seed),
                         envelope_reference(W, n, count, depth, seed),
                         signature_weights(depth).ravel())
+
+
+def flatness_lp_reference(l1, l2, tol=1e-9):
+    """Float check_flatter with no call-function screen: every pair that
+    passes the fast-fails goes to the HiGHS LP.
+
+    Returns (witness, LP status), the status None when no LP was solved.
+    Solves through metrics.linprog, so a count of measures.linprog calls
+    sees only the route under test.
+    """
+    t1, t2 = l1.total_mass(), l2.total_mass()
+    if abs(t1 - t2) > tol:
+        return FlatnessWitness(False, reason="total mass mismatch"), None
+    if l1.n == 0 or l2.n == 0:
+        if max(t1, t2) <= tol:
+            return FlatnessWitness(True, None, residual=max(t1, t2),
+                                   reason="effectively empty measures"), None
+        return FlatnessWitness(False, reason="empty versus nonempty measure"), None
+    if abs(l1.first_moment() - l2.first_moment()) > tol:
+        return FlatnessWitness(False, reason="first moment mismatch"), None
+    a, b = _flatness_system(l1, l2)
+    scale = 2.0 ** round(log2(t1))
+    cost = np.abs(np.subtract.outer(l1.atoms, l2.atoms)).ravel()
+    res = linprog(cost, A_eq=a, b_eq=b / scale, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": min(tol, MATCH_TOL)})
+    if res.status == 2:
+        return FlatnessWitness(
+            False, reason="no coupling satisfies the barycenter constraints"), 2
+    if res.status != 0 or res.x is None:
+        raise SolverFailure(f"flatness LP ended with status {res.status}: {res.message}")
+    x = np.clip(res.x, 0.0, None) * scale
+    coupling = Coupling(x.reshape(l1.n, l2.n), l1.masses, l2.masses)
+    return FlatnessWitness(True, coupling, residual=float(np.abs(a @ x - b).max())), 0
 
 
 def exact_cut_norm_reference(ay):

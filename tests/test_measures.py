@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from stepgraphon import (
     DiscreteMeasure,
     MarginalMismatch,
     StepGraphon,
+    StepGraphonError,
     add_measures,
     check_flatter,
     compose_couplings,
@@ -20,7 +23,8 @@ from stepgraphon import (
 from stepgraphon import measures
 from stepgraphon.named import bipartite_graphon, w1_graphon
 
-from conftest import dyadic_measure, random_graphon, spread_measure, stepped_dirichlet_pair
+from conftest import (dyadic_measure, flatness_lp_reference, random_graphon, spread_measure,
+                      stepped_dirichlet_pair)
 
 DIRAC_HALF = DiscreteMeasure([0.5], [1.0])
 ENDS = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
@@ -380,6 +384,60 @@ def test_float_route_is_one_solve_held_to_tol(monkeypatch, tol, held):
     stepped = stepping(g, PartitionSpec.dyadic(g.weights, 1))
     assert check_flatter(range_frequencies(stepped), range_frequencies(g), tol=tol).feasible
     assert calls == [{"primal_feasibility_tolerance": held}]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 5e-11, 0.0, -1.0, float("nan")])
+def test_float_route_refuses_tol_below_the_highs_floor(monkeypatch, tol):
+    # HiGHS would warn about such a tolerance and run at its default 1e-7
+    calls = []
+    monkeypatch.setattr(measures, "linprog", lambda *args, **kwargs: calls.append(kwargs))
+    with pytest.raises(StepGraphonError, match=r"floor 1e-10; use exact=True"):
+        check_flatter(DIRAC_HALF, ENDS, tol=tol)
+    assert calls == []
+    if tol >= 0:
+        assert check_flatter(DIRAC_HALF, ENDS, tol=tol, exact=True).feasible
+
+
+def split_atom(measure, i, delta):
+    """measure with atom i split into x - d and x + d, d = min(delta, x, 1 - x),
+    at half its mass each: a spread of at most delta that keeps the mean."""
+    x, p = measure.atoms[i], measure.masses[i]
+    d = min(delta, x, 1.0 - x)
+    return DiscreteMeasure(np.append(np.delete(measure.atoms, i), [x - d, x + d]),
+                           np.append(np.delete(measure.masses, i), [p / 2, p / 2]))
+
+
+def flatness_outcome(check, l1, l2):
+    try:
+        return check(l1, l2).to_dict()
+    except StepGraphonError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.booleans(),
+       st.one_of(st.just(0.0), st.floats(-13, -2).map(lambda e: 10.0 ** e)),
+       st.sampled_from([1.0, 0.125, 1e100, 1e-100]),
+       st.sampled_from([0.0, 4e-10, -4e-10, 1e-12]))
+def test_call_function_screen_keeps_the_lp_outcome(seed, max_atoms, reverse, delta, factor, eta):
+    # contractions (a measure against a spread of it), spreads (the reverse)
+    # and near-boundary perturbations of both: one atom of l1 split by up to
+    # delta, masses scaled to totals near 1e+-100, l2's totals moved by eta
+    # within tol; the outcome is the LP-only route's, and a refusal made
+    # without a solve is one the LP makes too
+    rng = np.random.default_rng(seed)
+    base = dyadic_measure(rng, max_atoms)
+    l1, l2 = (spread_measure(rng, base), base)[::-1 if reverse else 1]
+    l1 = split_atom(l1, int(rng.integers(l1.n)), delta)
+    m2 = l2.masses * factor
+    j = int(rng.integers(l2.n))
+    m2[j] += eta if m2[j] > 2 * abs(eta) else 0.0
+    l1, l2 = DiscreteMeasure(l1.atoms, l1.masses * factor), DiscreteMeasure(l2.atoms, m2)
+    with mock.patch.object(measures, "linprog", wraps=measures.linprog) as solve:
+        outcome = flatness_outcome(check_flatter, l1, l2)
+    assert outcome == flatness_outcome(lambda a, b: flatness_lp_reference(a, b)[0], l1, l2)
+    if solve.call_count == 0 and outcome["reason"] == measures.NO_COUPLING:
+        assert flatness_lp_reference(l1, l2)[1] == 2
 
 
 @pytest.mark.parametrize("mass", [1e100, 1e-100])

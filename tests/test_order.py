@@ -22,7 +22,7 @@ from stepgraphon import (
     strictify,
     weak_star_distance,
 )
-from stepgraphon import core, order
+from stepgraphon import core, measures, order
 from stepgraphon.metrics import signature_weights
 from stepgraphon.named import bipartite_graphon, w1_graphon
 from stepgraphon.order import _signature
@@ -50,6 +50,23 @@ def test_benchmark_steppings_are_consistent_and_not_reversed(seed, index):
     verdict = order_check(stepped, g)
     assert verdict.status == "consistent", verdict.to_dict()
     assert order_check(g, stepped).status == "refuted"
+
+
+@pytest.mark.parametrize("seed, index", [(1, 0), (1, 1), (2, 0), (3, 39)])
+def test_reverse_benchmark_pairs_are_refuted_without_an_lp(monkeypatch, seed, index):
+    # the call functions refute both reverse flatness conditions before any
+    # solve; the forward pair solves one LP per condition for its witness
+    calls = []
+    solve = measures.linprog
+    monkeypatch.setattr(measures, "linprog",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    stepped, g = flatness_defect_pair(seed, index)
+    verdict = order_check(g, stepped)
+    assert verdict.failed_conditions() == ["range-frequency-flatness",
+                                           "degree-frequency-flatness"]
+    assert len(calls) == 0
+    assert order_check(stepped, g).status == "consistent"
+    assert len(calls) == 2
 
 
 def test_half_below_bipartite():
