@@ -420,11 +420,6 @@ def corner_rule(row, col, row_orders, col_orders):
     return m.reshape(n, k, q)
 
 
-def _symmetrize(m):
-    """Bitwise-symmetric copy; commutativity of + makes (m + m.T) exact."""
-    return 0.5 * (m + m.T)
-
-
 def edge_density(W):
     """Total integral of the kernel over the unit square."""
     a = W.weights
@@ -450,11 +445,11 @@ def stepping(W, P):
     P.require_source(W.weights)
     r = P.assignment
     b = P.target_masses
-    m = _symmetrize(r.T @ W.values @ r)
+    m = r.T @ W.values @ r
+    m = 0.5 * (m + m.T)  # + commutes exactly, so m and m / outer(b, b) are bitwise symmetric
     denom = np.outer(b, b)
     vals = np.divide(m, denom, out=np.zeros_like(m), where=denom > 0)
-    vals = np.clip(_symmetrize(vals), 0.0, 1.0)
-    return StepGraphon(b / b.sum(), vals)
+    return StepGraphon(b / b.sum(), np.clip(vals, 0.0, 1.0))
 
 
 def common_refinement(U, W, C):

@@ -1,8 +1,8 @@
 """JSON (de)serialization for the wire formats.
 
-All numbers are plain decimal doubles; readers go through the validating
-constructors, so malformed files surface the same named errors as direct
-construction.
+One writer, `save`, and one reader, `load`.  All numbers are plain decimal
+doubles; the reader goes through the validating constructors, so malformed
+files surface the same named errors as direct construction.
 """
 
 from __future__ import annotations
@@ -12,15 +12,13 @@ import json
 from .errors import StepGraphonError
 
 
-def dumps(obj, indent=None):
-    """Canonical JSON for any package object or plain dict."""
+def save(obj, path):
+    """Write obj's `to_dict()`, or a plain dict, as JSON: sorted keys, indent 2, a newline.
+
+    An unwritable path raises StepGraphonError.
+    """
     payload = obj.to_dict() if hasattr(obj, "to_dict") else obj
-    return json.dumps(payload, sort_keys=True, indent=indent)
-
-
-def save(obj, path, indent=2):
-    """Write `dumps(obj)` and a newline to path; an unwritable path raises StepGraphonError."""
-    text = dumps(obj, indent=indent)
+    text = json.dumps(payload, sort_keys=True, indent=2)
     try:
         with open(path, "w") as fh:
             fh.write(text)

@@ -313,10 +313,9 @@ def compose_couplings(p1, p2, mid):
     return Coupling(xi, p1.row_marginal, p2.col_marginal)
 
 
-def strictly_flatter(l1, l2, tol=1e-9):
-    """Operational strict flatness: feasible witness and distinct measures."""
-    witness = check_flatter(l1, l2, tol=tol)
-    return witness.feasible and not l1.approx_equal(l2, tol=tol)
+def strictly_flatter(l1, l2):
+    """Operational strict flatness at default tolerances: feasible witness, distinct measures."""
+    return check_flatter(l1, l2).feasible and not l1.approx_equal(l2)
 
 
 def add_measures(l1, l2):

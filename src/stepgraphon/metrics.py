@@ -79,9 +79,12 @@ def _pattern_table(n):
     return table
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _heuristic_starts(seed, n_starts, k):
-    """Read-only (n_starts, k) 0/1 table: row r is the heuristic's start r."""
+    """Read-only (n_starts, k) 0/1 table: row r is the heuristic's start r.
+
+    Bounded, as a seed sweep would keep every table; a `cutdist` run needs 50.
+    """
     table = np.empty((n_starts, k))
     for r in range(n_starts):
         table[r] = np.random.default_rng((seed, r)).integers(0, 2, size=k)
@@ -292,23 +295,21 @@ def _auto_cut_norm(kernel, seed=0, restarts=32, exact_cap=EXACT_BLOCK_CAP):
     return cut_norm(kernel, mode="heuristic", seed=seed, restarts=restarts)
 
 
-def cut_norm_distance(U, W, C, mode=None, seed=0):
-    """Cut norm of U - W overlaid by the coupling C.
+def cut_norm_distance(U, W, C, mode=None):
+    """Cut norm of U - W overlaid by the coupling C, heuristic starts at seed 0.
 
     With a shared partition and the diagonal coupling this is the plain cut
     norm distance on the common ground space.
     """
     kernel = _difference_kernel(U, W, C)
     if mode is None:
-        res = _auto_cut_norm(kernel, seed=seed)
-    else:
-        res = cut_norm(kernel, mode=mode, seed=seed)
-    return res.value
+        return _auto_cut_norm(kernel).value
+    return cut_norm(kernel, mode=mode).value
 
 
-def aligned_cut_norm_distance(U, W, seed=0):
+def aligned_cut_norm_distance(U, W):
     """Cut norm distance on the shared ground space (identity alignment)."""
-    return cut_norm_distance(U, W, overlap_coupling(U, W), seed=seed)
+    return cut_norm_distance(U, W, overlap_coupling(U, W))
 
 
 def linprog(*args, **kwargs):
@@ -506,15 +507,15 @@ def _search_budget(budget):
 def cut_distance(U, W, budget=None, seed=0):
     """Upper bound on the rearrangement cut distance, with the best coupling.
 
-    Runs deterministic starts (corner rule, product, diagonal when shapes
-    match) plus seeded random corner-rule vertices through an alternating
-    local search, and a permutation sweep when both sides refine to at most
-    8 equal-mass cells and neither has a single cell (one cell leaves one
-    coupling, the product, and it is a start).  The result is the minimum
-    over everything evaluated, an upper bound on the cut distance.  The
-    sweep is exact over cell permutations only: its minimum is the
-    permutation distance delta-hat of the two grids, an upper bound on the
-    cut distance, and a fractional coupling from the search can be lower.
+    Runs deterministic starts (corner rule, product) plus seeded random
+    corner-rule vertices through an alternating local search, and a
+    permutation sweep when both sides refine to at most 8 equal-mass cells
+    and neither has a single cell (one cell leaves one coupling, the
+    product, and it is a start).  The result is the minimum over everything
+    evaluated, an upper bound on the cut distance.  The sweep is exact over
+    cell permutations only: its minimum is the permutation distance
+    delta-hat of the two grids, an upper bound on the cut distance, and a
+    fractional coupling from the search can be lower.
     Only a value of 0 is claimed exact.  When the pruned sides are bitwise
     equal up to a cell permutation, found by matching their canonical cell
     orders, that permutation's coupling is the first start; its difference
@@ -544,8 +545,6 @@ def cut_distance(U, W, budget=None, seed=0):
     starts.append(corners[0])
     if Ap.k * Bp.k <= 1024:
         starts.append(Coupling.product(a, b).matrix)
-    if Ap.k == Bp.k and np.abs(a - b).max() <= WEIGHT_TOL:
-        starts.append(np.diag(a))
     starts.extend(corners[1:])
 
     best_val, best_c = np.inf, None

@@ -38,6 +38,7 @@ from .metrics import l1_hausdorff
 
 VERTEX_ENUM_CAP = 10_000
 DEDUP_TOL = 1e-9
+SCALING_TOL = 1e-10  # Sinkhorn residual, and the drift allowed in a cut matrix total
 
 
 class MultiwayMatrixSet:
@@ -134,17 +135,18 @@ def _vertex_orders(k, q):
     return row_orders, col_orders
 
 
-def _scaled_random(seed, count, row, col, cap=500, residual_tol=1e-10):
+def _scaled_random(seed, count, row, col, cap=500):
     """`count` seeded interior plans with marginals row and col, by Sinkhorn scaling.
 
     Plan idx starts from the generator seeded (seed, idx).  The plans scale
     in lockstep, each exactly as it would alone: once both of its residuals
-    are below residual_tol, one more row scaling puts its row sums on `row`
+    are below SCALING_TOL, one more row scaling puts its row sums on `row`
     up to rounding and the plan leaves the stack.  A cut matrix's total is
-    s^T V s for the plan's row sums s, so it then stays on the edge density.
-    That step moves each column sum by at most the summed row residuals it
-    removes (each below residual_tol), so the column sums may miss `col` by
-    about residual_tol; nothing checks them.  Raises ScalingDiverged with the
+    s^T V s for the plan's row sums s, so it then stays on the edge density
+    (sample_multiway_set allows a drift of SCALING_TOL).  That step moves
+    each column sum by at most the summed row residuals it removes (each
+    below SCALING_TOL), so the column sums may miss `col` by about
+    SCALING_TOL; nothing checks them.  Raises ScalingDiverged with the
     largest residual still live if a plan has not converged after cap rounds.
     """
     k, q = len(row), len(col)
@@ -159,7 +161,7 @@ def _scaled_random(seed, count, row, col, cap=500, residual_tol=1e-10):
         m *= _safe_ratio(col, m.sum(axis=1))[:, None, :]
         res = np.maximum(np.abs(m.sum(axis=2) - row).max(axis=1),
                          np.abs(m.sum(axis=1) - col).max(axis=1))
-        done = res < residual_tol
+        done = res < SCALING_TOL
         if done.any():
             fin = m[done]
             fin *= _safe_ratio(row, fin.sum(axis=2))[:, :, None]
@@ -222,7 +224,7 @@ def sample_multiway_set(W, a, count, seed=0):
         rest = rest[~(np.abs(stack[rest] - stack[i]).sum(axis=(1, 2)) <= DEDUP_TOL)]
         spec = PartitionSpec(plans[i])
         m = multiway_matrix(W, spec)
-        if abs(m.sum() - density) > 1e-10:
+        if abs(m.sum() - density) > SCALING_TOL:
             raise StepGraphonError("cut matrix total drifted from the edge density")
         matrices.append(m)
         provenance.append(spec)

@@ -30,6 +30,7 @@ from .metrics import l1_hausdorff, rectangle_signature, signature_weights
 
 _STACK_FLOATS = 1 << 20  # cap on an envelope's base and on the values one stacked product gathers
 _ENVELOPE_FLOATS = 1 << 26  # cap on the signature values of one envelope (512 MiB)
+TOL = 1e-9  # order_check's density match and classify_extremal's value spreads
 
 
 class OrderVerdict:
@@ -53,27 +54,28 @@ class OrderVerdict:
         return f"OrderVerdict({self.status}, failed={self.failed_conditions()})"
 
 
-def order_check(U, W, tol=1e-9):
+def order_check(U, W):
     """Run the necessary conditions for U being at most as structured as W.
 
-    Returns refuted with the failing certificates, or consistent.  A
-    consistent verdict is not a proof of the order relation; the conditions
-    are necessary only.
+    Densities must agree within TOL; flatness runs at check_flatter's
+    default tolerance.  Returns refuted with the failing certificates, or
+    consistent.  A consistent verdict is not a proof of the order relation;
+    the conditions are necessary only.
     """
     reasons = []
     du, dw = edge_density(U), edge_density(W)
     reasons.append({
         "condition": "edge-density",
-        "passed": bool(abs(du - dw) <= tol),
+        "passed": bool(abs(du - dw) <= TOL),
         "detail": {"density_u": du, "density_w": dw},
     })
-    wit_range = check_flatter(range_frequencies(U), range_frequencies(W), tol=tol)
+    wit_range = check_flatter(range_frequencies(U), range_frequencies(W))
     reasons.append({
         "condition": "range-frequency-flatness",
         "passed": wit_range.feasible,
         "detail": {"residual": wit_range.residual, "reason": wit_range.reason},
     })
-    wit_deg = check_flatter(degree_frequencies(U), degree_frequencies(W), tol=tol)
+    wit_deg = check_flatter(degree_frequencies(U), degree_frequencies(W))
     reasons.append({
         "condition": "degree-frequency-flatness",
         "passed": wit_deg.feasible,
@@ -83,18 +85,18 @@ def order_check(U, W, tol=1e-9):
     return OrderVerdict(status, reasons)
 
 
-def classify_extremal(W, tol=1e-9):
+def classify_extremal(W):
     """minimal | maximal | neither | both, from the positive-mass block values.
 
     Constants are the order minimum, 0/1-valued kernels the maxima; the
-    all-0 and all-1 kernels are both.
+    all-0 and all-1 kernels are both.  Values within TOL count as equal.
     """
     keep = W.weights > 0
     vals = W.values[np.ix_(keep, keep)].ravel()
     if len(vals) == 0:
         return "both"
-    minimal = bool(vals.max() - vals.min() <= tol)
-    maximal = bool(np.minimum(vals, 1.0 - vals).max() <= tol)
+    minimal = bool(vals.max() - vals.min() <= TOL)
+    maximal = bool(np.minimum(vals, 1.0 - vals).max() <= TOL)
     if minimal and maximal:
         return "both"
     if minimal:

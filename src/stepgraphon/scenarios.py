@@ -28,24 +28,30 @@ from .named import (
 )
 
 SCENARIOS = ("chessboard", "counterexample", "flatness", "chains", "multiway")
+HIERARCHY_DEPTH = 6  # hierarchical_graphon lives on the 2**6 = 64-cell grid
+HIERARCHY_AMP = 0.35  # noise amplitude at the coarsest level
+CHESSBOARD_DEPTH = 6  # weak* depth of the chessboard distances
+CHESSBOARD_LEVELS = (1, 2, 4, 8, 16, 32, 64)  # interlacing levels, lowest first
+CHAINS_BUDGET = {"restarts": 2, "max_iters": 4}  # cut_distance budget of the chains
+CHAINS_L1_SLACK = 1e-12  # rounding allowed in the L1 chain and its final zero
+INVARIANCE_TOL = 1e-9  # cut-set distance allowed between rearranged kernels
 
 
-def hierarchical_graphon(rng, depth=6, base=None, amp=0.35):
-    """Multiscale random kernel on the 2**depth grid.
+def hierarchical_graphon(rng):
+    """Multiscale random kernel on the 2**HIERARCHY_DEPTH grid.
 
-    Independent symmetric noise is added per dyadic level with amplitude
-    halving at each level, so every stepping depth removes a geometrically
-    separated share of the structure.  This makes the refining-chain
-    distances decrease with real margins; i.i.d. cell noise does not (its
-    blockwise means can sit farther from the kernel in L1 than a coarser
-    constant does).
+    A base level in [0.35, 0.65] gets independent symmetric noise per dyadic
+    level, of amplitude HIERARCHY_AMP halving at each level, so every
+    stepping depth removes a geometrically separated share of the structure.
+    This makes the refining-chain distances decrease with real margins;
+    i.i.d. cell noise does not (its blockwise means can sit farther from the
+    kernel in L1 than a coarser constant does).
     """
-    n = 2 ** depth
-    level = rng.uniform(0.35, 0.65) if base is None else base
-    vals = np.full((n, n), level)
-    for m in range(depth + 1):
+    n = 2 ** HIERARCHY_DEPTH
+    vals = np.full((n, n), rng.uniform(0.35, 0.65))
+    for m in range(HIERARCHY_DEPTH + 1):
         b = 2 ** m
-        noise = rng.uniform(-1.0, 1.0, (b, b)) * amp * 0.5 ** m
+        noise = rng.uniform(-1.0, 1.0, (b, b)) * HIERARCHY_AMP * 0.5 ** m
         noise = (noise + noise.T) / 2
         vals += np.kron(noise, np.ones((n // b, n // b)))
     vals = np.clip(vals, 0.0, 1.0)
@@ -53,21 +59,21 @@ def hierarchical_graphon(rng, depth=6, base=None, amp=0.35):
     return StepGraphon(np.full(n, 1.0 / n), vals)
 
 
-def chessboard_scenario(depth=6, levels=(1, 2, 4, 8, 16, 32, 64), threshold=0.01):
-    """Interlacings of the two-block kernel collapse to the constant in weak*."""
+def chessboard_scenario(threshold=0.01):
+    """The two-block kernel's interlacings at CHESSBOARD_LEVELS collapse to 1/2 in weak*."""
     bip = bipartite_graphon()
     half = StepGraphon([1.0], [[0.5]])
     rows = []
     values = []
-    for n in levels:
-        d = weak_star_distance(interlace_version(bip, n), half, depth)
+    for n in CHESSBOARD_LEVELS:
+        d = weak_star_distance(interlace_version(bip, n), half, CHESSBOARD_DEPTH)
         values.append(d)
         rows.append({"level": n, "weak_star_distance": d})
     decreasing = all(values[i + 1] < values[i] for i in range(len(values) - 1))
     final_ok = values[-1] < threshold
     report = {
         "scenario": "chessboard",
-        "depth": depth,
+        "depth": CHESSBOARD_DEPTH,
         "rows": rows,
         "strictly_decreasing": decreasing,
         "final_below_threshold": final_ok,
@@ -140,10 +146,8 @@ def flatness_scenario(residual_tol=1e-9):
     return ok, report
 
 
-def chains_scenario(seed=0, trials=3, budget=None, l1_slack=1e-12,
-                    cut_slack=2e-6):
-    """Refining-stepping chains: L1 errors vanish and cut bounds shrink."""
-    budget = budget or {"restarts": 2, "max_iters": 4}
+def chains_scenario(seed=0, trials=3, cut_slack=2e-6):
+    """Refining-stepping chains: L1 errors vanish and CHAINS_BUDGET cut bounds shrink."""
     rng = np.random.default_rng(seed)
     rows = []
     ok = True
@@ -153,10 +157,10 @@ def chains_scenario(seed=0, trials=3, budget=None, l1_slack=1e-12,
         for d in range(7):
             Wn = stepping(W, PartitionSpec.dyadic(W.weights, d))
             l1s.append(l1_distance(Wn, W))
-            val, _ = cut_distance(Wn, W, budget=budget, seed=seed)
+            val, _ = cut_distance(Wn, W, budget=CHAINS_BUDGET, seed=seed)
             cds.append(val)
-        l1_ok = (all(l1s[i + 1] <= l1s[i] + l1_slack for i in range(6))
-                 and l1s[-1] < l1_slack)
+        l1_ok = (all(l1s[i + 1] <= l1s[i] + CHAINS_L1_SLACK for i in range(6))
+                 and l1s[-1] < CHAINS_L1_SLACK)
         cd_ok = all(cds[i + 1] <= cds[i] + cut_slack for i in range(6))
         rows.append({"trial": trial, "l1": l1s, "cut_distance": cds,
                      "l1_ok": l1_ok, "cut_ok": cd_ok})
@@ -164,8 +168,8 @@ def chains_scenario(seed=0, trials=3, budget=None, l1_slack=1e-12,
     return ok, {"scenario": "chains", "rows": rows}
 
 
-def multiway_scenario(seed=0, trials=3, invariance_tol=1e-9):
-    """Cut sets coincide for rearranged kernels and separate the constants."""
+def multiway_scenario(seed=0, trials=3):
+    """Cut sets agree within INVARIANCE_TOL for rearranged kernels and separate the constants."""
     rng = np.random.default_rng(seed)
     rows = []
     ok = True
@@ -178,8 +182,8 @@ def multiway_scenario(seed=0, trials=3, invariance_tol=1e-9):
         su = sample_multiway_set(W, a, count=0, seed=seed)
         sw = sample_multiway_set(G, a, count=0, seed=seed)
         d = multiway_hausdorff(su, sw)
-        rows.append({"trial": trial, "hausdorff": d, "ok": d <= invariance_tol})
-        ok = ok and d <= invariance_tol
+        rows.append({"trial": trial, "hausdorff": d, "ok": d <= INVARIANCE_TOL})
+        ok = ok and d <= INVARIANCE_TOL
     c0 = StepGraphon([1.0], [[0.0]])
     c1 = StepGraphon([1.0], [[1.0]])
     d01 = multiway_hausdorff(sample_multiway_set(c0, a, count=1, seed=seed),

@@ -103,6 +103,19 @@ def scaled_random_reference(rng, row, col, cap=500, residual_tol=1e-10):
     raise ScalingDiverged(res, cap)
 
 
+def stepping_reference(W, P):
+    """stepping as it first was, symmetrizing the block averages a second time."""
+    P.require_source(W.weights)
+    r = P.assignment
+    b = P.target_masses
+    m = r.T @ W.values @ r
+    m = 0.5 * (m + m.T)
+    denom = np.outer(b, b)
+    vals = np.divide(m, denom, out=np.zeros_like(m), where=denom > 0)
+    vals = np.clip(0.5 * (vals + vals.T), 0.0, 1.0)
+    return StepGraphon(b / b.sum(), vals)
+
+
 def cumulative_reference(weights):
     """Block breakpoints as the library first computed them in four places."""
     cum = np.concatenate(([0.0], np.cumsum(weights)))

@@ -32,7 +32,8 @@ from stepgraphon.core import _cumulative, _overlaps
 from stepgraphon.multiway import multiway_matrix
 from stepgraphon.named import bipartite_graphon, u1_graphon
 
-from conftest import cumulative_reference, overlaps_reference, random_graphon
+from conftest import (cumulative_reference, overlaps_reference, random_graphon,
+                      stepping_reference)
 
 
 # ---------------------------------------------------------------- construction
@@ -169,6 +170,22 @@ def test_stepping_jensen_monotonicity(rng):
         sg = stepping(g, p)
         for f in convex:
             assert int_f(sg, f) <= int_f(g, f) + 1e-10
+
+
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.booleans(),
+       st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_stepping_equals_the_twice_symmetrized_reference(k, seed, fractional, cuts):
+    # the block averages are bitwise symmetric, so a second symmetrization is a no-op
+    rng = np.random.default_rng(seed)
+    g = random_graphon(rng, k=k, equal_mass=seed % 2 == 0)
+    ends = [0.0, *sorted(cuts), 1.0]
+    if fractional:
+        p = PartitionSpec(g.weights[:, None] * rng.dirichlet(np.ones(len(ends) - 1), size=k))
+    else:
+        p = PartitionSpec.from_intervals(g.weights, list(zip(ends[:-1], ends[1:])))
+    got, ref = stepping(g, p), stepping_reference(g, p)
+    assert got.weights.tobytes() == ref.weights.tobytes()
+    assert got.values.tobytes() == ref.values.tobytes()
 
 
 def test_stepping_idempotent(rng):
