@@ -428,9 +428,9 @@ def edge_density(W):
 
 def degree_function(W):
     """Row integrals as a step function; zero-weight blocks are dropped."""
-    degrees = W.values @ W.weights
-    keep = W.weights > 0
-    return StepFunction1D(_cumulative(W.weights[keep]), np.clip(degrees[keep], 0.0, 1.0))
+    S, idx = _support(W)
+    degrees = W.values @ W.weights  # BLAS may sum S's shorter rows in another order
+    return StepFunction1D(S.cumulative(), np.clip(degrees[idx], 0.0, 1.0))
 
 
 def int_f(W, f):

@@ -73,7 +73,7 @@ class ProvenanceMismatch(StepGraphonError):
 
 
 class DimensionMismatch(StepGraphonError):
-    """Matrix sets with different part counts cannot be compared."""
+    """Matrix sets with different part counts or part masses cannot be compared."""
 
 
 class UnsupportedEps(StepGraphonError):

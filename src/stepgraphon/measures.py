@@ -23,8 +23,8 @@ from operator import mul
 
 import numpy as np
 
-from .errors import MarginalMismatch, SolverFailure, StepGraphonError, ValueOutOfRange
-from .core import MATCH_TOL, Coupling, _freeze, _mismatch
+from .errors import SolverFailure, StepGraphonError, ValueOutOfRange
+from .core import MATCH_TOL, Coupling, _freeze, _support
 from .metrics import _marginal_rows, linprog
 
 ATOM_DEDUP_TOL = 1e-12
@@ -140,9 +140,9 @@ def degree_frequencies(W):
     does not depend on the order of the cells and rearranged kernels yield
     bitwise-identical measures.
     """
-    keep = W.weights > 0
-    degs = np.array([fsum(row) for row in W.values[keep] * W.weights])
-    return DiscreteMeasure(np.clip(degs, 0.0, 1.0), W.weights[keep])
+    S, _ = _support(W)
+    degs = np.array([fsum(row) for row in S.values * S.weights])
+    return DiscreteMeasure(np.clip(degs, 0.0, 1.0), S.weights)
 
 
 def _flatness_system(l1, l2):
@@ -302,10 +302,8 @@ def _take_shadow(rest, y, mass, moment):
 def compose_couplings(p1, p2, mid):
     """Chain two flatness witnesses through the shared middle measure."""
     q = np.asarray(mid.masses, dtype=float)
-    if len(p1.col_marginal) != len(q) or len(p2.row_marginal) != len(q):
-        raise MarginalMismatch("middle measure size does not match the couplings")
-    if _mismatch(p1.col_marginal, q) or _mismatch(p2.row_marginal, q):
-        raise MarginalMismatch("couplings do not share the middle marginal")
+    p1.require_marginals(p1.row_marginal, q)
+    p2.require_marginals(q, p2.col_marginal)
     keep = q > 0
     left = p1.matrix[:, keep]
     right = p2.matrix[keep, :] / q[keep, None]

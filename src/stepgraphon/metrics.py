@@ -32,7 +32,6 @@ from .core import (
     common_refinement,
     corner_rule,
     dyadic_intervals,
-    grid_version,
     overlap_coupling,
 )
 from .errors import EmptySet, SolverFailure, StepGraphonError, TooManyBlocksForExact
@@ -64,11 +63,15 @@ class CutNormResult:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["value"], d["witness_S"], d["witness_T"], d["mode"])
-
-
-def _witness_value(ay, s, t):
-    return float(abs(s @ ay @ t))
+        """Read `to_dict` output; a bad mode, value or witness raises StepGraphonError."""
+        value, s, t = float(d["value"]), np.asarray(d["witness_S"]), np.asarray(d["witness_T"])
+        if d["mode"] not in ("exact", "heuristic"):
+            raise StepGraphonError(f"cut-norm mode must be exact or heuristic, got {d['mode']!r}")
+        if not (math.isfinite(value) and value >= 0.0):
+            raise StepGraphonError(f"cut-norm value must be finite and >= 0, got {value!r}")
+        if s.ndim != 1 or s.shape != t.shape or not np.isin(np.concatenate((s, t)), (0, 1)).all():
+            raise StepGraphonError("cut-norm witnesses must be 0/1 vectors of one length")
+        return cls(value, s, t, d["mode"])
 
 
 @functools.cache
@@ -275,7 +278,7 @@ def cut_norm(Y, mode="exact", seed=0, restarts=32):
         _, s, t = best
     else:
         raise ValueError(f"unknown cut-norm mode {mode!r}")
-    value = _witness_value(ay, s, t)
+    value = float(abs(s @ ay @ t))
     full_s = np.zeros(Y.k, dtype=int)
     full_t = np.zeros(Y.k, dtype=int)
     full_s[idx] = s
@@ -429,24 +432,25 @@ def _local_search(U, W, c0, max_iters, tol, seed, memo):
     return val, cmat
 
 
-def _perm_sweep(U, W):
+def _perm_sweep(u, w):
     """Exact minimum of the cut norm over cell permutations (equal masses).
 
-    For each permutation p the difference kernel is (U - W[p][:, p]) / k^2,
+    u and w are the value grids of two kernels on k equal cells.  For each
+    permutation p the difference kernel is (u - w[p][:, p]) / k^2,
     and its cut norm is the exact scan's maximum of pos and neg over every
     pattern: one _pattern_blocks call per chunk of permutations, on the
     split-half column sums of the whole chunk, in one block of every hi.
     The sweep costs O(k! 2^k k), and a chunk's work buffer holds about
     _BLOCK_FLOATS values.  The first minimum in permutation order wins.
     """
-    k = U.k
+    k = len(u)
     perms = np.array(list(itertools.permutations(range(k))), dtype=int)
     scale = 1.0 / (k * k)
     best_val, best_perm = np.inf, None
     chunk = max(1, _BLOCK_FLOATS // (k << k))
     for base in range(0, len(perms), chunk):
         p = perms[base:base + chunk]
-        d = (U.values - W.values[p[:, :, None], p[:, None, :]]) * scale
+        d = (u - w[p[:, :, None], p[:, None, :]]) * scale
         low, high, low_total, high_total = _half_sums(d)
         _, pos, neg = next(_pattern_blocks(low, high, low_total, high_total, high.shape[-1]))
         vals = np.maximum(pos.max(axis=-1), neg.max(axis=-1))
@@ -459,12 +463,6 @@ def _perm_sweep(U, W):
 
 def _canonical_key(G):
     return (G.k, tuple(G.weights.tolist()), tuple(G.values.ravel().tolist()))
-
-
-def _expand_coupling(cmat, idx_u, idx_w, ku, kw, wu, ww):
-    full = np.zeros((ku, kw))
-    full[np.ix_(idx_u, idx_w)] = cmat
-    return Coupling(full, wu, ww)
 
 
 def _isomorphic_start(A, B):
@@ -529,7 +527,6 @@ def cut_distance(U, W, budget=None, seed=0):
     cfg = _search_budget(budget)
     swap = _canonical_key(U) > _canonical_key(W)
     A, B = (W, U) if swap else (U, W)
-    a_full, b_full = A.weights, B.weights
     Ap, idx_a = _support(A)
     Bp, idx_b = _support(B)
     a, b = Ap.weights, Bp.weights
@@ -561,16 +558,16 @@ def cut_distance(U, W, budget=None, seed=0):
     common = math.lcm(Ap.k, Bp.k) if equal_a and equal_b else None
     if (best_val > 0.0 and min(Ap.k, Bp.k) > 1
             and common is not None and common <= SWEEP_BLOCK_CAP):
-        Ar = grid_version(Ap, common)
-        Br = grid_version(Bp, common)
-        val, perm = _perm_sweep(Ar, Br)
+        ca, cb = _grid_cells(a, common), _grid_cells(b, common)
+        val, perm = _perm_sweep(Ap.values[np.ix_(ca, ca)], Bp.values[np.ix_(cb, cb)])
         if val < best_val:
             best_val = val
             best_c = np.zeros((Ap.k, Bp.k))
-            np.add.at(best_c, (_grid_cells(a, common), _grid_cells(b, common)[perm]),
-                      1.0 / common)
+            np.add.at(best_c, (ca, cb[perm]), 1.0 / common)
 
-    coupling = _expand_coupling(best_c, idx_a, idx_b, A.k, B.k, a_full, b_full)
+    full = np.zeros((A.k, B.k))
+    full[np.ix_(idx_a, idx_b)] = best_c
+    coupling = Coupling(full, A.weights, B.weights)
     if swap:
         coupling = coupling.transpose()
     return float(best_val), coupling

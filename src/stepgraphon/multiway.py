@@ -232,9 +232,9 @@ def sample_multiway_set(W, a, count, seed=0):
 
 
 def multiway_hausdorff(su, sw):
-    """Hausdorff distance of two sampled cut sets under entrywise l1."""
-    if su.q != sw.q:
-        raise DimensionMismatch(f"part counts differ: {su.q} != {sw.q}")
+    """Hausdorff distance under entrywise l1 of two sampled cut sets with equal part masses."""
+    if _mismatch(su.a, sw.a):
+        raise DimensionMismatch(f"part masses differ: {su.a.tolist()} != {sw.a.tolist()}")
     if len(su) == 0 or len(sw) == 0:
         raise DimensionMismatch("cut sets must be nonempty")
     return l1_hausdorff([m.ravel() for m in su.matrices],

@@ -19,6 +19,7 @@ from .core import (
     _canonical_cell_order,
     _interlace_order,
     _overlaps,
+    _support,
     dyadic_intervals,
     edge_density,
     grid_version,
@@ -69,18 +70,13 @@ def order_check(U, W):
         "passed": bool(abs(du - dw) <= TOL),
         "detail": {"density_u": du, "density_w": dw},
     })
-    wit_range = check_flatter(range_frequencies(U), range_frequencies(W))
-    reasons.append({
-        "condition": "range-frequency-flatness",
-        "passed": wit_range.feasible,
-        "detail": {"residual": wit_range.residual, "reason": wit_range.reason},
-    })
-    wit_deg = check_flatter(degree_frequencies(U), degree_frequencies(W))
-    reasons.append({
-        "condition": "degree-frequency-flatness",
-        "passed": wit_deg.feasible,
-        "detail": {"residual": wit_deg.residual, "reason": wit_deg.reason},
-    })
+    for name, frequencies in (("range", range_frequencies), ("degree", degree_frequencies)):
+        wit = check_flatter(frequencies(U), frequencies(W))
+        reasons.append({
+            "condition": f"{name}-frequency-flatness",
+            "passed": wit.feasible,
+            "detail": {"residual": wit.residual, "reason": wit.reason},
+        })
     status = "consistent" if all(r["passed"] for r in reasons) else "refuted"
     return OrderVerdict(status, reasons)
 
@@ -91,10 +87,7 @@ def classify_extremal(W):
     Constants are the order minimum, 0/1-valued kernels the maxima; the
     all-0 and all-1 kernels are both.  Values within TOL count as equal.
     """
-    keep = W.weights > 0
-    vals = W.values[np.ix_(keep, keep)].ravel()
-    if len(vals) == 0:
-        return "both"
+    vals = _support(W)[0].values.ravel()
     minimal = bool(vals.max() - vals.min() <= TOL)
     maximal = bool(np.minimum(vals, 1.0 - vals).max() <= TOL)
     if minimal and maximal:
@@ -159,14 +152,21 @@ class EnvelopeSample:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["resolution"], d["depth"], d["signatures"])
+        """Read `to_dict` output; a bad resolution, depth or signature raises StepGraphonError."""
+        resolution, depth = int(d["resolution"]), int(d["depth"])
+        for name, value, low in (("resolution", resolution, 1), ("depth", depth, 0)):
+            if value != d[name] or value < low:
+                raise StepGraphonError(f"envelope {name} must be an integer >= {low}, "
+                                       f"got {d[name]!r}")
+        m = (1 << (min(depth, 32) + 1)) - 1  # from depth 32 on, m * m is wider than any array
+        sigs = np.asarray(d["signatures"], dtype=float)
+        if sigs.ndim != 2 or sigs.shape[1] != m * m or not np.isfinite(sigs).all():
+            raise StepGraphonError(f"envelope signatures at depth {depth} must be rows of "
+                                   "(2^(depth+1) - 1)^2 finite values")
+        return cls(resolution, depth, sigs)
 
     def __len__(self):
         return len(self.signatures)
-
-
-def _signature(V, depth):
-    return rectangle_signature(V, depth).ravel()
 
 
 def _interlace_levels(n):
@@ -245,8 +245,8 @@ def _envelope_cloud(base, count, depth, seed):
         stack = base.values[p[:, :, None], p[:, None, :]]
         np.matmul(r @ stack, r.T, out=sigs[lo:lo + len(p)].reshape(len(p), m, m))
     for d in range(depth + 1):
-        sigs[rows + d] = _signature(
-            stepping(base, PartitionSpec.dyadic(base.weights, d)), depth)
+        sigs[rows + d] = rectangle_signature(
+            stepping(base, PartitionSpec.dyadic(base.weights, d)), depth).ravel()
     return sigs
 
 

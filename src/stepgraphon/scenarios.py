@@ -17,6 +17,7 @@ from .core import (
     l1_distance,
     stepping,
 )
+from .errors import StepGraphonError
 from .measures import DiscreteMeasure, check_flatter
 from .metrics import cut_distance, weak_star_distance
 from .multiway import multiway_hausdorff, sample_multiway_set
@@ -195,7 +196,9 @@ def multiway_scenario(seed=0, trials=3):
 
 
 def reproduce(which, eps=None, seed=0):
-    """Dispatch a named scenario; returns (passed, report)."""
+    """Dispatch a named scenario; returns (passed, report).  eps is the counterexample's."""
+    if eps is not None and which != "counterexample":
+        raise StepGraphonError(f"eps applies only to the counterexample scenario, not {which!r}")
     if which == "chessboard":
         return chessboard_scenario()
     if which == "counterexample":

@@ -177,10 +177,34 @@ def test_multiway_commands(tmp_path, capsys):
     assert json.loads(out)["hausdorff"] == 1.0
 
 
+def test_cut_sets_at_different_part_masses_exit_one_without_traceback(tmp_path, capsys):
+    bip = tmp_path / "bip.json"
+    run_cli(["build", "--name", "bipartite", "--out", str(bip)], capsys)
+    paths = [tmp_path / "even.json", tmp_path / "uneven.json"]
+    for path, a in zip(paths, ("0.5,0.5", "0.25,0.75")):
+        code, _ = run_cli(["multiway", "sample", "--w", str(bip), "--a", a,
+                           "--count", "0", "--out", str(path)], capsys)
+        assert code == 0
+    proc = run_module(["multiway", "hausdorff", "--su", str(paths[0]), "--sw", str(paths[1])])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: part masses differ")
+
+
 def test_reproduce_exit_codes(capsys):
     code, out = run_cli(["reproduce", "--which", "flatness", "--json"], capsys)
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("which", ["chessboard", "flatness", "chains", "multiway"])
+def test_eps_outside_counterexample_exits_one_without_traceback(which):
+    proc = run_module(["reproduce", "--which", which, "--eps", "0.3"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: eps applies only to the counterexample")
 
 
 def test_reproduce_tolerance_failure_exits_four(capsys, monkeypatch):

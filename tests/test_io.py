@@ -7,7 +7,7 @@ from stepgraphon import io
 from stepgraphon.core import SignedStepKernel, StepFunction1D, StepGraphon, grid_version
 from stepgraphon.errors import StepGraphonError, ValueOutOfRange
 from stepgraphon.measures import DiscreteMeasure
-from stepgraphon.metrics import cut_distance
+from stepgraphon.metrics import CutNormResult, cut_distance, cut_norm
 from stepgraphon.core import Coupling
 from stepgraphon.multiway import sample_multiway_set
 from stepgraphon.named import bipartite_graphon
@@ -23,6 +23,7 @@ OBJECTS = [
     Coupling([[0.25, 0.25], [0.25, 0.25]]),
     sample_multiway_set(bipartite_graphon(), [0.5, 0.5], count=2, seed=1),
     sample_envelope(bipartite_graphon(), 4, count=2, depth=1, seed=7),
+    cut_norm(SIGNED),
 ]
 
 
@@ -60,6 +61,40 @@ def test_overflowing_field_is_a_named_error(tmp_path):
     path.write_text('{"resolution": 1e400, "depth": 1, "signatures": [[0.0]]}')
     with pytest.raises(StepGraphonError, match="not a EnvelopeSample file"):
         io.load(path, EnvelopeSample)
+
+
+NAN, INF = float("nan"), float("inf")
+ENVELOPE = {"resolution": 4, "depth": 1, "signatures": [[0.25] * 9]}
+CUT_NORM = {"value": 0.25, "witness_S": [1, 0], "witness_T": [0, 1], "mode": "exact"}
+GOOD = {EnvelopeSample: ENVELOPE, CutNormResult: CUT_NORM}
+
+
+@pytest.mark.parametrize("cls, field, value, message", [
+    (EnvelopeSample, "resolution", 2.5, "envelope resolution"),
+    (EnvelopeSample, "resolution", -3, "envelope resolution"),
+    (EnvelopeSample, "depth", 0.5, "envelope depth"),
+    (EnvelopeSample, "depth", -1, "envelope depth"),
+    (EnvelopeSample, "depth", 2, "envelope signatures"),
+    (EnvelopeSample, "depth", 10 ** 9, "envelope signatures"),
+    (EnvelopeSample, "signatures", [[1.0, NAN]], "envelope signatures"),
+    (EnvelopeSample, "signatures", [[0.0] * 8 + [INF]], "envelope signatures"),
+    (EnvelopeSample, "signatures", [0.0] * 9, "envelope signatures"),
+    (CutNormResult, "mode", "bogus", "cut-norm mode"),
+    (CutNormResult, "value", -5, "cut-norm value"),
+    (CutNormResult, "value", NAN, "cut-norm value"),
+    (CutNormResult, "witness_S", [3, 7], "cut-norm witnesses"),
+    (CutNormResult, "witness_T", [0.5, 1], "cut-norm witnesses"),
+    (CutNormResult, "witness_T", [0], "cut-norm witnesses"),
+    (CutNormResult, "witness_S", [[1, 0]], "cut-norm witnesses"),
+])
+def test_reader_rejects_a_bad_field(tmp_path, cls, field, value, message):
+    good = GOOD[cls]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(good))
+    assert io.load(path, cls).to_dict() == good
+    path.write_text(json.dumps({**good, field: value}))
+    with pytest.raises(StepGraphonError, match=message):
+        io.load(path, cls)
 
 
 def test_save_into_missing_directory_is_a_named_error(tmp_path):

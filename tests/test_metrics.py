@@ -255,7 +255,7 @@ def assert_scan_matches_reference(kernel):
     ay = (a[:, None] * a[None, :]) * kernel.values
     s, t = exact_cut_norm_reference(ay)
     res = cut_norm(kernel, mode="exact")
-    assert res.value == metrics._witness_value(ay, s, t)
+    assert res.value == float(abs(s @ ay @ t))
     assert res.witness_s.tolist() == s.astype(int).tolist()
     assert res.witness_t.tolist() == t.astype(int).tolist()
 
@@ -349,7 +349,7 @@ def sweep_pair(family, k):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_sweep_matches_reference_sweep(family, k):
     u, w = sweep_pair(family, k)
-    val, perm = metrics._perm_sweep(u, w)
+    val, perm = metrics._perm_sweep(u.values, w.values)
     ref_val, ref_perm = perm_sweep_reference(u, w)
     assert abs(val - ref_val) <= 1e-15
     assert abs(perm_value_reference(u, w, perm) - val) <= 1e-15
@@ -365,7 +365,7 @@ def test_sweep_returns_the_first_zero_in_permutation_order(k):
     w = grid_version(u, k, np.random.default_rng(k).permutation(k))
     first = next(p for p in itertools.permutations(range(k))
                  if (w.values[np.ix_(p, p)] == u.values).all())
-    val, perm = metrics._perm_sweep(u, w)
+    val, perm = metrics._perm_sweep(u.values, w.values)
     assert val == 0.0 and tuple(perm.tolist()) == first
 
 
@@ -383,7 +383,7 @@ def test_sweep_is_the_least_exact_cut_norm_over_permutations(pair):
     best = min(cut_norm(SignedStepKernel(u.weights, u.values - w.values[np.ix_(p, p)]),
                         mode="exact").value
                for p in map(list, itertools.permutations(range(u.k))))
-    assert abs(metrics._perm_sweep(u, w)[0] - best) <= 1e-15
+    assert abs(metrics._perm_sweep(u.values, w.values)[0] - best) <= 1e-15
 
 
 def test_sweep_builds_no_array_over_every_permutation():
@@ -391,7 +391,7 @@ def test_sweep_builds_no_array_over_every_permutation():
     u, w = sweep_pair("random", 8)
     tracemalloc.start()
     try:
-        metrics._perm_sweep(u, w)
+        metrics._perm_sweep(u.values, w.values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,7 +411,8 @@ def test_sweep_and_exact_scan_share_the_pattern_blocks(monkeypatch):
             yield block
 
     monkeypatch.setattr(metrics, "_pattern_blocks", counting)
-    metrics._perm_sweep(*sweep_pair("random", 7))
+    u, w = sweep_pair("random", 7)
+    metrics._perm_sweep(u.values, w.values)
     chunks = [batch[0] for _, batch, _ in calls]
     assert sum(chunks) == math.factorial(7)
     assert len(calls) == math.ceil(math.factorial(7) / chunks[0]) > 1
@@ -538,7 +539,7 @@ def test_sweep_is_exact_over_permutations_only():
     # distance: here the search finds a fractional coupling below it
     U, W = equal_mass_graphon(3, 30), equal_mass_graphon(3, 31)
     val, coupling = cut_distance(U, W)
-    sweep, _ = metrics._perm_sweep(U, W)
+    sweep, _ = metrics._perm_sweep(U.values, W.values)
     assert val < sweep - 0.01
     assert cut_norm_distance(U, W, coupling, mode="exact") == val
     assert np.count_nonzero(coupling.matrix) > 3

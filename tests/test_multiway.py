@@ -134,6 +134,12 @@ def test_hausdorff_dimension_mismatch():
     s3 = sample_multiway_set(c, [0.25, 0.25, 0.5], count=1, seed=1)
     with pytest.raises(DimensionMismatch):
         multiway_hausdorff(s2, s3)
+    # cut sets compare only at equal part masses
+    bip = bipartite_graphon()
+    even = sample_multiway_set(bip, [0.5, 0.5], count=0)
+    uneven = sample_multiway_set(bip, [0.25, 0.75], count=0)
+    with pytest.raises(DimensionMismatch, match="part masses differ"):
+        multiway_hausdorff(even, uneven)
 
 
 def test_weak_isomorphism_invariance(rng):

@@ -12,6 +12,7 @@ from stepgraphon import (
     classify_extremal,
     cut_distance,
     degree_frequencies,
+    degree_function,
     edge_density,
     grid_version,
     int_f,
@@ -23,9 +24,8 @@ from stepgraphon import (
     weak_star_distance,
 )
 from stepgraphon import core, measures, order
-from stepgraphon.metrics import signature_weights
+from stepgraphon.metrics import rectangle_signature, signature_weights
 from stepgraphon.named import bipartite_graphon, w1_graphon
-from stepgraphon.order import _signature
 
 from conftest import (FLATNESS_DEFECT_PAIRS, canonical_cell_order_reference, chi_reference,
                       envelope_reference, flatness_defect_pair, random_graphon)
@@ -105,6 +105,47 @@ def test_classify_matches_range_frequencies(rng):
             assert all(a in (0.0, 1.0) for a in freq.atoms)
 
 
+@st.composite
+def padded_kernels(draw):
+    """A random kernel, and the same kernel with zero-weight blocks among its blocks."""
+    k = draw(st.integers(1, 5))
+    n = k + draw(st.integers(1, 3))
+    entries = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)
+    mass = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    v = np.reshape(draw(st.lists(entries, min_size=n * n, max_size=n * n)), (n, n))
+    v = np.triu(v) + np.triu(v, 1).T
+    kept = np.sort(draw(st.permutations(range(n)))[:k])
+    weights = np.zeros(n)
+    weights[kept] = mass / mass.sum()
+    return StepGraphon(weights[kept], v[np.ix_(kept, kept)]), StepGraphon(weights, v)
+
+
+def verdict_record(U, W):
+    """order_check's status, failed conditions and flatness records, or its error."""
+    try:
+        verdict = order_check(U, W)
+    except StepGraphonError as exc:
+        return repr(exc)
+    return verdict.status, verdict.failed_conditions(), verdict.reasons[1:]
+
+
+@settings(max_examples=60)
+@given(padded_kernels())
+def test_zero_weight_blocks_change_no_result(pair):
+    pruned, padded = pair
+    for frequencies in (degree_frequencies, range_frequencies):
+        a, b = frequencies(padded), frequencies(pruned)
+        assert a.atoms.tolist() == b.atoms.tolist() and a.masses.tolist() == b.masses.tolist()
+    assert classify_extremal(padded) == classify_extremal(pruned)
+    fa, fb = degree_function(padded), degree_function(pruned)
+    assert fa.breakpoints.tolist() == fb.breakpoints.tolist()
+    # the full product sums each row with the zero terms, so it may round differently
+    np.testing.assert_array_max_ulp(fa.values, fb.values, maxulp=4)
+    coarse = stepping(pruned, PartitionSpec.dyadic(pruned.weights, 1))
+    assert verdict_record(coarse, padded) == verdict_record(coarse, pruned)
+    assert verdict_record(padded, coarse) == verdict_record(pruned, coarse)
+
+
 # ------------------------------------------------------------------ strictify
 
 def test_strictify_constant_half():
@@ -171,14 +212,15 @@ def test_envelope_contains_steppings(rng):
     from stepgraphon.order import canonicalize
     base = canonicalize(g, 8)
     for d in range(4):
-        sig = _signature(stepping(base, PartitionSpec.dyadic(base.weights, d)), 3)
+        stepped = stepping(base, PartitionSpec.dyadic(base.weights, d))
+        sig = rectangle_signature(stepped, 3).ravel()
         dmin = (np.abs(es.signatures - sig) @ signature_weights(3).ravel()).min()
         assert dmin <= 1e-9
 
 
 def test_envelope_of_bipartite_contains_half():
     es = sample_envelope(bipartite_graphon(), 64, 50, 4, seed=7)
-    sig = _signature(HALF, 4)
+    sig = rectangle_signature(HALF, 4).ravel()
     dmin = (np.abs(es.signatures - sig) @ signature_weights(4).ravel()).min()
     assert dmin < 0.02
 
