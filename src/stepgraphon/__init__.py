@@ -56,7 +56,6 @@ from .measures import (
 )
 from .metrics import (
     CutNormResult,
-    aligned_cut_norm_distance,
     cut_distance,
     cut_norm,
     cut_norm_distance,

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 from . import io
@@ -230,7 +231,7 @@ def build_parser():
         cd.add_argument("--u", required=True)
         cd.add_argument("--w", required=True)
         cd.add_argument("--budget", type=_budget, default=None,
-                        help='JSON, e.g. {"restarts":32,"max_iters":200,"tol":1e-9}')
+                        help='JSON, e.g. {"restarts":32,"max_iters":200}')
         cd.add_argument("--seed", type=_int_from(0), default=0)
         cd.add_argument("--out", help="write the best coupling")
 
@@ -292,7 +293,8 @@ def main(argv=None):
     """Run one command and return its exit code.
 
     A handler returns (report, obj, exit code); main saves obj to --out,
-    then prints the report as JSON with --json or as indented text.
+    then prints the report as JSON with --json or as indented text.  A
+    closed stdout is an I/O error: exit 1, without a traceback.
     """
     parser = build_parser()
     try:
@@ -301,7 +303,12 @@ def main(argv=None):
         if getattr(args, "out", None):
             io.save(obj, args.out)
         print(json.dumps(report, sort_keys=True) if args.json else _fmt(report))
+        sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (SolverFailure, ScalingDiverged) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -327,15 +327,15 @@ class PartitionSpec:
 class Coupling:
     """Nonnegative matrix with prescribed row and column sums."""
 
-    def __init__(self, matrix, row_marginal=None, col_marginal=None):
+    def __init__(self, matrix, row_marginal, col_marginal):
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise MarginalMismatch("coupling must be a nonempty 2-d matrix")
         if (m < -MATCH_TOL).any():
             raise MarginalMismatch("coupling has negative entries")
         m = np.clip(m, 0.0, None)
-        row = m.sum(axis=1) if row_marginal is None else np.asarray(row_marginal, float)
-        col = m.sum(axis=0) if col_marginal is None else np.asarray(col_marginal, float)
+        row = np.asarray(row_marginal, float)
+        col = np.asarray(col_marginal, float)
         if _mismatch(m.sum(axis=1), row):
             raise MarginalMismatch("row sums do not match the row marginal")
         if _mismatch(m.sum(axis=0), col):
@@ -364,7 +364,7 @@ class Coupling:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["matrix"], d.get("row_marginal"), d.get("col_marginal"))
+        return cls(d["matrix"], d["row_marginal"], d["col_marginal"])
 
     @classmethod
     def diagonal(cls, weights):
@@ -605,8 +605,6 @@ def reorder_by_ordered_partition(W, J):
     J.require_source(W.weights)
     r = J.assignment
     pieces = [(l, i) for l in range(r.shape[1]) for i in range(W.k) if r[i, l] > 0]
-    if not pieces:
-        raise PartitionMismatch("partition assigns no mass")
     weights = np.array([r[i, l] for l, i in pieces])
     src = np.array([i for _, i in pieces])
     vals = W.values[np.ix_(src, src)]

@@ -163,8 +163,8 @@ def _flatness_system(l1, l2):
 def check_flatter(l1, l2, tol=1e-9, exact=False):
     """Decide whether l1 is at least as flat as l2, returning a witness.
 
-    Fast-fails on total-mass or first-moment mismatch (both are forced by
-    the coupling constraints).  The float route then refutes by Strassen's
+    The float route fast-fails on total-mass or first-moment mismatch (both
+    are forced by the coupling constraints), then refutes by Strassen's
     call functions C(t) = sum p (x - t)_+, compared at every atom of l2,
     and solves the feasibility LP only for pairs that pass.  The LP has the
     transport cost |x - y| as objective, which pins the witness to the
@@ -189,14 +189,16 @@ def check_flatter(l1, l2, tol=1e-9, exact=False):
     also covers the difference, the totals and the barycenter right-hand
     sides.  A pair above the sum of both gets the LP's own refusal.
 
-    The exact mode re-decides feasibility over the exact binary expansions
-    of the inputs with Strassen's convex-order test and returns the shadow
-    coupling as witness (see _check_flatter_exact).  It decides the floats
-    as given, so it can refute measures that were computed in floats, such
-    as averages or the frequency measures of a stepping, whose true
-    relation the rounding broke; the float route is the one for those.
+    The exact mode alone decides, ignoring tol, over the exact binary
+    expansions of the inputs with Strassen's convex-order test and returns
+    the shadow coupling as witness (see _check_flatter_exact).  It decides
+    the floats as given, so it can refute measures that were computed in
+    floats, such as averages or the frequency measures of a stepping, whose
+    true relation the rounding broke; the float route is the one for those.
     """
-    if not exact and not tol >= HIGHS_TOL_FLOOR:
+    if exact:
+        return _check_flatter_exact(l1, l2)
+    if not tol >= HIGHS_TOL_FLOOR:
         raise StepGraphonError(
             f"tol {tol!r} is below HiGHS's primal feasibility floor {HIGHS_TOL_FLOOR!r}; "
             "use exact=True for a tighter decision")
@@ -204,15 +206,11 @@ def check_flatter(l1, l2, tol=1e-9, exact=False):
     if abs(t1 - t2) > tol:
         return FlatnessWitness(False, reason="total mass mismatch")
     if l1.n == 0 or l2.n == 0:
-        # a coupling with one empty marginal forces the other to vanish
-        if max(t1, t2) <= tol:
-            return FlatnessWitness(True, None, residual=max(t1, t2),
-                                   reason="effectively empty measures")
-        return FlatnessWitness(False, reason="empty versus nonempty measure")
+        # the mass check leaves the other total at most tol
+        return FlatnessWitness(True, None, residual=max(t1, t2),
+                               reason="effectively empty measures")
     if abs(l1.first_moment() - l2.first_moment()) > tol:
         return FlatnessWitness(False, reason="first moment mismatch")
-    if exact:
-        return _check_flatter_exact(l1, l2)
     scale = 2.0 ** round(log2(t1))
     n, m = l1.n, l2.n
     margin = ((3 * n + 2 * m - 2) * min(tol, MATCH_TOL) * scale + abs(t1 - t2)
@@ -253,6 +251,9 @@ def _check_flatter_exact(l1, l2):
                   for arr in (l1.atoms, l1.masses, l2.atoms, l2.masses))
     if sum(p) != sum(q):
         return FlatnessWitness(False, reason="total mass mismatch (exact)")
+    if not p:
+        # equal totals and positive masses: both measures are empty
+        return FlatnessWitness(True, None, residual=0.0, reason="effectively empty measures")
 
     def call(atoms, masses, t):
         return sum(w * (a - t) for a, w in zip(atoms, masses) if a > t)
@@ -304,10 +305,7 @@ def compose_couplings(p1, p2, mid):
     q = np.asarray(mid.masses, dtype=float)
     p1.require_marginals(p1.row_marginal, q)
     p2.require_marginals(q, p2.col_marginal)
-    keep = q > 0
-    left = p1.matrix[:, keep]
-    right = p2.matrix[keep, :] / q[keep, None]
-    xi = left @ right
+    xi = p1.matrix @ (p2.matrix / q[:, None])
     return Coupling(xi, p1.row_marginal, p2.col_marginal)
 
 

@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 import numbers
-import sys
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .core import (
     common_refinement,
     corner_rule,
     dyadic_intervals,
-    overlap_coupling,
 )
 from .errors import EmptySet, SolverFailure, StepGraphonError, TooManyBlocksForExact
 
@@ -40,7 +38,7 @@ EXACT_BLOCK_CAP = 24
 SWEEP_BLOCK_CAP = 8
 _BLOCK_FLOATS = 1 << 16  # exact enumeration block; timed faster than 2^17 or 2^18
 _SCREEN_BLOCKS = 8  # float32 screen from this many blocks (k >= 15); below it costs more
-DEFAULT_BUDGET = {"restarts": 32, "max_iters": 200, "tol": 1e-9}
+DEFAULT_BUDGET = {"restarts": 32, "max_iters": 200}
 WEAK_STAR_DEPTH_CAP = 10  # the deepest level with a nonzero float64 weight
 
 
@@ -310,11 +308,6 @@ def cut_norm_distance(U, W, C, mode=None):
     return cut_norm(kernel, mode=mode).value
 
 
-def aligned_cut_norm_distance(U, W):
-    """Cut norm distance on the shared ground space (identity alignment)."""
-    return cut_norm_distance(U, W, overlap_coupling(U, W))
-
-
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on the first LP solve.
 
@@ -374,6 +367,7 @@ def _witness_gradient(U, W, cmat, res):
 
 
 SEARCH_EXACT_CAP = 14
+SEARCH_TOL = 1e-9
 SEARCH_RESTARTS = 8
 SUPPORT_CAP = 4096
 
@@ -403,7 +397,7 @@ def _search_plan(U, W, grad, memo):
     return memo[key]
 
 
-def _local_search(U, W, c0, max_iters, tol, seed, memo):
+def _local_search(U, W, c0, max_iters, seed, memo):
     """Frank-Wolfe-style descent from c0; returns (value, coupling matrix).
 
     memo caches both steps, which are pure in (U, W, seed) and the array
@@ -423,7 +417,7 @@ def _local_search(U, W, c0, max_iters, tol, seed, memo):
             if np.count_nonzero(cand > 0) > SUPPORT_CAP:
                 continue
             res2 = _search_eval(U, W, cand, seed, memo)
-            if res2.value < val - tol:
+            if res2.value < val - SEARCH_TOL:
                 cmat, res, val = cand, res2, res2.value
                 improved = True
                 break
@@ -491,13 +485,8 @@ def _search_budget(budget):
     for key, value in (budget or {}).items():
         if key not in DEFAULT_BUDGET:
             raise StepGraphonError(f"budget key {key!r} is not one of {sorted(DEFAULT_BUDGET)}")
-        if key == "tol":
-            ok = isinstance(value, numbers.Real) and 0 <= value <= sys.float_info.max
-        else:
-            ok = isinstance(value, numbers.Integral) and value >= 0
-        if isinstance(value, bool) or not ok:
-            kind = "a finite number" if key == "tol" else "an integer"
-            raise StepGraphonError(f"budget {key} must be {kind} >= 0, got {value!r}")
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 0):
+            raise StepGraphonError(f"budget {key} must be an integer >= 0, got {value!r}")
         cfg[key] = value
     return cfg
 
@@ -547,7 +536,7 @@ def cut_distance(U, W, budget=None, seed=0):
     best_val, best_c = np.inf, None
     memo = {}
     for c0 in starts:
-        val, cmat = _local_search(Ap, Bp, c0, cfg["max_iters"], cfg["tol"], seed, memo)
+        val, cmat = _local_search(Ap, Bp, c0, cfg["max_iters"], seed, memo)
         if val < best_val:
             best_val, best_c = val, cmat
         if best_val == 0.0:

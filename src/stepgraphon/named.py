@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .core import StepGraphon, _locate, rectangle_integral
-from .errors import UnsupportedEps
+from .errors import StepGraphonError, UnsupportedEps
 
 NAMED = ("constant", "bipartite", "w1", "w2", "u1", "u2")
 
@@ -339,6 +339,8 @@ def waterfill_max(segments, mass):
 
     g is given as piecewise-linear segments; the optimum takes the top level
     set {g >= tau} with the threshold solved exactly (plateaus split).
+    The loop returns by the lowest value at the latest: there the level set
+    takes every segment, a measure summed as `total` is, and total > mass.
     """
     total = sum(s[0] for s in segments)
     if mass <= 0:
@@ -369,8 +371,6 @@ def waterfill_max(segments, mass):
             # trade any float drift in the hit mass at the threshold value
             return i_s + (mass - m_s) * tau_star
         prev = tau
-    m_last, i_last = _measure_and_integral_above(segments, values[-1])
-    return i_last + (mass - m_last) * values[-1]
 
 
 def sandwich_sup(eps):
@@ -394,7 +394,15 @@ def u2_strip_integral(eps):
 
 
 def build_named_graphon(name, c=None, eps=None):
-    """Constructor for the named kernels of the worked examples."""
+    """Constructor for the named kernels of the worked examples.
+
+    c sets the constant kernel's level and eps parametrizes w1, w2, u1 and
+    u2; either one given to another kernel raises StepGraphonError.
+    """
+    if c is not None and name != "constant":
+        raise StepGraphonError(f"c applies only to the constant kernel, not {name!r}")
+    if eps is not None and name in ("constant", "bipartite"):
+        raise StepGraphonError(f"eps does not apply to the {name!r} kernel")
     if name == "constant":
         value = 0.5 if c is None else float(c)
         if not 0.0 <= value <= 1.0:

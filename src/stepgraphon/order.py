@@ -217,6 +217,11 @@ def _check_envelope(n, count, depth):
         raise StepGraphonError(
             f"an envelope of {rows} cell orders on {n} cells holds {rows * n} order entries, "
             f"over the cap of {_ENVELOPE_FLOATS}")
+    if 2 * depth >= _ENVELOPE_FLOATS.bit_length():
+        # m * m >= 4**depth > _ENVELOPE_FLOATS, a bound that stays short to print
+        raise StepGraphonError(
+            f"an envelope at depth {depth} holds at least 4**{depth} signature values, "
+            f"over the cap of {_ENVELOPE_FLOATS}")
     m = (1 << (depth + 1)) - 1
     size = (rows + depth + 1) * m * m
     if size > _ENVELOPE_FLOATS:

@@ -56,7 +56,6 @@ def hierarchical_graphon(rng):
         noise = (noise + noise.T) / 2
         vals += np.kron(noise, np.ones((n // b, n // b)))
     vals = np.clip(vals, 0.0, 1.0)
-    vals = (vals + vals.T) / 2
     return StepGraphon(np.full(n, 1.0 / n), vals)
 
 

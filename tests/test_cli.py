@@ -288,6 +288,18 @@ def test_bad_budgets_exit_one_without_traceback(tmp_path, capsys, budget):
     assert len(lines) == 1 and lines[0].startswith("error: budget ")
 
 
+def test_budget_refuses_the_search_tolerance(tmp_path, capsys):
+    # the search's improvement tolerance is the constant metrics.SEARCH_TOL
+    u, w = tmp_path / "u.json", tmp_path / "w.json"
+    run_cli(["build", "--name", "constant", "--c", "0.5", "--out", str(u)], capsys)
+    run_cli(["build", "--name", "bipartite", "--out", str(w)], capsys)
+    proc = run_module(["cutdist", "--u", str(u), "--w", str(w), "--budget", '{"tol": 1e-9}'])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: budget key 'tol' is not one of ['max_iters', 'restarts']"]
+
+
 @pytest.mark.parametrize("args, message", [
     (["order", "envelope", "--w", "{w}", "--n", "8", "--count", "4", "--depth", "12"],
      "error: an envelope at depth "),
@@ -296,7 +308,14 @@ def test_bad_budgets_exit_one_without_traceback(tmp_path, capsys, budget):
     (["order", "envelope", "--w", "{w}", "--n", "100000"], "error: an envelope on 100000 cells "),
     (["order", "chi", "--u", "{u}", "--w", "{w}", "--n", "100000"],
      "error: an envelope on 100000 cells "),
-], ids=["envelope-depth-12", "chi-depth-40", "envelope-n-100000", "chi-n-100000"])
+    # printed in full, the size at depth 8000 passes Python's 4,300-digit
+    # int-to-str limit, and at depth 7000 it fills a line of about 4,300 characters
+    (["order", "envelope", "--w", "{w}", "--n", "8", "--depth", "8000"],
+     "error: an envelope at depth 8000 "),
+    (["order", "chi", "--u", "{u}", "--w", "{w}", "--n", "8", "--depth", "7000"],
+     "error: an envelope at depth 7000 "),
+], ids=["envelope-depth-12", "chi-depth-40", "envelope-n-100000", "chi-n-100000",
+        "envelope-depth-8000", "chi-depth-7000"])
 def test_oversized_envelopes_exit_one_without_traceback(tmp_path, capsys, args, message):
     paths = {"u": tmp_path / "u.json", "w": tmp_path / "w.json"}
     run_cli(["build", "--name", "constant", "--c", "0.5", "--out", str(paths["u"])], capsys)
@@ -306,7 +325,35 @@ def test_oversized_envelopes_exit_one_without_traceback(tmp_path, capsys, args, 
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(message)
+    assert len(lines) == 1 and lines[0].startswith(message) and len(lines[0]) < 120
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--name", "bipartite", "--eps", "0.125"], "eps does not apply to the 'bipartite' kernel"),
+    (["--name", "constant", "--eps", "0.125"], "eps does not apply to the 'constant' kernel"),
+    (["--name", "w1", "--eps", "0.125", "--c", "7"],
+     "c applies only to the constant kernel, not 'w1'"),
+    (["--name", "bipartite", "--c", "0.5"], "c applies only to the constant kernel, not 'bipartite'"),
+], ids=["bipartite-eps", "constant-eps", "w1-c", "bipartite-c"])
+def test_build_refuses_options_that_do_not_apply(args, message):
+    proc = run_module(["build", *args])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    # about 148 KB of JSON, more than a 64 KiB pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stepgraphon.cli", "build", "--name", "w2",
+         "--eps", "0.00390625", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
 @pytest.mark.parametrize("args", [

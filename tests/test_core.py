@@ -429,3 +429,30 @@ def test_step_function_validation():
     assert f(0.1) == 1.0 and f(0.25) == 0.0 and f(1.0) == 0.0
     assert f.prefix_integral(np.array(0.5)) == pytest.approx(0.25)
     assert f.integral() == pytest.approx(0.25)
+
+
+# ------------------------------------------------------------- refused inputs
+
+def test_require_marginals_refuses_other_shapes_and_column_masses():
+    c = Coupling([[0.25, 0.25], [0.25, 0.25]], [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(MarginalMismatch, match="shape does not match"):
+        c.require_marginals([0.5, 0.5], [1.0])
+    with pytest.raises(MarginalMismatch, match="column marginal does not match"):
+        c.require_marginals([0.5, 0.5], [0.25, 0.75])
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4]])
+def test_grid_version_refuses_a_bad_perm(perm):
+    with pytest.raises(ResolutionIncompatible, match="not a permutation of 4 cells"):
+        grid_version(bipartite_graphon(), 4, perm)
+
+
+def test_interlace_version_refuses_level_zero():
+    with pytest.raises(ResolutionIncompatible, match="interlacing level must be >= 1"):
+        interlace_version(bipartite_graphon(), 0)
+
+
+def test_split_reconstruct_refuses_an_empty_grid():
+    s = StepFunction1D([0.0, 1.0], [0.5])
+    with pytest.raises(ResolutionIncompatible, match="grid resolution must be >= 1"):
+        split_reconstruct(bipartite_graphon(), s, 0)

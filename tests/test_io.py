@@ -20,7 +20,7 @@ OBJECTS = [
     SIGNED,
     StepFunction1D([0.0, 0.3, 1.0], [0.2, 0.9]),
     DiscreteMeasure([0.0, 0.5, 1.0], [0.25, 0.5, 0.25]),
-    Coupling([[0.25, 0.25], [0.25, 0.25]]),
+    Coupling([[0.25, 0.25], [0.25, 0.25]], [0.5, 0.5], [0.5, 0.5]),
     sample_multiway_set(bipartite_graphon(), [0.5, 0.5], count=2, seed=1),
     sample_envelope(bipartite_graphon(), 4, count=2, depth=1, seed=7),
     cut_norm(SIGNED),
@@ -117,3 +117,13 @@ def test_loaded_cell_permuted_copy_is_at_distance_zero(tmp_path):
     path = tmp_path / "w.json"
     io.save(grid_version(U, 13, np.random.default_rng(14).permutation(13)), path)
     assert cut_distance(U, io.load(path, StepGraphon))[0] == 0.0
+
+
+@pytest.mark.parametrize("missing", ["row_marginal", "col_marginal"])
+def test_coupling_file_needs_both_marginals(tmp_path, missing):
+    d = Coupling([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5], [0.5, 0.5]).to_dict()
+    del d[missing]
+    path = tmp_path / "coupling.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(StepGraphonError, match=f"not a Coupling file: KeyError\\('{missing}'\\)"):
+        io.load(path, Coupling)

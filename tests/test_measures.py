@@ -331,6 +331,13 @@ def test_measure_rejects_the_first_bad_entry(atoms, masses, index):
     assert f" at ({index}, {index}) outside " in str(info.value)
 
 
+@pytest.mark.parametrize("atoms, masses", [([0.2, 0.4], [1.0]), ([[0.5]], [[1.0]])],
+                         ids=["unequal-lengths", "not-vectors"])
+def test_measure_rejects_atoms_and_masses_of_other_shapes(atoms, masses):
+    with pytest.raises(StepGraphonError, match="atoms and masses must be equal-length vectors"):
+        DiscreteMeasure(atoms, masses)
+
+
 @given(st.data())
 def test_measure_is_bitwise_invariant_under_reordered_pairs(data):
     # pairs are summed in (atom, mass) order, repeated atoms included
@@ -394,8 +401,7 @@ def test_float_route_refuses_tol_below_the_highs_floor(monkeypatch, tol):
     with pytest.raises(StepGraphonError, match=r"floor 1e-10; use exact=True"):
         check_flatter(DIRAC_HALF, ENDS, tol=tol)
     assert calls == []
-    if tol >= 0:
-        assert check_flatter(DIRAC_HALF, ENDS, tol=tol, exact=True).feasible
+    assert check_flatter(DIRAC_HALF, ENDS, tol=tol, exact=True).feasible
 
 
 def split_atom(measure, i, delta):
@@ -535,3 +541,33 @@ def test_flatter_empty_measure_edges():
     assert check_flatter(empty, empty).feasible
     w = check_flatter(empty, DIRAC_HALF)
     assert not w.feasible and "mass" in w.reason
+
+
+def test_exact_flatness_ignores_tol():
+    # the float totals differ by 2**-52, the exact ones not at all
+    l1 = DiscreteMeasure([0.5], [1.0 + 2.0 ** -52])
+    l2 = DiscreteMeasure([0.25, 0.5, 0.75], [2.0 ** -53, 1.0, 2.0 ** -53])
+    assert l1.total_mass() != l2.total_mass()
+    for tol in (1e-20, 1e-9, -1.0):
+        w = check_flatter(l1, l2, tol=tol, exact=True)
+        assert w.feasible and w.residual == 0.0
+
+
+def test_exact_flatness_reasons_carry_the_exact_suffix():
+    w = check_flatter(DIRAC_HALF, DiscreteMeasure([0.5], [0.75]), exact=True)
+    assert not w.feasible and w.reason == "total mass mismatch (exact)"
+    w = check_flatter(DiscreteMeasure([0.2], [1.0]), DiscreteMeasure([0.8], [1.0]), exact=True)
+    assert not w.feasible
+    assert w.reason == "no coupling satisfies the barycenter constraints (exact)"
+
+
+def test_exact_flatness_on_empty_measures():
+    empty = DiscreteMeasure([], [])
+    w = check_flatter(empty, empty, exact=True)
+    assert w.to_dict() == {"feasible": True, "residual": 0.0, "coupling": None,
+                           "reason": "effectively empty measures"}
+    tiny = DiscreteMeasure([0.5], [1e-12])
+    assert check_flatter(empty, tiny).feasible
+    for l1, l2 in ((empty, tiny), (tiny, empty)):
+        w = check_flatter(l1, l2, exact=True)
+        assert not w.feasible and w.reason == "total mass mismatch (exact)"

@@ -14,7 +14,6 @@ from stepgraphon import (
     SolverFailure,
     StepGraphon,
     TooManyBlocksForExact,
-    aligned_cut_norm_distance,
     cut_distance,
     cut_norm,
     cut_norm_distance,
@@ -61,13 +60,13 @@ def brute_force_cut_norm(kernel):
 # ------------------------------------------------------------------- coupling
 
 def test_coupling_validation():
-    Coupling([[0.5, 0.0], [0.0, 0.5]])
+    Coupling([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5], [0.5, 0.5])
     with pytest.raises(MarginalMismatch):
         Coupling([[0.5, 0.0], [0.0, 0.5]], [0.4, 0.6], [0.5, 0.5])
     with pytest.raises(MarginalMismatch):
-        Coupling([[-0.1, 0.6], [0.5, 0.0]])
+        Coupling([[-0.1, 0.6], [0.5, 0.0]], [0.5, 0.5], [0.4, 0.6])
     with pytest.raises(MarginalMismatch):
-        Coupling([[float("nan")]])
+        Coupling([[float("nan")]], [1.0], [1.0])
 
 
 def test_northwest_aligns_interval_partitions():
@@ -121,6 +120,11 @@ def test_cut_norm_exact_cap():
     w = np.full(k, 1.0 / k)
     with pytest.raises(TooManyBlocksForExact):
         cut_norm(SignedStepKernel(w, np.zeros((k, k))), mode="exact")
+
+
+def test_cut_norm_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown cut-norm mode 'fast'"):
+        cut_norm(SignedStepKernel([1.0], [[0.5]]), mode="fast")
 
 
 def test_cut_norm_rearrangement_invariance(rng):
@@ -440,7 +444,7 @@ def test_metric_ordering_chain(rng):
     for _ in range(20):
         u = random_graphon(rng)
         w = random_graphon(rng)
-        dcut = aligned_cut_norm_distance(u, w)
+        dcut = cut_norm_distance(u, w, overlap_coupling(u, w))
         dl1 = l1_distance(u, w)
         dws = weak_star_distance(u, w, 4)
         assert dws <= dcut + 1e-10
@@ -475,7 +479,7 @@ def equal_mass_graphon(k, seed):
 @example((equal_mass_graphon(12, 2), equal_mass_graphon(13, 3)))
 def test_aligned_cut_norm_at_most_l1(pair):
     U, W = pair
-    assert aligned_cut_norm_distance(U, W) <= l1_distance(U, W) + 1e-12
+    assert cut_norm_distance(U, W, overlap_coupling(U, W)) <= l1_distance(U, W) + 1e-12
 
 
 @settings(max_examples=60)
@@ -613,13 +617,13 @@ def test_local_search_memo_replays_without_recomputing(monkeypatch, rng):
     lps = _count_calls(monkeypatch, "_min_cost_transport")
     c0 = northwest(u.weights, w.weights)
     memo = {}
-    val, cmat = metrics._local_search(u, w, c0, 20, 1e-9, 0, memo)
+    val, cmat = metrics._local_search(u, w, c0, 20, 0, memo)
     n_evals, n_lps = len(evals), len(lps)
     assert n_evals > 1 and n_lps > 0
-    again = metrics._local_search(u, w, c0, 20, 1e-9, 0, memo)
+    again = metrics._local_search(u, w, c0, 20, 0, memo)
     assert (len(evals), len(lps)) == (n_evals, n_lps)
     assert again[0] == val and np.array_equal(again[1], cmat)
-    fresh = metrics._local_search(u, w, c0, 20, 1e-9, 0, {})
+    fresh = metrics._local_search(u, w, c0, 20, 0, {})
     assert (len(evals), len(lps)) == (2 * n_evals, 2 * n_lps)
     assert fresh[0] == val and np.array_equal(fresh[1], cmat)
 
@@ -635,7 +639,7 @@ def test_failing_transport_is_solved_once_per_gradient(monkeypatch, rng):
     c0 = northwest(u.weights, w.weights)
     memo = {}
     for _ in range(2):
-        val, cmat = metrics._local_search(u, w, c0, 20, 1e-9, 0, memo)
+        val, cmat = metrics._local_search(u, w, c0, 20, 0, memo)
         assert cmat is c0
         assert val == cut_norm_distance(u, w, Coupling(c0, u.weights, w.weights))
     assert len(lps) == 1
@@ -644,6 +648,30 @@ def test_failing_transport_is_solved_once_per_gradient(monkeypatch, rng):
     cut_distance(u, w)
     gradients = [cost.tobytes() for cost, _, _ in lps]
     assert len(set(gradients)) == len(gradients) < 35
+
+
+def test_local_search_skips_steps_past_the_support_cap(monkeypatch):
+    rng = np.random.default_rng(2)
+    u = random_graphon(rng, k=5)
+    w = random_graphon(rng, k=6)
+    c0 = northwest(u.weights, w.weights)
+    assert np.count_nonzero(c0) == 10
+    cells = []
+    body = metrics._search_eval
+
+    def recorded(U, W, cmat, seed, memo):
+        cells.append(np.count_nonzero(cmat > 0))
+        return body(U, W, cmat, seed, memo)
+
+    monkeypatch.setattr(metrics, "_search_eval", recorded)
+    metrics._local_search(u, w, c0, 200, 0, {})
+    assert max(cells) > 12  # without the cap the search steps past 12 cells
+    cells.clear()
+    monkeypatch.setattr(metrics, "SUPPORT_CAP", 12)
+    val, cmat = metrics._local_search(u, w, c0, 200, 0, {})
+    assert len(cells) > 1 and max(cells[1:]) <= 12
+    coupling = Coupling(cmat, u.weights, w.weights)
+    assert val == cut_norm_distance(u, w, coupling, mode="exact")
 
 
 @st.composite

@@ -13,6 +13,7 @@ from stepgraphon import (
     PartitionSpec,
     ProvenanceMismatch,
     ScalingDiverged,
+    StepGraphonError,
     StepGraphon,
     edge_density,
     grid_version,
@@ -366,3 +367,26 @@ def test_cut_set_validates_provenance():
         MultiwayMatrixSet(a, [m, m], [spec, PartitionSpec([[0.4, 0.2], [0.1, 0.3]])])
     with pytest.raises(ProvenanceMismatch):
         MultiwayMatrixSet(a, [m, m], [spec, PartitionSpec([[0.5, 0.5]])])
+
+
+# ------------------------------------------------------------- refused inputs
+
+def test_multiway_hausdorff_refuses_an_empty_set():
+    full = sample_multiway_set(bipartite_graphon(), [0.5, 0.5], count=2, seed=1)
+    empty = MultiwayMatrixSet([0.5, 0.5], [], [])
+    for su, sw in ((empty, full), (full, empty)):
+        with pytest.raises(DimensionMismatch, match="cut sets must be nonempty"):
+            multiway_hausdorff(su, sw)
+
+
+def test_cut_matrix_set_refuses_bad_matrices():
+    spec = PartitionSpec([[0.25, 0.25], [0.25, 0.25]])
+    with pytest.raises(DimensionMismatch, match=r"matrix shape \(1, 2\) != \(2, 2\)"):
+        MultiwayMatrixSet([0.5, 0.5], [[[0.25, 0.25]]], [spec])
+    with pytest.raises(StepGraphonError, match=r"not a number in \[0, a_l\*a_m\]"):
+        MultiwayMatrixSet([0.5, 0.5], [[[0.25, 0.3], [0.25, 0.25]]], [spec])
+
+
+def test_part_index_bound_refuses_a_non_dyadic_part():
+    with pytest.raises(StepGraphonError, match="is not a dyadic interval at depth 3"):
+        part_index_bound([1 / 3, 2 / 3], 3)

@@ -161,6 +161,12 @@ def test_strictify_needs_interior_values():
         strictify(bipartite_graphon(), 0.1)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_strictify_needs_a_positive_eps(eps):
+    with pytest.raises(NoInteriorValues, match="eps must be positive"):
+        strictify(StepGraphon([1.0], [[0.5]]), eps)
+
+
 def test_strictify_w1_perturbs_only_interior():
     eps = 1 / 8
     g = w1_graphon(eps)
