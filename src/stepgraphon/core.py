@@ -20,12 +20,14 @@ from .errors import (
     MarginalMismatch,
     PartitionMismatch,
     ResolutionIncompatible,
+    StepGraphonError,
     ValueOutOfRange,
     WeightsNotNormalized,
 )
 
 WEIGHT_TOL = 1e-12
 MATCH_TOL = 1e-9
+ARRAY_CAP = 1 << 26  # values one built array may hold (512 MiB of float64)
 
 
 def _validate_weights(w):
@@ -91,6 +93,13 @@ def _nonnegative(r):
         idx = tuple(np.argwhere(bad)[0])
         raise PartitionMismatch(f"negative mass {float(r[idx])!r} at ({idx[-2]}, {idx[-1]})")
     return np.clip(r, 0.0, None)
+
+
+def _check_stack(n, k, q, what):
+    """Refuse a stack of n k x q matrices past ARRAY_CAP values before it is built."""
+    if n * k * q > ARRAY_CAP:
+        raise StepGraphonError(
+            f"{n} {what} of {k}x{q} hold {n * k * q} values, over the cap of {ARRAY_CAP}")
 
 
 def _require_source(r, weights):

@@ -24,6 +24,7 @@ from .core import (
     Coupling,
     SignedStepKernel,
     _canonical_cell_order,
+    _check_stack,
     _derived,
     _grid_cells,
     _overlaps,
@@ -511,7 +512,8 @@ def cut_distance(U, W, budget=None, seed=0):
     sweep: no later value can be lower.  Starts often converge onto the same
     couplings, so the search memoizes its cut norms and transport LPs for the
     length of the call; a memo hit returns exactly what recomputing would, so
-    results do not depend on it.
+    results do not depend on it.  Restarts whose corner starts would hold
+    more than core.ARRAY_CAP values raise StepGraphonError before any is built.
     """
     cfg = _search_budget(budget)
     swap = _canonical_key(U) > _canonical_key(W)
@@ -520,6 +522,7 @@ def cut_distance(U, W, budget=None, seed=0):
     Bp, idx_b = _support(B)
     a, b = Ap.weights, Bp.weights
 
+    _check_stack(cfg["restarts"] + 1, len(a), len(b), "corner starts")
     row_orders, col_orders = [np.arange(len(a))], [np.arange(len(b))]
     for r in range(cfg["restarts"]):
         rng = np.random.default_rng((seed, r))

@@ -20,8 +20,8 @@ from .core import (
     WEIGHT_TOL,
     PartitionSpec,
     _cumulative,
+    _check_stack,
     _mismatch,
-    _nonnegative,
     _require_source,
     corner_rule,
     dyadic_intervals,
@@ -188,12 +188,14 @@ def sample_multiway_set(W, a, count, seed=0):
     q! * k! is at most 10^4, otherwise the per-entry max/min extreme points;
     then `count` seeded interior points of the transport polytope (count may
     be 0 for deterministic-only generation).  Every plan comes from one
-    stacked corner rule or one lockstep scaling.
+    stacked corner rule or one lockstep scaling, neither of which makes a
+    negative entry; a stack of more than core.ARRAY_CAP plan values raises
+    StepGraphonError before it is built.
 
     Duplicates go in two stages, in plan order.  Only the first plan of
-    each byte pattern stays; the distinct plans are checked as partitions
-    of W's block weights all at once (PartitionMismatch as PartitionSpec
-    and require_source raise it) and their matrices come from one stacked
+    each byte pattern stays; the distinct plans' row sums are checked
+    against W's block weights all at once (PartitionMismatch as
+    require_source raises it) and their matrices come from one stacked
     product.  Walking the kept matrices in order, every later matrix within
     l1 distance DEDUP_TOL of a kept one is dropped, so the next survivor
     is the next kept matrix: the kept matrices and their provenance are
@@ -207,12 +209,13 @@ def sample_multiway_set(W, a, count, seed=0):
         raise MarginalMismatch("part masses must be nonnegative and sum to 1")
     w = W.weights
     k, q = len(w), len(a)
-    plans = np.concatenate((corner_rule(w, a, *_vertex_orders(k, q)),
-                            _scaled_random(seed, count, w, a)))
+    orders = _vertex_orders(k, q)
+    _check_stack(len(orders[0]) + count, k, q, "plans")
+    plans = np.concatenate((corner_rule(w, a, *orders), _scaled_random(seed, count, w, a)))
     rows = plans.reshape(len(plans), k * q)
     _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * k * q))).ravel(),
                          return_index=True)
-    plans = _nonnegative(plans[np.sort(first)])
+    plans = plans[np.sort(first)]
     _require_source(plans, w)
 
     stack = _stacked_matrices(W, plans)

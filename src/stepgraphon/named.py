@@ -7,7 +7,9 @@ w1.  The swapped triangles of w2 are not axis-aligned, so the w2 step kernel
 is the exact cell average on the 2*eps grid (breakpoints of the strip and of
 the checked rectangles included); every integral over a grid-aligned
 rectangle is exact, and the checked-rectangle comparisons against the true
-triangle geometry are provided separately.
+triangle geometry are provided separately.  w1's integrals are those of its
+step kernel; only the triangle swap is written out, twice on purpose: the
+scalar reference w2_rectangle_integral and its vectorized twin.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import StepGraphon, _locate, rectangle_integral
+from .core import StepGraphon, _locate, _overlaps, rectangle_integral
 from .errors import StepGraphonError, UnsupportedEps
 
 NAMED = ("constant", "bipartite", "w1", "w2", "u1", "u2")
@@ -112,55 +114,11 @@ def _pattern_area_above(x0, x1, y0, y1, t, s0, s1):
     return total - off
 
 
-def _pattern_integral(x0, x1, y0, y1, s0, s1):
-    """Integral of 1[x in S or y in S] over the full box."""
-    w = max(0.0, x1 - x0)
-    h = max(0.0, y1 - y0)
-    wo = max(0.0, min(x1, s0) - x0) + max(0.0, x1 - max(x0, s1))
-    ho = max(0.0, min(y1, s0) - y0) + max(0.0, y1 - max(y0, s1))
-    return w * h - wo * ho
-
-
-def w1_rectangle_integral(eps, xint, yint):
-    """Exact integral of w1 over an axis-aligned rectangle."""
-    _validate_eps(eps)
-    e2 = _upper_value(eps)
-    s0, s1 = 0.25 - eps / 2, 0.25 + eps / 2
-    x0, x1 = xint
-    y0, y1 = yint
-
-    def clip(lo, hi, a, b):
-        return max(lo, a), min(hi, b)
-
-    total = 0.0
-    # lower-left square: cross pattern
-    a0, a1 = clip(x0, x1, 0.0, 0.5)
-    b0, b1 = clip(y0, y1, 0.0, 0.5)
-    if a1 > a0 and b1 > b0:
-        total += _pattern_integral(a0, a1, b0, b1, s0, s1)
-    # mixed quadrants: constant one
-    a0, a1 = clip(x0, x1, 0.0, 0.5)
-    b0, b1 = clip(y0, y1, 0.5, 1.0)
-    if a1 > a0 and b1 > b0:
-        total += (a1 - a0) * (b1 - b0)
-    a0, a1 = clip(x0, x1, 0.5, 1.0)
-    b0, b1 = clip(y0, y1, 0.0, 0.5)
-    if a1 > a0 and b1 > b0:
-        total += (a1 - a0) * (b1 - b0)
-    # upper-right square: constant e2
-    a0, a1 = clip(x0, x1, 0.5, 1.0)
-    b0, b1 = clip(y0, y1, 0.5, 1.0)
-    if a1 > a0 and b1 > b0:
-        total += e2 * (a1 - a0) * (b1 - b0)
-    return float(total)
-
-
 def w2_rectangle_integral(eps, xint, yint):
     """Exact integral of w2 (true triangle swap) over an axis-aligned rectangle."""
-    _validate_eps(eps)
+    total = rectangle_integral(w1_graphon(eps), xint, yint)
     e2 = _upper_value(eps)
     s0, s1 = 0.25 - eps / 2, 0.25 + eps / 2
-    total = w1_rectangle_integral(eps, xint, yint)
     x0, x1 = xint
     y0, y1 = yint
     # lower-left square: replace the cross pattern by e2 above x+y=1/2
@@ -188,18 +146,6 @@ def _w2_breakpoints(eps):
     return np.array(sorted(pts))
 
 
-def _clip_box(x0, x1, lo, hi):
-    a0 = np.maximum(x0, lo)
-    a1 = np.minimum(x1, hi)
-    return a0, a1, np.clip(a1 - a0, 0.0, None)
-
-
-def _strip_free_length(lo, hi, s0, s1):
-    """Length of [lo, hi] minus the strip; safe on empty intervals."""
-    return (np.clip(np.minimum(hi, s0) - lo, 0.0, None)
-            + np.clip(hi - np.maximum(lo, s1), 0.0, None))
-
-
 def _pattern_area_above_vec(x0, x1, y0, y1, t, s0, s1):
     total = _area_above_antidiag(x0, x1, y0, y1, t)
     off = 0.0
@@ -211,17 +157,16 @@ def _pattern_area_above_vec(x0, x1, y0, y1, t, s0, s1):
 
 def _w2_integral_vec(eps, x0, x1, y0, y1):
     """Vectorized twin of w2_rectangle_integral; exact on dyadic inputs."""
+    w1 = w1_graphon(eps)
     e2 = _upper_value(eps)
     s0, s1 = 0.25 - eps / 2, 0.25 + eps / 2
-    # the unswapped kernel per region
-    a0, a1, w_lo = _clip_box(x0, x1, 0.0, 0.5)
-    b0, b1, h_lo = _clip_box(y0, y1, 0.0, 0.5)
-    c0, c1, w_hi = _clip_box(x0, x1, 0.5, 1.0)
-    d0, d1, h_hi = _clip_box(y0, y1, 0.5, 1.0)
-    wo = _strip_free_length(a0, a1, s0, s1)
-    ho = _strip_free_length(b0, b1, s0, s1)
-    total = (w_lo * h_lo - wo * ho) + w_lo * h_hi + w_hi * h_lo \
-        + e2 * (w_hi * h_hi)
+    cum = w1.cumulative()
+    # w1's part: the row-wise quadratic form of the block overlaps
+    total = ((_overlaps(cum, x0, x1) @ w1.values) * _overlaps(cum, y0, y1)).sum(axis=1)
+    a0, a1 = np.maximum(x0, 0.0), np.minimum(x1, 0.5)
+    b0, b1 = np.maximum(y0, 0.0), np.minimum(y1, 0.5)
+    c0, c1 = np.maximum(x0, 0.5), np.minimum(x1, 1.0)
+    d0, d1 = np.maximum(y0, 0.5), np.minimum(y1, 1.0)
     # lower square: constant replaces the pattern above the anti-diagonal
     tri = _area_above_antidiag(a0, a1, b0, b1, 0.5)
     pat = _pattern_area_above_vec(a0, a1, b0, b1, 0.5, s0, s1)

@@ -14,6 +14,7 @@ import functools
 import numpy as np
 
 from .core import (
+    ARRAY_CAP,
     PartitionSpec,
     StepGraphon,
     _canonical_cell_order,
@@ -30,7 +31,6 @@ from .measures import check_flatter, degree_frequencies, range_frequencies
 from .metrics import l1_hausdorff, rectangle_signature, signature_weights
 
 _STACK_FLOATS = 1 << 20  # cap on an envelope's base and on the values one stacked product gathers
-_ENVELOPE_FLOATS = 1 << 26  # cap on the signature values of one envelope (512 MiB)
 TOL = 1e-9  # order_check's density match and classify_extremal's value spreads
 
 
@@ -199,9 +199,9 @@ def _check_envelope(n, count, depth):
 
     Each level of depth quadruples a signature, and depth 12 would need
     10 GB for 4 samples on 8 cells, so an envelope of more than
-    _ENVELOPE_FLOATS signature values raises StepGraphonError.  So do a
+    ARRAY_CAP signature values raises StepGraphonError.  So do a
     base of more than _STACK_FLOATS values (n > 1024; n = 100000 would
-    need 75 GiB) and a cell-order table of more than _ENVELOPE_FLOATS entries.
+    need 75 GiB) and a cell-order table of more than ARRAY_CAP entries.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -213,21 +213,21 @@ def _check_envelope(n, count, depth):
         raise StepGraphonError(
             f"an envelope on {n} cells holds {n * n} base values, over the cap of {_STACK_FLOATS}")
     rows = count + len(_interlace_levels(n))
-    if rows * n > _ENVELOPE_FLOATS:
+    if rows * n > ARRAY_CAP:
         raise StepGraphonError(
             f"an envelope of {rows} cell orders on {n} cells holds {rows * n} order entries, "
-            f"over the cap of {_ENVELOPE_FLOATS}")
-    if 2 * depth >= _ENVELOPE_FLOATS.bit_length():
-        # m * m >= 4**depth > _ENVELOPE_FLOATS, a bound that stays short to print
+            f"over the cap of {ARRAY_CAP}")
+    if 2 * depth >= ARRAY_CAP.bit_length():
+        # m * m >= 4**depth > ARRAY_CAP, a bound that stays short to print
         raise StepGraphonError(
             f"an envelope at depth {depth} holds at least 4**{depth} signature values, "
-            f"over the cap of {_ENVELOPE_FLOATS}")
+            f"over the cap of {ARRAY_CAP}")
     m = (1 << (depth + 1)) - 1
     size = (rows + depth + 1) * m * m
-    if size > _ENVELOPE_FLOATS:
+    if size > ARRAY_CAP:
         raise StepGraphonError(
             f"an envelope at depth {depth} holds {size} signature values, "
-            f"over the cap of {_ENVELOPE_FLOATS}")
+            f"over the cap of {ARRAY_CAP}")
 
 
 def _envelope_cloud(base, count, depth, seed):

@@ -18,14 +18,15 @@ from conftest import flatness_defect_pair
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_module(args, module=("-m", "stepgraphon.cli")):
+def run_module(args, module=("-m", "stepgraphon.cli"), timeout=None):
     """Run `python -m stepgraphon.cli args` with this checkout's src/ first on the path.
 
-    module replaces `-m stepgraphon.cli`, e.g. by `-c` and a program.
+    module replaces `-m stepgraphon.cli`, e.g. by `-c` and a program; past
+    timeout seconds the run is killed and subprocess.TimeoutExpired raised.
     """
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *module] + args,
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=path))
 
 
@@ -314,14 +315,20 @@ def test_budget_refuses_the_search_tolerance(tmp_path, capsys):
      "error: an envelope at depth 8000 "),
     (["order", "chi", "--u", "{u}", "--w", "{w}", "--n", "8", "--depth", "7000"],
      "error: an envelope at depth 7000 "),
+    # stacks of multiway plans and of cut-distance corner starts share the cap
+    (["multiway", "sample", "--w", "{w}", "--a", "0.5,0.5", "--count", "10000000000000"],
+     "error: 10000000000004 plans of 2x2 hold 40000000000016 values, over the cap of "),
+    (["cutdist", "--u", "{u}", "--w", "{w}", "--budget", '{{"restarts": 10000000000000}}'],
+     "error: 10000000000001 corner starts of 1x2 hold 20000000000002 values, over the cap of "),
 ], ids=["envelope-depth-12", "chi-depth-40", "envelope-n-100000", "chi-n-100000",
-        "envelope-depth-8000", "chi-depth-7000"])
+        "envelope-depth-8000", "chi-depth-7000", "multiway-count", "cutdist-restarts"])
 def test_oversized_envelopes_exit_one_without_traceback(tmp_path, capsys, args, message):
+    # the timeout turns a refusal that never comes into a failure, not a hang
     paths = {"u": tmp_path / "u.json", "w": tmp_path / "w.json"}
     run_cli(["build", "--name", "constant", "--c", "0.5", "--out", str(paths["u"])], capsys)
     run_cli(["build", "--name", "bipartite", "--out", str(paths["w"])], capsys)
     proc = run_module([arg.format(**{key: str(path) for key, path in paths.items()})
-                       for arg in args])
+                       for arg in args], timeout=30)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()

@@ -304,33 +304,47 @@ def test_scaling_cap_raises_with_the_live_residual():
         _one_round_residual(np.random.default_rng((0, idx)), w, a) for idx in range(4))
 
 
-def _corrupt_last_vertex(monkeypatch, entry):
-    """Add entry to one cell of the last corner-rule plan the sampler builds."""
+masses = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                  min_size=1, max_size=6).filter(any)
+
+
+@given(masses, masses, st.integers(0, 2**32 - 1))
+def test_sampled_plans_have_no_negative_entry(row, col, seed):
+    # the sampler checks only the plans it keeps for negative mass
+    row, col = np.array(row) / sum(row), np.array(col) / sum(col)
+    vertices = multiway.corner_rule(row, col, *multiway._vertex_orders(len(row), len(col)))
+    assert not (vertices < 0).any()
+    assert not (multiway._scaled_random(seed, 3, row, col) < 0).any()
+
+
+def _corrupt_vertex(monkeypatch, index, row0):
+    """Add row0 to the first row of corner-rule plan index of the sampler."""
     stacked = multiway.corner_rule
 
     def corrupted(*args):
         plans = stacked(*args)
-        plans[-1, 0, 0] += entry
+        plans[index, 0] += row0
         return plans
 
     monkeypatch.setattr(multiway, "corner_rule", corrupted)
 
 
 # On the zero graphon every cut matrix is 0, so only the first plan is kept
-# and the corrupted one meets only the checks run on every distinct plan.
+# and the last one meets only the checks run on every distinct plan.
 ZERO = StepGraphon([0.1, 0.2, 0.3, 0.4], np.zeros((4, 4)))
 
 
-def test_sampler_rejects_a_plan_with_negative_mass(monkeypatch):
+def test_sampler_rejects_a_kept_plan_with_negative_mass(monkeypatch):
     assert len(sample_multiway_set(ZERO, [0.5, 0.5], count=2)) == 1
-    _corrupt_last_vertex(monkeypatch, -1.0)
+    # moving mass along the first row keeps it on its block weight
+    _corrupt_vertex(monkeypatch, 0, [-1.0, 1.0])
     with pytest.raises(PartitionMismatch) as err:
         sample_multiway_set(ZERO, [0.5, 0.5], count=2)
     assert str(err.value) == "negative mass -0.9 at (0, 0)"
 
 
 def test_sampler_rejects_a_plan_off_the_block_weights(monkeypatch):
-    _corrupt_last_vertex(monkeypatch, 1e-6)
+    _corrupt_vertex(monkeypatch, -1, [1e-6, 0.0])
     with pytest.raises(PartitionMismatch, match="row sums"):
         sample_multiway_set(ZERO, [0.5, 0.5], count=2)
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from stepgraphon import UnsupportedEps, edge_density, rectangle_integral
+from stepgraphon import (
+    StepFunction1D,
+    UnsupportedEps,
+    edge_density,
+    grid_version,
+    rectangle_integral,
+    split_reconstruct,
+)
 from stepgraphon.named import (
     build_named_graphon,
     checked_rectangles,
@@ -10,7 +17,6 @@ from stepgraphon.named import (
     u2_graphon,
     u2_strip_integral,
     w1_graphon,
-    w1_rectangle_integral,
     w2_raster_agreement,
     w2_raster_graphon,
     w2_rectangle_integral,
@@ -44,14 +50,6 @@ def test_w1_geometry():
     # integral over the upper square: (1/4) * 4(eps - eps^2) = eps - eps^2
     assert rectangle_integral(g, (0.5, 1.0), (0.5, 1.0)) == pytest.approx(
         eps - eps ** 2, abs=1e-15)
-    # the closed-form matches the independent geometric integral everywhere
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        x0, x1 = np.sort(rng.integers(0, 65, 2) / 64)
-        y0, y1 = np.sort(rng.integers(0, 65, 2) / 64)
-        got = w1_rectangle_integral(eps, (x0, x1), (y0, y1))
-        ref = rectangle_integral(g, (x0, x1), (y0, y1))
-        assert got == pytest.approx(ref, abs=1e-12)
 
 
 def test_u1_density_closed_form():
@@ -68,6 +66,15 @@ def test_u2_block_values():
     assert g.values[0, 1] == pytest.approx(0.75 + e, abs=1e-15)
     assert g.values[1, 1] == pytest.approx(0.75 + e, abs=1e-15)
     assert g.values[0, 2] == pytest.approx(0.5 + e, abs=1e-15)
+
+
+def test_u2_is_the_split_reconstruction_of_w1_at_one_half():
+    # with s = 1/2 the four-term split average is u2's half-scale average
+    for k in range(3, 11):
+        eps = 2.0 ** -k
+        n = 2 ** k
+        got = split_reconstruct(w1_graphon(eps), StepFunction1D.constant(0.5), n)
+        assert np.array_equal(grid_version(u2_graphon(eps), n).values, got.values)
 
 
 def test_u2_strip_integral_closed_form():
@@ -96,13 +103,14 @@ def test_u2_strip_integral_quadrature_oracle():
 
 def test_w2_exact_symmetry_and_mass_conservation():
     eps = 2 ** -4
+    w1 = w1_graphon(eps)
     # the triangle swap preserves the total integral and both half-square
     # integrals (the swapped triangles mirror each other)
-    total_w1 = w1_rectangle_integral(eps, (0, 1), (0, 1))
+    total_w1 = rectangle_integral(w1, (0, 1), (0, 1))
     total_w2 = w2_rectangle_integral(eps, (0, 1), (0, 1))
     assert total_w2 == pytest.approx(total_w1, abs=1e-14)
-    ll_w1 = w1_rectangle_integral(eps, (0, 0.5), (0, 0.5))
-    uu_w1 = w1_rectangle_integral(eps, (0.5, 1), (0.5, 1))
+    ll_w1 = rectangle_integral(w1, (0, 0.5), (0, 0.5))
+    uu_w1 = rectangle_integral(w1, (0.5, 1), (0.5, 1))
     ll_w2 = w2_rectangle_integral(eps, (0, 0.5), (0, 0.5))
     uu_w2 = w2_rectangle_integral(eps, (0.5, 1), (0.5, 1))
     assert ll_w2 + uu_w2 == pytest.approx(ll_w1 + uu_w1, abs=1e-14)
@@ -203,13 +211,13 @@ def test_column_profiles_match_exact_geometry():
         assert piece == pytest.approx(length * (v0 + v1) / 2, abs=1e-14)
         y += length
     length, v0, v1 = segments[3]
-    piece = w1_rectangle_integral(eps, (0.5, 1.0), (0.5, 1.0))
+    piece = rectangle_integral(w1_graphon(eps), (0.5, 1.0), (0.5, 1.0))
     assert piece == pytest.approx(length * v0, abs=1e-14)
 
 
 def test_vectorized_integral_matches_scalar_reference():
-    # the raster builder's vectorized integral and the scalar closed form
-    # are independent code paths; they must agree exactly on dyadic boxes
+    # both take w1's part from its step kernel; their triangle swaps are
+    # independent code paths that must agree exactly on dyadic boxes
     from stepgraphon.named import _w2_integral_vec
     rng = np.random.default_rng(17)
     for eps in (2 ** -3, 2 ** -5):

@@ -320,9 +320,9 @@ def test_envelope_builds_no_graphon_per_sample(monkeypatch, rng):
 def test_envelope_size_is_checked_before_anything_is_built(monkeypatch):
     g = bipartite_graphon()
     # 8 cells add 3 interlacing rows: depth 1 with no samples holds 5 signatures of 9
-    monkeypatch.setattr(order, "_ENVELOPE_FLOATS", 45)
+    monkeypatch.setattr(order, "ARRAY_CAP", 45)
     assert len(sample_envelope(g, 8, 0, 1)) == 5
-    monkeypatch.setattr(order, "_ENVELOPE_FLOATS", 44)
+    monkeypatch.setattr(order, "ARRAY_CAP", 44)
     with pytest.raises(StepGraphonError, match="depth 1 holds 45 "):
         sample_envelope(g, 8, 0, 1)
     monkeypatch.undo()
