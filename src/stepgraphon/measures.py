@@ -28,7 +28,7 @@ from .core import MATCH_TOL, Coupling, _freeze, _support
 from .metrics import _marginal_rows, linprog
 
 ATOM_DEDUP_TOL = 1e-12
-# HiGHS rejects a primal feasibility tolerance below this and runs at 1e-7.
+# HiGHS rejects a primal feasibility tolerance below this, and the solve with it.
 HIGHS_TOL_FLOOR = 1e-10
 NO_COUPLING = "no coupling satisfies the barycenter constraints"
 
@@ -219,8 +219,7 @@ def check_flatter(l1, l2, tol=1e-9, exact=False):
         return FlatnessWitness(False, reason=NO_COUPLING)
     a, b = _flatness_system(l1, l2)
     cost = np.abs(np.subtract.outer(l1.atoms, l2.atoms)).ravel()
-    res = linprog(cost, A_eq=a, b_eq=b / scale, bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": min(tol, MATCH_TOL)})
+    res = linprog(cost, a, b / scale, primal_feasibility_tolerance=min(tol, MATCH_TOL))
     if res.status == 2:
         return FlatnessWitness(False, reason=NO_COUPLING)
     if res.status != 0 or res.x is None:

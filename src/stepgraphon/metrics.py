@@ -12,6 +12,7 @@ as for pairs that are bitwise equal up to a cell permutation, is exact.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -41,6 +42,11 @@ _BLOCK_FLOATS = 1 << 16  # exact enumeration block; timed faster than 2^17 or 2^
 _SCREEN_BLOCKS = 8  # float32 screen from this many blocks (k >= 15); below it costs more
 DEFAULT_BUDGET = {"restarts": 32, "max_iters": 200}
 WEAK_STAR_DEPTH_CAP = 10  # the deepest level with a nonzero float64 weight
+LP_RESIDUAL_TOL = 10 * math.sqrt(1e-9)  # scipy.optimize.linprog's check of an optimum
+# scipy.optimize.linprog's status for a HiGHS model status; any other is 4
+_LP_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
+              "kInfeasible": 2, "kModelError": 2, "kUnbounded": 3}
+LPResult = collections.namedtuple("LPResult", "status x message")
 
 
 class CutNormResult:
@@ -262,7 +268,8 @@ def cut_norm(Y, mode="exact", seed=0, restarts=32):
     Yp, idx = _support(Y)
     a = Yp.weights
     k = len(a)
-    ay = (a[:, None] * a[None, :]) * Yp.values
+    ay = a[:, None] * a[None, :]
+    ay *= Yp.values  # in place: one (k, k) temporary fewer, same products
     if mode == "exact":
         if k > EXACT_BLOCK_CAP:
             raise TooManyBlocksForExact(
@@ -287,7 +294,8 @@ def cut_norm(Y, mode="exact", seed=0, restarts=32):
 
 def _difference_kernel(U, W, C):
     ru, rw = common_refinement(U, W, C)
-    dv = np.clip(ru.values - rw.values, -1.0, 1.0)
+    dv = np.subtract(ru.values, rw.values)
+    np.clip(dv, -1.0, 1.0, out=dv)  # in place: one temporary fewer
     return _derived(SignedStepKernel, ru.weights, dv)
 
 
@@ -309,14 +317,70 @@ def cut_norm_distance(U, W, C, mode=None):
     return cut_norm(kernel, mode=mode).value
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first LP solve.
+def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
+    """Solve min c.x subject to A_eq x = b_eq, x >= 0 on scipy's bundled HiGHS.
+
+    HiGHS gets the model and options that scipy.optimize.linprog(method=
+    "highs") gives it: A_eq as CSC without its zeros, presolve on, the dual
+    simplex, no output.  So x is the same bits, without the wrapper's input
+    cleaning, option checks and bound-marginal loop, which cost more than the
+    solve.  The status is scipy's: 0 optimal, 1 a time or iteration limit,
+    2 infeasible, 3 unbounded, 4 anything else, including an optimum with a
+    NaN, an entry below -LP_RESIDUAL_TOL or an equality residual above it.
+    x is None unless HiGHS found an optimum.
 
     Importing scipy.optimize costs most of a process start, and only the
-    transport and flatness LPs need it.  measures binds this same function.
+    transport and flatness LPs need it, so it is imported on the first
+    solve.  measures binds this same function.
     """
-    from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
+    from scipy.optimize._highspy import _core as highs_core
+
+    n_row, n_col = A_eq.shape
+    # column by column, rows ascending; flat indices, as 2-D np.nonzero is slower
+    cols, rows = np.divmod(np.flatnonzero(A_eq.T != 0), n_row)
+    lp = highs_core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
+    lp.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(
+        ([0], np.cumsum(np.bincount(cols, minlength=n_col)))).astype(np.int32)
+    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.value_ = A_eq[rows, cols]
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(n_col)
+    lp.col_upper_ = np.full(n_col, highs_core.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    options = highs_core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs_core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = options.output_flag = False
+    if primal_feasibility_tolerance is not None:
+        options.primal_feasibility_tolerance = primal_feasibility_tolerance
+
+    highs = highs_core._Highs()
+    error = highs_core.HighsStatus.kError
+    x, held = None, False
+    if highs.passOptions(options) == error:
+        model_status = highs.getModelStatus()
+    elif highs.passModel(lp) == error:
+        model_status = highs_core.HighsModelStatus.kModelError
+    else:
+        solved = highs.run() != error
+        model_status = highs.getModelStatus()
+        if solved and model_status == highs_core.HighsModelStatus.kOptimal:
+            solution = highs.getSolution()
+            x = np.array(solution.col_value)
+            residual = b_eq - np.array(solution.row_value)
+            held = (not np.isnan(highs.getInfo().objective_function_value)
+                    and (x >= -LP_RESIDUAL_TOL).all()
+                    and (np.abs(residual) <= LP_RESIDUAL_TOL).all())
+    status = _LP_STATUS.get(model_status.name, 4)
+    message = f"HiGHS model status {highs.modelStatusToString(model_status)}"
+    if status == 0 and not held:
+        status = 4
+        message = f"the optimum misses its constraints by more than {LP_RESIDUAL_TOL:.2e}"
+    return LPResult(status, x, message)
 
 
 def _marginal_rows(n, m):
@@ -337,8 +401,7 @@ def _marginal_rows(n, m):
 def _min_cost_transport(cost, row, col):
     """Exact linear-programming solve of the transportation problem."""
     n, m = cost.shape
-    res = linprog(cost.ravel(), A_eq=_marginal_rows(n, m),
-                  b_eq=np.concatenate((row, col[:-1])), bounds=(0, None), method="highs")
+    res = linprog(cost.ravel(), _marginal_rows(n, m), np.concatenate((row, col[:-1])))
     if res.status != 0:
         raise SolverFailure(f"transport LP failed with status {res.status}")
     return np.clip(res.x.reshape(n, m), 0.0, None)

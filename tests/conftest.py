@@ -4,6 +4,7 @@ from math import log2
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.optimize import linprog
 
 from stepgraphon import (
     DiscreteMeasure,
@@ -19,8 +20,7 @@ from stepgraphon import (
 from stepgraphon.core import MATCH_TOL, Coupling, _support
 from stepgraphon.measures import FlatnessWitness, _flatness_system
 from stepgraphon.metrics import (_BLOCK_FLOATS, _heuristic_starts, _pattern_table,
-                                 l1_hausdorff, linprog, rectangle_signature,
-                                 signature_weights)
+                                 l1_hausdorff, rectangle_signature, signature_weights)
 from stepgraphon.order import canonicalize
 
 # Property tests replay the same examples on every run and carry no per-example
@@ -210,8 +210,9 @@ def flatness_lp_reference(l1, l2, tol=1e-9):
     passes the fast-fails goes to the HiGHS LP.
 
     Returns (witness, LP status), the status None when no LP was solved.
-    Solves through metrics.linprog, so a count of measures.linprog calls
-    sees only the route under test.
+    Solves through scipy.optimize.linprog, not the library's own HiGHS call,
+    so the oracle shares no LP code with the route under test, and a count
+    of measures.linprog calls sees only that route.
     """
     t1, t2 = l1.total_mass(), l2.total_mass()
     if abs(t1 - t2) > tol:

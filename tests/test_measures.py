@@ -383,19 +383,19 @@ def test_float_route_is_one_solve_held_to_tol(monkeypatch, tol, held):
     solve = measures.linprog
 
     def capture(*args, **kwargs):
-        calls.append(kwargs["options"])
+        calls.append(kwargs["primal_feasibility_tolerance"])
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(measures, "linprog", capture)
     g = random_graphon(np.random.default_rng(5), k=6)
     stepped = stepping(g, PartitionSpec.dyadic(g.weights, 1))
     assert check_flatter(range_frequencies(stepped), range_frequencies(g), tol=tol).feasible
-    assert calls == [{"primal_feasibility_tolerance": held}]
+    assert calls == [held]
 
 
 @pytest.mark.parametrize("tol", [1e-12, 5e-11, 0.0, -1.0, float("nan")])
 def test_float_route_refuses_tol_below_the_highs_floor(monkeypatch, tol):
-    # HiGHS would warn about such a tolerance and run at its default 1e-7
+    # HiGHS would reject such a tolerance and refuse the solve with it
     calls = []
     monkeypatch.setattr(measures, "linprog", lambda *args, **kwargs: calls.append(kwargs))
     with pytest.raises(StepGraphonError, match=r"floor 1e-10; use exact=True"):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 from stepgraphon import (
@@ -14,6 +15,7 @@ from stepgraphon import (
     SolverFailure,
     StepGraphon,
     TooManyBlocksForExact,
+    check_flatter,
     cut_distance,
     cut_norm,
     cut_norm_distance,
@@ -24,15 +26,15 @@ from stepgraphon import (
     overlap_coupling,
     weak_star_distance,
 )
-from stepgraphon import core, metrics
+from stepgraphon import core, measures, metrics
 from stepgraphon.core import common_refinement, corner_rule
 from stepgraphon.measures import DiscreteMeasure, _flatness_system
 from stepgraphon.metrics import dyadic_intervals
 from stepgraphon.named import bipartite_graphon
 
-from conftest import (corner_rule_reference, exact_cut_norm_reference, heuristic_reference,
-                      l1_reference, perm_sweep_reference, perm_value_reference,
-                      random_graphon, random_kernel)
+from conftest import (corner_rule_reference, dyadic_measure, exact_cut_norm_reference,
+                      heuristic_reference, l1_reference, perm_sweep_reference,
+                      perm_value_reference, random_graphon, random_kernel, spread_measure)
 
 HALF = StepGraphon([1.0], [[0.5]])
 
@@ -766,9 +768,9 @@ def test_transport_constraints_are_row_and_column_sums(monkeypatch):
     seen = []
     solve = metrics.linprog
 
-    def capture(cost, A_eq, **kwargs):
+    def capture(c, A_eq, b_eq, **kwargs):
         seen.append(A_eq)
-        return solve(cost, A_eq=A_eq, **kwargs)
+        return solve(c, A_eq, b_eq, **kwargs)
 
     monkeypatch.setattr(metrics, "linprog", capture)
     plan = metrics._min_cost_transport(np.arange(12.0).reshape(n, m),
@@ -785,6 +787,72 @@ def test_transport_constraints_are_row_and_column_sums(monkeypatch):
     a, b = _flatness_system(l1, l2)
     assert np.array_equal(a, np.vstack((expected[:-1], bary)))
     assert np.array_equal(b, np.concatenate((l1.masses, l2.masses[:-1], l1.masses * l1.atoms)))
+
+
+def transport_system(n, m, seed, costs):
+    """A transport LP of the search on an n x m plan, with normal costs, or
+    small integers with ties, zeros and negatives, or all-zero costs."""
+    rng = np.random.default_rng(seed)
+    if costs == "normal":
+        cost = rng.normal(size=n * m)
+    elif costs == "ties":
+        cost = rng.integers(-2, 3, size=n * m).astype(float)
+    else:
+        cost = np.zeros(n * m)
+    row, col = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+    return cost, metrics._marginal_rows(n, m), np.concatenate((row, col[:-1])), None
+
+
+@st.composite
+def flatness_systems(draw):
+    """The flatness LP of a dyadic measure pair: a contraction against its
+    spread (feasible), the reverse or an unrelated pair (mostly status 2)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = dyadic_measure(rng, draw(st.integers(1, 8)))
+    l1, l2 = draw(st.sampled_from([
+        lambda: (base, spread_measure(rng, base)),
+        lambda: (spread_measure(rng, base), base),
+        lambda: (base, dyadic_measure(rng, 8))]))()
+    a, b = _flatness_system(l1, l2)
+    cost = np.abs(np.subtract.outer(l1.atoms, l2.atoms)).ravel()
+    return cost, a, b, draw(st.sampled_from([1e-10, 1e-9]))
+
+
+@settings(max_examples=150)
+@given(st.one_of(
+    st.builds(transport_system, st.integers(1, 16), st.integers(1, 64),
+              st.integers(0, 2 ** 32 - 1), st.sampled_from(["normal", "ties", "zero"])),
+    flatness_systems()))
+@example(transport_system(1, 1, 0, "ties"))
+@example(transport_system(16, 64, 1, "ties"))
+@example(transport_system(16, 64, 2, "normal"))
+def test_direct_highs_call_matches_scipy_linprog(system):
+    # the direct HiGHS call keeps scipy.optimize.linprog's status and x bits
+    cost, a, b, tol = system
+    options = {} if tol is None else {"primal_feasibility_tolerance": tol}
+    ref = scipy.optimize.linprog(cost, A_eq=a, b_eq=b, method="highs", options=options)
+    res = metrics.linprog(cost, a, b, **options)
+    assert res.status == ref.status
+    assert (res.x is None) == (ref.x is None)
+    assert res.x is None or np.array_equal(res.x, ref.x)
+
+
+def test_lp_solves_never_reach_scipy_linprog(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.linprog was called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    solves = []
+    for module in (metrics, measures):
+        monkeypatch.setattr(module, "linprog", lambda *args, _solve=module.linprog, **kwargs:
+                            solves.append(1) or _solve(*args, **kwargs))
+    u = StepGraphon([0.3, 0.7], [[0.9, 0.1], [0.1, 0.6]])
+    w = StepGraphon([0.2, 0.3, 0.5], [[0.2, 0.8, 0.4], [0.8, 0.1, 0.3], [0.4, 0.3, 0.7]])
+    assert cut_distance(u, w)[0] > 0.0
+    transport_lps = len(solves)
+    witness = check_flatter(DiscreteMeasure([0.5], [1.0]), DiscreteMeasure([0.0, 1.0], [0.5, 0.5]))
+    assert witness.feasible and witness.coupling is not None
+    assert 0 < transport_lps < len(solves)
 
 
 def test_heuristic_start_table_is_cached_and_read_only():
