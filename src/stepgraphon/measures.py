@@ -25,11 +25,9 @@ import numpy as np
 
 from .errors import SolverFailure, StepGraphonError, ValueOutOfRange
 from .core import MATCH_TOL, Coupling, _freeze, _support
-from .metrics import _marginal_rows, linprog
+from .metrics import HIGHS_TOL_FLOOR, _marginal_rows, linprog
 
 ATOM_DEDUP_TOL = 1e-12
-# HiGHS rejects a primal feasibility tolerance below this, and the solve with it.
-HIGHS_TOL_FLOOR = 1e-10
 NO_COUPLING = "no coupling satisfies the barycenter constraints"
 
 

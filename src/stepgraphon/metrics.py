@@ -43,6 +43,7 @@ _SCREEN_BLOCKS = 8  # float32 screen from this many blocks (k >= 15); below it c
 DEFAULT_BUDGET = {"restarts": 32, "max_iters": 200}
 WEAK_STAR_DEPTH_CAP = 10  # the deepest level with a nonzero float64 weight
 LP_RESIDUAL_TOL = 10 * math.sqrt(1e-9)  # scipy.optimize.linprog's check of an optimum
+HIGHS_TOL_FLOOR = 1e-10  # the least primal feasibility tolerance HiGHS accepts
 # scipy.optimize.linprog's status for a HiGHS model status; any other is 4
 _LP_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
               "kInfeasible": 2, "kModelError": 2, "kUnbounded": 3}
@@ -221,41 +222,46 @@ def _exact_cut_norm(ay):
     return s, t
 
 
-def _alternating_max_batch(ay, s0):
-    """Batched alternating 0/1 maximization of the bilinear form on both signs.
+def _alternating_max(s0, times, times_transpose):
+    """Batched alternating 0/1 maximization of a bilinear form x K y on both signs.
 
-    Each row of s0 is an independent start, run once on ay and once on -ay;
-    rows stop updating once their objective stalls.  The two signs are the
-    two halves of a (2, n, k) stack.  A product multiplies each half by ay
-    in its own (n, k) @ (k, k) BLAS call, as a single sign would, and then
-    negates the second half; negation is exact, so it equals the product
-    with -ay bit for bit, without a copy of the kernel.  (One call on all 2n
-    rows would not: BLAS may sum a row in another order when the number of
-    rows changes.)  Returns the best (s, t, value) of ay, then that of -ay.
+    times(x) is x @ K and times_transpose(x) is x @ K^T, for a stack x of
+    row vectors.  Each row of s0 is an independent start, run once on K and
+    once on -K; rows stop updating once their objective stalls.  The two
+    signs are the two halves of a (2, n, k) stack.  A product applies K to
+    each half in its own call, as a single sign would, and then negates the
+    second half; negation is exact, so it equals the product with -K bit for
+    bit, without a copy of the kernel.  (One BLAS call on all 2n rows would
+    not: BLAS may sum a row in another order when the number of rows
+    changes.)  For the same reason the column sums s_new @ K that score an
+    iteration are bitwise those the next one would compute from its s, so
+    they are kept, row by row, instead of recomputed.  Returns the (s, t)
+    of the larger of the best value of K and that of -K, K on a tie.
     """
-    def product(x, m):
-        out = x @ m
+    def product(f, x):
+        out = f(x)
         out[1] *= -1.0
         return out
 
     s = np.stack((s0, s0)).astype(float)
     vals = np.full(s.shape[:2], -np.inf)
+    cols = product(times, s)
     for _ in range(100):
-        cols = product(s, ay)
         t = (cols > 0).astype(float)
-        rows = product(t, ay.T)
-        s_new = (rows > 0).astype(float)
-        new_vals = np.einsum("hri,hri->hr", product(s_new, ay), t)
+        s_new = (product(times_transpose, t) > 0).astype(float)
+        new_cols = product(times, s_new)
+        new_vals = np.einsum("hri,hri->hr", new_cols, t)
         improved = new_vals > vals + 1e-15
         if not improved.any():
             break
         s = np.where(improved[..., None], s_new, s)
+        cols = np.where(improved[..., None], new_cols, cols)
         vals = np.maximum(new_vals, vals)
-    cols = product(s, ay)
     t = (cols > 0).astype(float)
     vals = np.einsum("hri,hri->hr", cols, t)
     best = vals.argmax(axis=1)
-    return [(s[h, best[h]], t[h, best[h]], float(vals[h, best[h]])) for h in (0, 1)]
+    h = int(vals[1, best[1]] > vals[0, best[0]])
+    return s[h, best[h]], t[h, best[h]]
 
 
 def cut_norm(Y, mode="exact", seed=0, restarts=32):
@@ -276,12 +282,8 @@ def cut_norm(Y, mode="exact", seed=0, restarts=32):
                 f"{k} blocks exceeds the exact cap of {EXACT_BLOCK_CAP}")
         s, t = _exact_cut_norm(ay)
     elif mode == "heuristic":
-        s0 = _heuristic_starts(seed, max(restarts, 1), k)
-        best = (-1.0, np.zeros(k), np.zeros(k))
-        for s, t, val in _alternating_max_batch(ay, s0):
-            if abs(val) > best[0]:
-                best = (abs(val), s, t)
-        _, s, t = best
+        s, t = _alternating_max(_heuristic_starts(seed, max(restarts, 1), k),
+                                lambda x: x @ ay, lambda x: x @ ay.T)
     else:
         raise ValueError(f"unknown cut-norm mode {mode!r}")
     value = float(abs(s @ ay @ t))
@@ -299,21 +301,16 @@ def _difference_kernel(U, W, C):
     return _derived(SignedStepKernel, ru.weights, dv)
 
 
-def _auto_cut_norm(kernel, seed=0, restarts=32, exact_cap=EXACT_BLOCK_CAP):
-    if kernel.k <= exact_cap:
-        return cut_norm(kernel, mode="exact")
-    return cut_norm(kernel, mode="heuristic", seed=seed, restarts=restarts)
-
-
 def cut_norm_distance(U, W, C, mode=None):
     """Cut norm of U - W overlaid by the coupling C, heuristic starts at seed 0.
 
-    With a shared partition and the diagonal coupling this is the plain cut
-    norm distance on the common ground space.
+    mode None is exact up to EXACT_BLOCK_CAP refined cells and heuristic
+    past it.  With a shared partition and the diagonal coupling this is the
+    plain cut norm distance on the common ground space.
     """
     kernel = _difference_kernel(U, W, C)
     if mode is None:
-        return _auto_cut_norm(kernel).value
+        mode = "exact" if kernel.k <= EXACT_BLOCK_CAP else "heuristic"
     return cut_norm(kernel, mode=mode).value
 
 
@@ -329,10 +326,20 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
     NaN, an entry below -LP_RESIDUAL_TOL or an equality residual above it.
     x is None unless HiGHS found an optimum.
 
+    HiGHS rejects a primal_feasibility_tolerance below HIGHS_TOL_FLOOR
+    together with every other option, printing its own error line although
+    output is off, so such a tolerance raises StepGraphonError before any
+    model is built.
+
     Importing scipy.optimize costs most of a process start, and only the
     transport and flatness LPs need it, so it is imported on the first
     solve.  measures binds this same function.
     """
+    if primal_feasibility_tolerance is not None and not (
+            primal_feasibility_tolerance >= HIGHS_TOL_FLOOR):
+        raise StepGraphonError(
+            f"primal feasibility tolerance {primal_feasibility_tolerance!r} is below "
+            f"HiGHS's floor {HIGHS_TOL_FLOOR!r}")
     from scipy.optimize._highspy import _core as highs_core
 
     n_row, n_col = A_eq.shape
@@ -436,14 +443,51 @@ SEARCH_RESTARTS = 8
 SUPPORT_CAP = 4096
 
 
+def _factored_cut_norm(U, W, cmat, seed):
+    """Heuristic cut norm of U - W under cmat, without building the refinement.
+
+    On the n positive cells p = (ii[p], jj[p]) of cmat, row-major, with
+    masses a = c / c.sum() as in common_refinement, the difference kernel is
+    L D L^T: L (n, k_U + k_W) holds a[p] at (p, ii[p]) and (p, k_U + jj[p]),
+    and D = blockdiag(U.values, -W.values).  So a product x @ (L D L^T) is
+    two products through k_U + k_W columns, and, the kernel being symmetric,
+    it serves both sides of the bilinear form.  The alternating heuristic runs
+    on it with cut_norm's loop and starts, SEARCH_RESTARTS of them.  The
+    value is |(s L) D (t L)^T|, the witness's box integral, so a lower bound;
+    the witness is on the cells in row-major order, as the refinement lays
+    them out.
+    """
+    ii, jj = np.nonzero(cmat > 0)
+    c = cmat[ii, jj]
+    a = c / c.sum()
+    n, ku = len(a), U.k
+    ell = np.zeros((n, ku + W.k))
+    ell[np.arange(n), ii] = a
+    ell[np.arange(n), ku + jj] = a
+    ell_d = np.concatenate((U.values[ii], -W.values[jj]), axis=1)
+    ell_d *= a[:, None]
+
+    def times(x):
+        return (x @ ell_d) @ ell.T
+
+    s, t = _alternating_max(_heuristic_starts(seed, SEARCH_RESTARTS, n), times, times)
+    return CutNormResult(abs(s @ ell_d @ (t @ ell)), s, t, "heuristic")
+
+
 def _search_eval(U, W, cmat, seed, memo):
-    """Cut norm of U - W under the coupling cmat, memoized by cmat's bytes."""
+    """Cut norm of U - W under the coupling cmat, memoized by cmat's bytes.
+
+    A coupling of at most SEARCH_EXACT_CAP cells gets the exact cut norm of
+    its difference kernel; a larger one the heuristic on the kernel's
+    factorization, _factored_cut_norm.
+    """
     key = ("eval", cmat.tobytes())
     if key not in memo:
-        coupling = Coupling(cmat, U.weights, W.weights)
-        kernel = _difference_kernel(U, W, coupling)
-        memo[key] = _auto_cut_norm(kernel, seed=seed, restarts=SEARCH_RESTARTS,
-                                   exact_cap=SEARCH_EXACT_CAP)
+        coupling = Coupling(cmat, U.weights, W.weights)  # checks cmat on both paths
+        if np.count_nonzero(cmat > 0) <= SEARCH_EXACT_CAP:
+            memo[key] = cut_norm(_difference_kernel(U, W, coupling), mode="exact")
+        else:
+            memo[key] = _factored_cut_norm(U, W, cmat, seed)
     return memo[key]
 
 
@@ -577,7 +621,19 @@ def cut_distance(U, W, budget=None, seed=0):
     length of the call; a memo hit returns exactly what recomputing would, so
     results do not depend on it.  Restarts whose corner starts would hold
     more than core.ARRAY_CAP values raise StepGraphonError before any is built.
+    The search scores a coupling of at most SEARCH_EXACT_CAP cells by the
+    exact cut norm of its difference kernel.  A larger one is scored by the
+    seeded alternating heuristic on the kernel's rank-(k_U + k_W)
+    factorization over the coupling's cells (_factored_cut_norm), with no
+    refinement built.  That value is a lower bound on the coupling's cut
+    norm, so past SEARCH_EXACT_CAP cells the returned value can be below the
+    exact cut norm under the returned coupling.  Differences of graphon
+    values lie in [-1, 1], so the factorization leaves out the refinement's
+    clip to [-1, 1]; a SignedStepKernel, whose differences can leave that
+    range, raises StepGraphonError.
     """
+    if isinstance(U, SignedStepKernel) or isinstance(W, SignedStepKernel):
+        raise StepGraphonError("cut_distance takes two graphons, not a signed kernel")
     cfg = _search_budget(budget)
     swap = _canonical_key(U) > _canonical_key(W)
     A, B = (W, U) if swap else (U, W)
@@ -601,6 +657,11 @@ def cut_distance(U, W, budget=None, seed=0):
 
     best_val, best_c = np.inf, None
     memo = {}
+    if iso is not None:
+        # its difference kernel is exactly 0, and this is its exact cut norm;
+        # factored products, which sum U and W apart, would round
+        memo[("eval", iso.tobytes())] = CutNormResult(0.0, np.zeros(Ap.k), np.zeros(Ap.k),
+                                                      "exact")
     for c0 in starts:
         val, cmat = _local_search(Ap, Bp, c0, cfg["max_iters"], seed, memo)
         if val < best_val:

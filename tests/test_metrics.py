@@ -5,15 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stepgraphon import (
     Coupling,
     EmptySet,
     MarginalMismatch,
+    PartitionSpec,
     SignedStepKernel,
     SolverFailure,
     StepGraphon,
+    StepGraphonError,
     TooManyBlocksForExact,
     check_flatter,
     cut_distance,
@@ -24,6 +26,7 @@ from stepgraphon import (
     l1_hausdorff,
     interlace_version,
     overlap_coupling,
+    stepping,
     weak_star_distance,
 )
 from stepgraphon import core, measures, metrics
@@ -31,6 +34,7 @@ from stepgraphon.core import common_refinement, corner_rule
 from stepgraphon.measures import DiscreteMeasure, _flatness_system
 from stepgraphon.metrics import dyadic_intervals
 from stepgraphon.named import bipartite_graphon
+from stepgraphon.scenarios import hierarchical_graphon
 
 from conftest import (corner_rule_reference, dyadic_measure, exact_cut_norm_reference,
                       heuristic_reference, l1_reference, perm_sweep_reference,
@@ -855,6 +859,19 @@ def test_lp_solves_never_reach_scipy_linprog(monkeypatch):
     assert 0 < transport_lps < len(solves)
 
 
+@pytest.mark.parametrize("tol", [1e-12, 0.0, -1.0, float("nan")])
+def test_linprog_refuses_a_tolerance_below_the_highs_floor_without_output(capfd, tol):
+    # HiGHS would print its own option error to stdout and return status 4
+    cost, a, b, _ = transport_system(2, 3, 0, "normal")
+    with pytest.raises(StepGraphonError, match="below HiGHS's floor 1e-10"):
+        metrics.linprog(cost, a, b, primal_feasibility_tolerance=tol)
+    assert capfd.readouterr() == ("", "")
+    res = metrics.linprog(cost, a, b, primal_feasibility_tolerance=metrics.HIGHS_TOL_FLOOR)
+    assert res.status == 0
+    assert capfd.readouterr() == ("", "")
+    assert measures.HIGHS_TOL_FLOOR is metrics.HIGHS_TOL_FLOOR
+
+
 def test_heuristic_start_table_is_cached_and_read_only():
     table = metrics._heuristic_starts(3, 8, 20)
     rows = [np.random.default_rng((3, r)).integers(0, 2, size=20) for r in range(8)]
@@ -1164,6 +1181,80 @@ def test_search_refinements_equal_validated_copies(pair, data):
             assert not G.weights.flags.writeable and not G.values.flags.writeable
         assert type(derived[0]) is type(U) and type(derived[1]) is type(W)
         assert type(derived[2]) is SignedStepKernel
+
+
+def test_cut_distance_refuses_a_signed_kernel():
+    U = equal_mass_graphon(3, 1)
+    Y = SignedStepKernel(U.weights, U.values - 0.5)
+    for pair in ((U, Y), (Y, U), (Y, Y)):
+        with pytest.raises(StepGraphonError, match="not a signed kernel"):
+            cut_distance(*pair)
+
+
+@st.composite
+def factored_cases(draw):
+    """A random graphon pair of up to 16 x 64 blocks and a coupling of more
+    than SEARCH_EXACT_CAP cells: a corner-rule vertex, the product, or a
+    search step between two corner-rule vertices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U = random_graphon(rng, k=draw(st.integers(1, 16)))
+    W = random_graphon(rng, k=draw(st.integers(1, 64)))
+    first, second = corner_rule(U.weights, W.weights,
+                                [rng.permutation(U.k) for _ in range(2)],
+                                [rng.permutation(W.k) for _ in range(2)])
+    gamma = draw(st.sampled_from([0.5, 0.25, 0.1]))
+    cmat = draw(st.sampled_from([first, Coupling.product(U.weights, W.weights).matrix,
+                                 (1.0 - gamma) * first + gamma * second]))
+    assume(np.count_nonzero(cmat > 0) > metrics.SEARCH_EXACT_CAP)
+    return U, W, cmat
+
+
+@settings(max_examples=80)
+@given(factored_cases())
+def test_factored_search_eval_is_its_witness_on_the_refinement(case):
+    # past the exact cap the search scores the factored kernel; its value is
+    # the witness's box integral on the built refinement, so a lower bound
+    U, W, cmat = case
+    res = metrics._search_eval(U, W, cmat, 0, {})
+    kernel = metrics._difference_kernel(U, W, Coupling(cmat, U.weights, W.weights))
+    a = kernel.weights
+    ay = np.outer(a, a) * kernel.values
+    assert res.mode == "heuristic" and res.witness_s.shape == (kernel.k,)
+    assert math.isclose(res.value, abs(res.witness_s @ ay @ res.witness_t), rel_tol=1e-12)
+    if kernel.k <= 20:
+        assert res.value <= cut_norm(kernel, mode="exact").value * (1.0 + 1e-12)
+
+
+def stepping_pair():
+    """A 64-cell multiscale kernel and its 16-cell dyadic stepping."""
+    G = hierarchical_graphon(np.random.default_rng(3))
+    return stepping(G, PartitionSpec.dyadic(G.weights, 4)), G
+
+
+def test_cut_distance_builds_no_refinement_past_the_exact_cap(monkeypatch):
+    U, W = stepping_pair()
+    cells = []
+    refine = metrics.common_refinement
+    monkeypatch.setattr(metrics, "common_refinement", lambda A, B, C:
+                        cells.append(np.count_nonzero(C.matrix > 0)) or refine(A, B, C))
+    factored = _count_calls(monkeypatch, "_factored_cut_norm")
+    val, _ = cut_distance(U, W, budget={"restarts": 2, "max_iters": 4})
+    assert val > 0.0 and len(factored) > 0
+    assert all(n <= metrics.SEARCH_EXACT_CAP for n in cells)
+
+
+def test_cut_distance_memory_does_not_grow_with_refined_cells():
+    # a dense 1,024-cell refinement and its difference kernel peak at 24 MB
+    U, W = stepping_pair()
+    budget = {"restarts": 2, "max_iters": 4}
+    cut_distance(U, W, budget=budget)  # imports and cached tables
+    tracemalloc.start()
+    try:
+        cut_distance(U, W, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_cut_distance_search_does_not_revalidate(monkeypatch):
