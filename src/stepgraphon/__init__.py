@@ -15,7 +15,6 @@ from .core import (
     StepFunction1D,
     StepGraphon,
     common_refinement,
-    degree_function,
     edge_density,
     grid_version,
     int_f,
@@ -47,12 +46,10 @@ from .errors import (
 from .measures import (
     DiscreteMeasure,
     FlatnessWitness,
-    add_measures,
     check_flatter,
     compose_couplings,
     degree_frequencies,
     range_frequencies,
-    strictly_flatter,
 )
 from .metrics import (
     CutNormResult,
@@ -66,7 +63,6 @@ from .multiway import (
     MultiwayMatrixSet,
     multiway_hausdorff,
     multiway_matrix,
-    part_index_bound,
     sample_multiway_set,
 )
 from .named import build_named_graphon
@@ -74,7 +70,6 @@ from .order import (
     EnvelopeSample,
     OrderVerdict,
     chi_estimate,
-    classify_extremal,
     order_check,
     sample_envelope,
     strictify,

@@ -435,13 +435,6 @@ def edge_density(W):
     return float(a @ W.values @ a)
 
 
-def degree_function(W):
-    """Row integrals as a step function; zero-weight blocks are dropped."""
-    S, idx = _support(W)
-    degrees = W.values @ W.weights  # BLAS may sum S's shorter rows in another order
-    return StepFunction1D(S.cumulative(), np.clip(degrees[idx], 0.0, 1.0))
-
-
 def int_f(W, f):
     """Integral of f(W(x,y)) over the square, for any scalar f on [0,1]."""
     a = W.weights

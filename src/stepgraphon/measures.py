@@ -39,6 +39,7 @@ class DiscreteMeasure:
     of a group's first atom are merged into it, so exactly equal atoms sum in
     ascending-mass order: any reordering of the pairs gives the same bits,
     which makes the frequency measures of rearranged kernels bitwise equal.
+    Masses whose merged sums or total overflow float64 raise StepGraphonError.
     """
 
     def __init__(self, atoms, masses):
@@ -57,15 +58,19 @@ class DiscreteMeasure:
         order = np.lexsort((m, a))
         a, m = a[order], m[order]
         out_a, out_m = [], []
-        for x, w in zip(a, m):
+        for x, w in zip(a.tolist(), m.tolist()):  # float sums overflow to inf without a warning
             if out_a and x - out_a[-1] <= ATOM_DEDUP_TOL:
                 out_m[-1] += w
             else:
                 out_a.append(float(np.clip(x, 0.0, 1.0)))
-                out_m.append(float(w))
+                out_m.append(w)
         keep = [i for i, w in enumerate(out_m) if w > 0]
         self.atoms = _freeze(np.array([out_a[i] for i in keep]))
         self.masses = _freeze(np.array([out_m[i] for i in keep]))
+        with np.errstate(over="ignore"):  # an overflowing total is refused here
+            total = self.masses.sum()
+        if not np.isfinite(total):
+            raise StepGraphonError("masses overflow float64: their total is not finite")
 
     @property
     def n(self):
@@ -209,7 +214,7 @@ def check_flatter(l1, l2, tol=1e-9, exact=False):
                                reason="effectively empty measures")
     if abs(l1.first_moment() - l2.first_moment()) > tol:
         return FlatnessWitness(False, reason="first moment mismatch")
-    scale = 2.0 ** round(log2(t1))
+    scale = 2.0 ** min(round(log2(t1)), 1023)  # 2.0 ** 1024 overflows
     n, m = l1.n, l2.n
     margin = ((3 * n + 2 * m - 2) * min(tol, MATCH_TOL) * scale + abs(t1 - t2)
               + (n + m + 4) * (t1 + t2) * np.finfo(float).eps)
@@ -304,28 +309,3 @@ def compose_couplings(p1, p2, mid):
     p2.require_marginals(q, p2.col_marginal)
     xi = p1.matrix @ (p2.matrix / q[:, None])
     return Coupling(xi, p1.row_marginal, p2.col_marginal)
-
-
-def strictly_flatter(l1, l2):
-    """Operational strict flatness at default tolerances: feasible witness, distinct measures."""
-    return check_flatter(l1, l2).feasible and not l1.approx_equal(l2)
-
-
-def add_measures(l1, l2):
-    """Atom-wise union with summed masses (totals add)."""
-    return DiscreteMeasure(
-        np.concatenate((l1.atoms, l2.atoms)),
-        np.concatenate((l1.masses, l2.masses)),
-    )
-
-
-__all__ = [
-    "DiscreteMeasure",
-    "FlatnessWitness",
-    "range_frequencies",
-    "degree_frequencies",
-    "check_flatter",
-    "compose_couplings",
-    "strictly_flatter",
-    "add_measures",
-]

@@ -3,8 +3,9 @@
 For part masses a, the cut set of a kernel consists of all q x q matrices of
 rectangle integrals over partitions with those part masses.  The set is a
 continuum; this module ships a sampler (corner-rule vertices, per-entry
-extreme points, seeded scaling interior points) and documents the Hausdorff
-output as an estimate from below.
+extreme points, seeded scaling interior points).  A Hausdorff comparison
+sees two such subsamples, so its value is neither an upper nor a lower
+bound on the distance between the full cut sets.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ import numpy as np
 
 from .core import (
     MATCH_TOL,
-    WEIGHT_TOL,
     PartitionSpec,
-    _cumulative,
     _check_stack,
     _mismatch,
     _require_source,
     corner_rule,
-    dyadic_intervals,
     edge_density,
 )
 from .errors import (
@@ -235,35 +233,15 @@ def sample_multiway_set(W, a, count, seed=0):
 
 
 def multiway_hausdorff(su, sw):
-    """Hausdorff distance under entrywise l1 of two sampled cut sets with equal part masses."""
+    """Hausdorff distance under entrywise l1 of two sampled cut sets with equal part masses.
+
+    Both sets are subsamples, so the value estimates the distance between the
+    full cut sets but is neither an upper nor a lower bound on it: one kernel
+    sampled under two seeds can compare at a positive value.
+    """
     if _mismatch(su.a, sw.a):
         raise DimensionMismatch(f"part masses differ: {su.a.tolist()} != {sw.a.tolist()}")
     if len(su) == 0 or len(sw) == 0:
         raise DimensionMismatch("cut sets must be nonempty")
     return l1_hausdorff([m.ravel() for m in su.matrices],
                         [m.ravel() for m in sw.matrices], np.ones(su.q * su.q))
-
-
-def part_index_bound(a, depth):
-    """Largest dyadic-enumeration index representing the parts exactly.
-
-    The canonical parts are the consecutive intervals with masses a; each
-    must coincide with one interval of the breadth-first dyadic family up to
-    the given depth.  The returned bound enters the quantitative transfer
-    from envelope distance to cut-set distance.
-    """
-    a = np.asarray(a, dtype=float)
-    cum = _cumulative(a)
-    family = dyadic_intervals(depth)
-    indices = []
-    for lo, hi in zip(cum[:-1], cum[1:]):
-        found = None
-        for idx, (x, y) in enumerate(family, start=1):
-            if abs(x - lo) <= WEIGHT_TOL and abs(y - hi) <= WEIGHT_TOL:
-                found = idx
-                break
-        if found is None:
-            raise StepGraphonError(
-                f"part [{lo}, {hi}) is not a dyadic interval at depth {depth}")
-        indices.append(found)
-    return max(indices)

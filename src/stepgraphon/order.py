@@ -20,7 +20,6 @@ from .core import (
     _canonical_cell_order,
     _interlace_order,
     _overlaps,
-    _support,
     dyadic_intervals,
     edge_density,
     grid_version,
@@ -31,7 +30,7 @@ from .measures import check_flatter, degree_frequencies, range_frequencies
 from .metrics import l1_hausdorff, rectangle_signature, signature_weights
 
 _STACK_FLOATS = 1 << 20  # cap on an envelope's base and on the values one stacked product gathers
-TOL = 1e-9  # order_check's density match and classify_extremal's value spreads
+TOL = 1e-9  # order_check's density match
 
 
 class OrderVerdict:
@@ -79,24 +78,6 @@ def order_check(U, W):
         })
     status = "consistent" if all(r["passed"] for r in reasons) else "refuted"
     return OrderVerdict(status, reasons)
-
-
-def classify_extremal(W):
-    """minimal | maximal | neither | both, from the positive-mass block values.
-
-    Constants are the order minimum, 0/1-valued kernels the maxima; the
-    all-0 and all-1 kernels are both.  Values within TOL count as equal.
-    """
-    vals = _support(W)[0].values.ravel()
-    minimal = bool(vals.max() - vals.min() <= TOL)
-    maximal = bool(np.minimum(vals, 1.0 - vals).max() <= TOL)
-    if minimal and maximal:
-        return "both"
-    if minimal:
-        return "minimal"
-    if maximal:
-        return "maximal"
-    return "neither"
 
 
 def strictify(W, eps):

@@ -132,7 +132,8 @@ def test_order_check_accepts_a_benchmark_stepping(tmp_path, capsys):
 
 
 def test_flatness_keeps_the_diagonal_witness_at_extreme_masses(tmp_path, capsys):
-    for mass in (1e100, 1e-100):
+    # at 8e307 the total's nearest power of two, 2.0 ** 1024, is past float64
+    for mass in (1e100, 1e-100, 8e307):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"atoms": [0.25, 0.75], "masses": [mass, mass]}))
         code, out = run_cli(["flatness", "--l1", str(path), "--l2", str(path), "--json"],
@@ -407,11 +408,16 @@ NAN, INF = float("nan"), float("inf")
     ("flatness", {"atoms": [0.5], "masses": [INF]}),
     ("flatness --exact-rational", {"atoms": [0.5], "masses": [INF]}),
     ("flatness", {"atoms": [0.5], "masses": [NAN]}),
+    ("flatness", {"atoms": [0.5, 0.5], "masses": [1e308, 1e308]}),
+    ("flatness --exact-rational", {"atoms": [0.5, 0.5], "masses": [1e308, 1e308]}),
+    ("flatness", {"atoms": [0.2, 0.5], "masses": [1e308, 1e308]}),
+    ("flatness --exact-rational", {"atoms": [0.2, 0.5], "masses": [1e308, 1e308]}),
     ("multiway hausdorff", {"a": [1.0], "matrices": [[[NAN]]],
                             "provenance": [{"assignment": [[1.0]]}]}),
 ], ids=["top-level-list", "measure-atom-not-number", "values-not-matrix",
         "measure-mass-infinite", "measure-mass-infinite-exact", "measure-mass-nan",
-        "cut-matrix-nan"])
+        "measure-merged-mass-overflows", "measure-merged-mass-overflows-exact",
+        "measure-total-overflows", "measure-total-overflows-exact", "cut-matrix-nan"])
 def test_malformed_files_exit_one_without_traceback(tmp_path, command, content):
     path = str(tmp_path / "bad.json")
     (tmp_path / "bad.json").write_text(json.dumps(content))

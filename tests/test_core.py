@@ -17,7 +17,6 @@ from stepgraphon import (
     WeightsNotNormalized,
     common_refinement,
     Coupling,
-    degree_function,
     edge_density,
     grid_version,
     int_f,
@@ -116,18 +115,6 @@ def test_edge_density_monte_carlo_oracle(rng):
     iy = np.searchsorted(cum, ys, side="right") - 1
     mc = g.values[ix, iy].mean()
     assert abs(mc - 0.71875) < 5e-3
-
-
-def test_degree_function_examples():
-    const = StepGraphon([1.0], [[0.4]])
-    assert degree_function(const).values.tolist() == [0.4]
-    # the balanced two-block kernel is 1/2-regular
-    deg = degree_function(bipartite_graphon())
-    assert deg.values.tolist() == [0.5, 0.5]
-    # direct block sums: row 0 -> 0.5*1, row 1 -> 0
-    g = StepGraphon([0.5, 0.5], [[1.0, 0.0], [0.0, 0.0]])
-    assert degree_function(g).values.tolist() == [0.5, 0.0]
-    assert degree_function(g).integral() == pytest.approx(edge_density(g), abs=1e-15)
 
 
 def test_int_f_examples():

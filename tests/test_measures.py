@@ -10,7 +10,6 @@ from stepgraphon import (
     MarginalMismatch,
     StepGraphon,
     StepGraphonError,
-    add_measures,
     check_flatter,
     compose_couplings,
     degree_frequencies,
@@ -291,23 +290,15 @@ def test_additivity_of_witnesses(rng):
         w1 = check_flatter(a1, c1)
         w2 = check_flatter(a2, c2)
         assert w1.feasible and w2.feasible
-        asum = add_measures(a1, a2)
-        csum = add_measures(c1, c2)
+        asum = DiscreteMeasure(np.concatenate((a1.atoms, a2.atoms)),
+                               np.concatenate((a1.masses, a2.masses)))
+        csum = DiscreteMeasure(np.concatenate((c1.atoms, c2.atoms)),
+                               np.concatenate((c1.masses, c2.masses)))
         w = check_flatter(asum, csum, tol=1e-7)
         assert w.feasible
 
 
 # -------------------------------------------------------------- measures
-
-def test_add_measures():
-    zero = DiscreteMeasure([], [])
-    l = DiscreteMeasure([0.2, 0.8], [0.5, 0.5])
-    assert add_measures(l, zero).approx_equal(l)
-    out = add_measures(ENDS, DIRAC_HALF)
-    assert out.atoms.tolist() == [0.0, 0.5, 1.0]
-    assert out.masses.tolist() == [0.5, 1.0, 0.5]
-    assert out.total_mass() == 2.0
-
 
 def test_measure_dedup_and_sorting():
     m = DiscreteMeasure([0.5, 0.5 + 1e-14, 0.1], [0.3, 0.3, 0.4])
@@ -454,13 +445,6 @@ def test_float_route_keeps_the_diagonal_at_extreme_masses(mass):
     w = check_flatter(m, m)
     assert w.feasible and w.residual == 0.0
     assert w.coupling.matrix.tolist() == [[mass, 0.0], [0.0, mass]]
-
-
-def test_strictly_flatter_operational_definition():
-    from stepgraphon import strictly_flatter
-    assert strictly_flatter(DIRAC_HALF, ENDS)
-    assert not strictly_flatter(DIRAC_HALF, DIRAC_HALF)  # equal, not strict
-    assert not strictly_flatter(ENDS, DIRAC_HALF)        # infeasible
 
 
 def test_exact_and_float_routes_agree(rng):

@@ -19,7 +19,6 @@ from stepgraphon import (
     grid_version,
     multiway_hausdorff,
     multiway_matrix,
-    part_index_bound,
     sample_multiway_set,
     stepping,
 )
@@ -172,12 +171,6 @@ def test_stepping_coherence(rng):
         assert np.abs(m_fine - m_coarse).max() <= 1e-12
 
 
-def test_part_index_bound():
-    assert part_index_bound([0.5, 0.5], 6) == 3
-    assert part_index_bound([0.25, 0.25, 0.25, 0.25], 6) == 7
-    assert part_index_bound([1.0], 6) == 1
-
-
 def test_quantitative_transfer_soft(rng):
     # when the envelope estimate is small the cut sets stay close: soft
     # check with generous sampling slack
@@ -186,11 +179,21 @@ def test_quantitative_transfer_soft(rng):
         g = random_graphon(rng, k=4, equal_mass=True)
         u = stepping(g, PartitionSpec.dyadic(g.weights, 2))
         chi = chi_estimate(u, g, 8, 30, depth, seed=11)
-        r_q = part_index_bound([0.5, 0.5], depth)
+        # [0, 1/2) and [1/2, 1) are intervals 2 and 3 of the breadth-first dyadic family
+        r_q = 3
         eps = chi * (2 ** (2 * r_q))
         su = sample_multiway_set(u, [0.5, 0.5], count=50, seed=12)
         sg = sample_multiway_set(g, [0.5, 0.5], count=50, seed=12)
         assert multiway_hausdorff(su, sg) <= 2 * eps + 0.05
+
+
+def test_sampled_hausdorff_is_no_lower_bound():
+    # both sets are subsamples of one cut set, whose distance to itself is 0
+    v = np.random.default_rng(0).random((3, 3))
+    g = StepGraphon([0.2, 0.3, 0.5], (v + v.T) / 2)
+    s1 = sample_multiway_set(g, [0.5, 0.5], count=3, seed=1)
+    s2 = sample_multiway_set(g, [0.5, 0.5], count=3, seed=2)
+    assert multiway_hausdorff(s1, s2) > 0.02
 
 
 def sample_reference(W, a, count, seed=0, dedup_tol=1e-9):
@@ -399,8 +402,3 @@ def test_cut_matrix_set_refuses_bad_matrices():
         MultiwayMatrixSet([0.5, 0.5], [[[0.25, 0.25]]], [spec])
     with pytest.raises(StepGraphonError, match=r"not a number in \[0, a_l\*a_m\]"):
         MultiwayMatrixSet([0.5, 0.5], [[[0.25, 0.3], [0.25, 0.25]]], [spec])
-
-
-def test_part_index_bound_refuses_a_non_dyadic_part():
-    with pytest.raises(StepGraphonError, match="is not a dyadic interval at depth 3"):
-        part_index_bound([1 / 3, 2 / 3], 3)

@@ -9,10 +9,8 @@ from stepgraphon import (
     StepGraphon,
     StepGraphonError,
     chi_estimate,
-    classify_extremal,
     cut_distance,
     degree_frequencies,
-    degree_function,
     edge_density,
     grid_version,
     int_f,
@@ -85,26 +83,6 @@ def test_density_mismatch_refutes():
     assert "edge-density" in verdict.failed_conditions()
 
 
-# ---------------------------------------------------------------- extremal
-
-def test_classify_extremal():
-    assert classify_extremal(StepGraphon([1.0], [[0.3]])) == "minimal"
-    assert classify_extremal(bipartite_graphon()) == "maximal"
-    assert classify_extremal(StepGraphon([1.0], [[0.0]])) == "both"
-    assert classify_extremal(w1_graphon(1 / 8)) == "neither"
-
-
-def test_classify_matches_range_frequencies(rng):
-    for _ in range(20):
-        g = random_graphon(rng)
-        label = classify_extremal(g)
-        freq = range_frequencies(g)
-        if label == "minimal":
-            assert freq.n == 1
-        if label == "maximal":
-            assert all(a in (0.0, 1.0) for a in freq.atoms)
-
-
 @st.composite
 def padded_kernels(draw):
     """A random kernel, and the same kernel with zero-weight blocks among its blocks."""
@@ -136,11 +114,6 @@ def test_zero_weight_blocks_change_no_result(pair):
     for frequencies in (degree_frequencies, range_frequencies):
         a, b = frequencies(padded), frequencies(pruned)
         assert a.atoms.tolist() == b.atoms.tolist() and a.masses.tolist() == b.masses.tolist()
-    assert classify_extremal(padded) == classify_extremal(pruned)
-    fa, fb = degree_function(padded), degree_function(pruned)
-    assert fa.breakpoints.tolist() == fb.breakpoints.tolist()
-    # the full product sums each row with the zero terms, so it may round differently
-    np.testing.assert_array_max_ulp(fa.values, fb.values, maxulp=4)
     coarse = stepping(pruned, PartitionSpec.dyadic(pruned.weights, 1))
     assert verdict_record(coarse, padded) == verdict_record(coarse, pruned)
     assert verdict_record(padded, coarse) == verdict_record(pruned, coarse)
