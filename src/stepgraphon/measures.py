@@ -82,14 +82,6 @@ class DiscreteMeasure:
     def first_moment(self):
         return float(np.dot(self.atoms, self.masses))
 
-    def approx_equal(self, other, tol=1e-9):
-        if self.n != other.n:
-            return False
-        if self.n == 0:
-            return True
-        return (np.abs(self.atoms - other.atoms).max() <= tol
-                and np.abs(self.masses - other.masses).max() <= tol)
-
     def to_dict(self):
         return {"atoms": self.atoms.tolist(), "masses": self.masses.tolist()}
 
@@ -190,7 +182,8 @@ def check_flatter(l1, l2, tol=1e-9, exact=False):
     Each float call sum of k nonnegative terms, each at most its mass, is
     off by at most (k + 1) eps/2 times its total, so (n + m + 4)(T1 + T2) eps
     also covers the difference, the totals and the barycenter right-hand
-    sides.  A pair above the sum of both gets the LP's own refusal.
+    sides.  A pair above the sum of both, both taken in units of s (exact,
+    and finite at any total), gets the LP's own refusal.
 
     The exact mode alone decides, ignoring tol, over the exact binary
     expansions of the inputs with Strassen's convex-order test and returns
@@ -216,9 +209,9 @@ def check_flatter(l1, l2, tol=1e-9, exact=False):
         return FlatnessWitness(False, reason="first moment mismatch")
     scale = 2.0 ** min(round(log2(t1)), 1023)  # 2.0 ** 1024 overflows
     n, m = l1.n, l2.n
-    margin = ((3 * n + 2 * m - 2) * min(tol, MATCH_TOL) * scale + abs(t1 - t2)
-              + (n + m + 4) * (t1 + t2) * np.finfo(float).eps)
-    if (_calls(l1, l2.atoms) - _calls(l2, l2.atoms)).max() > margin:
+    margin = ((3 * n + 2 * m - 2) * min(tol, MATCH_TOL) + abs(t1 - t2) / scale
+              + (n + m + 4) * (t1 / scale + t2 / scale) * np.finfo(float).eps)
+    if ((_calls(l1, l2.atoms) - _calls(l2, l2.atoms)) / scale).max() > margin:
         return FlatnessWitness(False, reason=NO_COUPLING)
     a, b = _flatness_system(l1, l2)
     cost = np.abs(np.subtract.outer(l1.atoms, l2.atoms)).ravel()

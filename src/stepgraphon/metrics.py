@@ -41,6 +41,7 @@ SWEEP_BLOCK_CAP = 8
 _BLOCK_FLOATS = 1 << 16  # exact enumeration block; timed faster than 2^17 or 2^18
 _SCREEN_BLOCKS = 8  # float32 screen from this many blocks (k >= 15); below it costs more
 DEFAULT_BUDGET = {"restarts": 32, "max_iters": 200}
+HEURISTIC_RESTARTS = 32  # seeded starts of the heuristic cut norm
 WEAK_STAR_DEPTH_CAP = 10  # the deepest level with a nonzero float64 weight
 LP_RESIDUAL_TOL = 10 * math.sqrt(1e-9)  # scipy.optimize.linprog's check of an optimum
 HIGHS_TOL_FLOOR = 1e-10  # the least primal feasibility tolerance HiGHS accepts
@@ -264,12 +265,13 @@ def _alternating_max(s0, times, times_transpose):
     return s[h, best[h]], t[h, best[h]]
 
 
-def cut_norm(Y, mode="exact", seed=0, restarts=32):
+def cut_norm(Y, mode="exact", seed=0):
     """Cut norm of a signed step kernel with a box witness.
 
     Exact mode enumerates 2^k sign patterns (k <= 24); heuristic mode runs
-    seeded alternating maximization on both signs of the kernel and always
-    reports an achieved (hence lower-bounding) value.
+    seeded alternating maximization from HEURISTIC_RESTARTS starts on both
+    signs of the kernel and always reports an achieved (hence
+    lower-bounding) value.
     """
     Yp, idx = _support(Y)
     a = Yp.weights
@@ -282,7 +284,7 @@ def cut_norm(Y, mode="exact", seed=0, restarts=32):
                 f"{k} blocks exceeds the exact cap of {EXACT_BLOCK_CAP}")
         s, t = _exact_cut_norm(ay)
     elif mode == "heuristic":
-        s, t = _alternating_max(_heuristic_starts(seed, max(restarts, 1), k),
+        s, t = _alternating_max(_heuristic_starts(seed, HEURISTIC_RESTARTS, k),
                                 lambda x: x @ ay, lambda x: x @ ay.T)
     else:
         raise ValueError(f"unknown cut-norm mode {mode!r}")
@@ -296,9 +298,7 @@ def cut_norm(Y, mode="exact", seed=0, restarts=32):
 
 def _difference_kernel(U, W, C):
     ru, rw = common_refinement(U, W, C)
-    dv = np.subtract(ru.values, rw.values)
-    np.clip(dv, -1.0, 1.0, out=dv)  # in place: one temporary fewer
-    return _derived(SignedStepKernel, ru.weights, dv)
+    return _derived(SignedStepKernel, ru.weights, np.subtract(ru.values, rw.values))
 
 
 def cut_norm_distance(U, W, C, mode=None):
@@ -306,8 +306,11 @@ def cut_norm_distance(U, W, C, mode=None):
 
     mode None is exact up to EXACT_BLOCK_CAP refined cells and heuristic
     past it.  With a shared partition and the diagonal coupling this is the
-    plain cut norm distance on the common ground space.
+    plain cut norm distance on the common ground space.  U and W are
+    graphons; a SignedStepKernel raises StepGraphonError.
     """
+    if isinstance(U, SignedStepKernel) or isinstance(W, SignedStepKernel):
+        raise StepGraphonError("cut_norm_distance takes two graphons, not a signed kernel")
     kernel = _difference_kernel(U, W, C)
     if mode is None:
         mode = "exact" if kernel.k <= EXACT_BLOCK_CAP else "heuristic"
@@ -627,10 +630,8 @@ def cut_distance(U, W, budget=None, seed=0):
     factorization over the coupling's cells (_factored_cut_norm), with no
     refinement built.  That value is a lower bound on the coupling's cut
     norm, so past SEARCH_EXACT_CAP cells the returned value can be below the
-    exact cut norm under the returned coupling.  Differences of graphon
-    values lie in [-1, 1], so the factorization leaves out the refinement's
-    clip to [-1, 1]; a SignedStepKernel, whose differences can leave that
-    range, raises StepGraphonError.
+    exact cut norm under the returned coupling.  A SignedStepKernel raises
+    StepGraphonError.
     """
     if isinstance(U, SignedStepKernel) or isinstance(W, SignedStepKernel):
         raise StepGraphonError("cut_distance takes two graphons, not a signed kernel")

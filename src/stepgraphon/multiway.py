@@ -37,6 +37,7 @@ from .metrics import l1_hausdorff
 VERTEX_ENUM_CAP = 10_000
 DEDUP_TOL = 1e-9
 SCALING_TOL = 1e-10  # Sinkhorn residual, and the drift allowed in a cut matrix total
+SCALING_CAP = 500  # Sinkhorn rounds before a plan counts as diverged
 
 
 class MultiwayMatrixSet:
@@ -133,7 +134,7 @@ def _vertex_orders(k, q):
     return row_orders, col_orders
 
 
-def _scaled_random(seed, count, row, col, cap=500):
+def _scaled_random(seed, count, row, col):
     """`count` seeded interior plans with marginals row and col, by Sinkhorn scaling.
 
     Plan idx starts from the generator seeded (seed, idx).  The plans scale
@@ -145,14 +146,15 @@ def _scaled_random(seed, count, row, col, cap=500):
     each column sum by at most the summed row residuals it removes (each
     below SCALING_TOL), so the column sums may miss `col` by about
     SCALING_TOL; nothing checks them.  Raises ScalingDiverged with the
-    largest residual still live if a plan has not converged after cap rounds.
+    largest residual still live if a plan has not converged after SCALING_CAP
+    rounds.
     """
     k, q = len(row), len(col)
     plans = np.empty((count, k, q))
     for idx in range(count):
         plans[idx] = np.random.default_rng((seed, idx)).random((k, q)) + 0.05
     live, m, res = np.arange(count), plans, np.full(count, np.inf)
-    for _ in range(cap):
+    for _ in range(SCALING_CAP):
         if not len(live):
             break
         m *= _safe_ratio(row, m.sum(axis=2))[:, :, None]
@@ -166,7 +168,7 @@ def _scaled_random(seed, count, row, col, cap=500):
             plans[live[done]] = fin
             live, m, res = live[~done], m[~done], res[~done]
     if len(live):
-        raise ScalingDiverged(res.max(), cap)
+        raise ScalingDiverged(res.max(), SCALING_CAP)
     return plans
 
 

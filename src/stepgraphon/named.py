@@ -21,8 +21,6 @@ import numpy as np
 from .core import StepGraphon, _locate, _overlaps, rectangle_integral
 from .errors import StepGraphonError, UnsupportedEps
 
-NAMED = ("constant", "bipartite", "w1", "w2", "u1", "u2")
-
 
 def _validate_eps(eps):
     if eps is None:
@@ -338,6 +336,10 @@ def u2_strip_integral(eps):
     return rectangle_integral(u2_graphon(eps), (0.0, 1.0), (0.5 - eps, 0.5 + eps))
 
 
+_EPS_KERNELS = {"w1": w1_graphon, "w2": w2_raster_graphon, "u1": u1_graphon, "u2": u2_graphon}
+NAMED = ("constant", "bipartite", *_EPS_KERNELS)
+
+
 def build_named_graphon(name, c=None, eps=None):
     """Constructor for the named kernels of the worked examples.
 
@@ -355,12 +357,6 @@ def build_named_graphon(name, c=None, eps=None):
         return StepGraphon([1.0], [[value]])
     if name == "bipartite":
         return bipartite_graphon()
-    if name == "w1":
-        return w1_graphon(eps)
-    if name == "w2":
-        return w2_raster_graphon(eps)
-    if name == "u1":
-        return u1_graphon(eps)
-    if name == "u2":
-        return u2_graphon(eps)
+    if name in _EPS_KERNELS:
+        return _EPS_KERNELS[name](eps)
     raise UnsupportedEps(f"unknown kernel name {name!r}; expected one of {NAMED}")

@@ -33,8 +33,13 @@ HIERARCHY_DEPTH = 6  # hierarchical_graphon lives on the 2**6 = 64-cell grid
 HIERARCHY_AMP = 0.35  # noise amplitude at the coarsest level
 CHESSBOARD_DEPTH = 6  # weak* depth of the chessboard distances
 CHESSBOARD_LEVELS = (1, 2, 4, 8, 16, 32, 64)  # interlacing levels, lowest first
+CHESSBOARD_THRESHOLD = 0.01  # weak* distance the finest interlacing must go below
+FLATNESS_RESIDUAL_TOL = 1e-9  # largest residual allowed in the forward witness
+CHAINS_TRIALS = 3  # random hierarchical kernels per chains run
 CHAINS_BUDGET = {"restarts": 2, "max_iters": 4}  # cut_distance budget of the chains
 CHAINS_L1_SLACK = 1e-12  # rounding allowed in the L1 chain and its final zero
+CHAINS_CUT_SLACK = 2e-6  # rise allowed between consecutive cut-distance bounds
+MULTIWAY_TRIALS = 3  # rearranged random kernels per multiway run
 INVARIANCE_TOL = 1e-9  # cut-set distance allowed between rearranged kernels
 
 
@@ -59,8 +64,8 @@ def hierarchical_graphon(rng):
     return StepGraphon(np.full(n, 1.0 / n), vals)
 
 
-def chessboard_scenario(threshold=0.01):
-    """The two-block kernel's interlacings at CHESSBOARD_LEVELS collapse to 1/2 in weak*."""
+def chessboard_scenario():
+    """Interlacings at CHESSBOARD_LEVELS collapse to 1/2 in weak*, below CHESSBOARD_THRESHOLD."""
     bip = bipartite_graphon()
     half = StepGraphon([1.0], [[0.5]])
     rows = []
@@ -70,14 +75,14 @@ def chessboard_scenario(threshold=0.01):
         values.append(d)
         rows.append({"level": n, "weak_star_distance": d})
     decreasing = all(values[i + 1] < values[i] for i in range(len(values) - 1))
-    final_ok = values[-1] < threshold
+    final_ok = values[-1] < CHESSBOARD_THRESHOLD
     report = {
         "scenario": "chessboard",
         "depth": CHESSBOARD_DEPTH,
         "rows": rows,
         "strictly_decreasing": decreasing,
         "final_below_threshold": final_ok,
-        "threshold": threshold,
+        "threshold": CHESSBOARD_THRESHOLD,
     }
     return decreasing and final_ok, report
 
@@ -122,15 +127,16 @@ def counterexample_scenario(eps_values=(2 ** -4, 2 ** -6, 2 ** -8)):
     return ok, {"scenario": "counterexample", "rows": rows}
 
 
-def flatness_scenario(residual_tol=1e-9):
-    """The averaged point mass flattens the two-point measure, never back."""
+def flatness_scenario():
+    """The averaged point mass flattens the two-point measure, never back; the forward
+    witness meets its equations within FLATNESS_RESIDUAL_TOL."""
     dirac = DiscreteMeasure([0.5], [1.0])
     ends = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
     forward = check_flatter(dirac, ends)
     backward = check_flatter(ends, dirac)
     exact_forward = check_flatter(dirac, ends, exact=True)
     exact_backward = check_flatter(ends, dirac, exact=True)
-    ok = (forward.feasible and forward.residual < residual_tol
+    ok = (forward.feasible and forward.residual < FLATNESS_RESIDUAL_TOL
           and not backward.feasible and exact_forward.feasible
           and not exact_backward.feasible)
     report = {
@@ -146,12 +152,13 @@ def flatness_scenario(residual_tol=1e-9):
     return ok, report
 
 
-def chains_scenario(seed=0, trials=3, cut_slack=2e-6):
-    """Refining-stepping chains: L1 errors vanish and CHAINS_BUDGET cut bounds shrink."""
+def chains_scenario(seed=0):
+    """Refining-stepping chains of CHAINS_TRIALS kernels: L1 errors vanish and
+    CHAINS_BUDGET cut bounds shrink, each rising by at most CHAINS_CUT_SLACK."""
     rng = np.random.default_rng(seed)
     rows = []
     ok = True
-    for trial in range(trials):
+    for trial in range(CHAINS_TRIALS):
         W = hierarchical_graphon(rng)
         l1s, cds = [], []
         for d in range(7):
@@ -161,20 +168,21 @@ def chains_scenario(seed=0, trials=3, cut_slack=2e-6):
             cds.append(val)
         l1_ok = (all(l1s[i + 1] <= l1s[i] + CHAINS_L1_SLACK for i in range(6))
                  and l1s[-1] < CHAINS_L1_SLACK)
-        cd_ok = all(cds[i + 1] <= cds[i] + cut_slack for i in range(6))
+        cd_ok = all(cds[i + 1] <= cds[i] + CHAINS_CUT_SLACK for i in range(6))
         rows.append({"trial": trial, "l1": l1s, "cut_distance": cds,
                      "l1_ok": l1_ok, "cut_ok": cd_ok})
         ok = ok and l1_ok and cd_ok
     return ok, {"scenario": "chains", "rows": rows}
 
 
-def multiway_scenario(seed=0, trials=3):
-    """Cut sets agree within INVARIANCE_TOL for rearranged kernels and separate the constants."""
+def multiway_scenario(seed=0):
+    """Cut sets agree within INVARIANCE_TOL for MULTIWAY_TRIALS rearranged kernels
+    and separate the constants."""
     rng = np.random.default_rng(seed)
     rows = []
     ok = True
     a = [0.5, 0.5]
-    for trial in range(trials):
+    for trial in range(MULTIWAY_TRIALS):
         vals = rng.random((6, 6))
         vals = (vals + vals.T) / 2
         W = StepGraphon(np.full(6, 1 / 6), vals)

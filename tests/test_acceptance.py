@@ -144,7 +144,8 @@ def test_criterion_3_flatness_suite():
         c = spread_measure(exact_rng, b)
         for lo, hi in ((a, b), (b, c)):
             part_c &= check_flatter(lo, hi, exact=True).feasible
-            part_c &= (lo.approx_equal(hi, tol=0)
+            part_c &= ((np.array_equal(lo.atoms, hi.atoms)
+                        and np.array_equal(lo.masses, hi.masses))
                        or not check_flatter(hi, lo, exact=True).feasible)
     elapsed = time.time() - t0
     ok = part_a and part_b and part_c and elapsed < 20.0

@@ -124,7 +124,8 @@ def test_frequencies_unchanged_by_cell_permutations(data):
         a, b = freq(base), freq(permuted)
         assert a.atoms.tolist() == b.atoms.tolist()
         assert a.masses.tolist() == b.masses.tolist()
-        assert a.approx_equal(freq(g), 1e-12)
+        np.testing.assert_allclose(a.atoms, freq(g).atoms, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.masses, freq(g).masses, rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------------- flatness
@@ -221,7 +222,8 @@ def test_binary_measures_are_maximal(rng):
         l2 = random_measure(rng)
         w = check_flatter(l1, l2)
         if w.feasible:
-            assert l1.approx_equal(l2, tol=1e-9)
+            np.testing.assert_allclose(l1.atoms, l2.atoms, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(l1.masses, l2.masses, rtol=0, atol=1e-9)
     assert check_flatter(l1, l1).feasible
 
 
@@ -435,6 +437,16 @@ def test_call_function_screen_keeps_the_lp_outcome(seed, max_atoms, reverse, del
     assert outcome == flatness_outcome(lambda a, b: flatness_lp_reference(a, b)[0], l1, l2)
     if solve.call_count == 0 and outcome["reason"] == measures.NO_COUPLING:
         assert flatness_lp_reference(l1, l2)[1] == 2
+
+
+@pytest.mark.parametrize("s", [1.0, 8e307])
+def test_call_function_screen_refutes_near_the_float_maximum(s):
+    # the margin is taken in units of the LP's scale, so it stays finite
+    # even where (n + m + 4)(T1 + T2) overflows
+    with mock.patch.object(measures, "linprog", wraps=measures.linprog) as solve:
+        w = check_flatter(DiscreteMeasure([0.0, 1.0], [s / 2, s / 2]), DiscreteMeasure([0.5], [s]))
+    assert not w.feasible and w.reason == measures.NO_COUPLING
+    assert solve.call_count == 0
 
 
 @pytest.mark.parametrize("mass", [1e100, 1e-100])

@@ -1148,15 +1148,24 @@ def _heuristic_kernel(kind, k, rng):
 @pytest.mark.parametrize("kind", ["random", "negative", "zero", "ties"])
 @pytest.mark.parametrize("k", [1, 2, 14, 15, 64, 200, 1024])
 def test_heuristic_batch_equals_per_sign_reference(kind, k):
-    # both signs run as one stack; each must equal the per-sign loop bit for bit
+    # both signs run as one stack; each must equal the per-sign loop bit for bit,
+    # from cut_norm's HEURISTIC_RESTARTS starts and, through the shared loop,
+    # from 1 start and from the search's SEARCH_RESTARTS = 8
     rng = np.random.default_rng((k, len(kind)))
     Y = _heuristic_kernel(kind, k, rng)
-    for restarts in (1, 8, 32):
-        for seed in (0, 5):
-            res = cut_norm(Y, mode="heuristic", seed=seed, restarts=restarts)
-            value, s, t = heuristic_reference(Y, seed=seed, restarts=restarts)
-            assert res.value == value, (restarts, seed)
-            assert np.array_equal(res.witness_s, s) and np.array_equal(res.witness_t, t)
+    Yp, idx = core._support(Y)
+    ay = np.outer(Yp.weights, Yp.weights) * Yp.values
+    for seed in (0, 5):
+        res = cut_norm(Y, mode="heuristic", seed=seed)
+        value, s, t = heuristic_reference(Y, seed=seed, restarts=metrics.HEURISTIC_RESTARTS)
+        assert res.value == value, seed
+        assert np.array_equal(res.witness_s, s) and np.array_equal(res.witness_t, t)
+        for restarts in (1, metrics.SEARCH_RESTARTS):
+            s, t = metrics._alternating_max(metrics._heuristic_starts(seed, restarts, Yp.k),
+                                            lambda x: x @ ay, lambda x: x @ ay.T)
+            value, ref_s, ref_t = heuristic_reference(Y, seed=seed, restarts=restarts)
+            assert float(abs(s @ ay @ t)) == value, (restarts, seed)
+            assert np.array_equal(s, ref_s[idx]) and np.array_equal(t, ref_t[idx])
 
 
 @settings(max_examples=60)
@@ -1189,6 +1198,17 @@ def test_cut_distance_refuses_a_signed_kernel():
     for pair in ((U, Y), (Y, U), (Y, Y)):
         with pytest.raises(StepGraphonError, match="not a signed kernel"):
             cut_distance(*pair)
+
+
+def test_cut_norm_distance_refuses_a_signed_kernel():
+    # a difference of signed kernels can reach 2: clipped to [-1, 1], this
+    # pair at cut norm distance 2 read 1.0
+    plus, minus = SignedStepKernel([1.0], [[1.0]]), SignedStepKernel([1.0], [[-1.0]])
+    U = equal_mass_graphon(3, 1)
+    Y = SignedStepKernel(U.weights, U.values - 0.5)
+    for u, w in ((plus, minus), (U, Y), (Y, U)):
+        with pytest.raises(StepGraphonError, match="not a signed kernel"):
+            cut_norm_distance(u, w, Coupling.diagonal(u.weights))
 
 
 @st.composite

@@ -297,10 +297,11 @@ def _one_round_residual(rng, row, col):
     return info.value.residual
 
 
-def test_scaling_cap_raises_with_the_live_residual():
+def test_scaling_cap_raises_with_the_live_residual(monkeypatch):
     w, a = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.5])
+    monkeypatch.setattr(multiway, "SCALING_CAP", 1)
     with pytest.raises(ScalingDiverged) as info:
-        multiway._scaled_random(0, 4, w, a, cap=1)
+        multiway._scaled_random(0, 4, w, a)
     assert info.value.iterations == 1
     assert 1e-10 <= info.value.residual < np.inf
     assert info.value.residual == max(

@@ -9,6 +9,7 @@ from stepgraphon import (
     rectangle_integral,
     split_reconstruct,
 )
+from stepgraphon.errors import StepGraphonError
 from stepgraphon.named import (
     build_named_graphon,
     checked_rectangles,
@@ -42,6 +43,37 @@ def test_build_named_dispatch():
     assert build_named_graphon("u2", eps=1 / 8).k == 3
     with pytest.raises(UnsupportedEps):
         build_named_graphon("nonesuch")
+
+
+C_ONLY = (StepGraphonError, "c applies only to the constant kernel, not {!r}")
+NO_EPS = (StepGraphonError, "eps does not apply to the {!r} kernel")
+NEEDS_EPS = (UnsupportedEps, "eps is required for this kernel")
+UNKNOWN = (UnsupportedEps, "unknown kernel name {!r}; expected one of "
+                           "('constant', 'bipartite', 'w1', 'w2', 'u1', 'u2')")
+# name: the block count k or the (class, message) of each (c, eps) in
+# (None, None), (None, 1/8), (0.5, None), (0.5, 1/8)
+NAMED_OUTCOMES = {
+    "constant": (1, NO_EPS, 1, NO_EPS),
+    "bipartite": (2, NO_EPS, C_ONLY, C_ONLY),
+    "w1": (NEEDS_EPS, 4, C_ONLY, C_ONLY),
+    "w2": (NEEDS_EPS, 8, C_ONLY, C_ONLY),
+    "u1": (NEEDS_EPS, 2, C_ONLY, C_ONLY),
+    "u2": (NEEDS_EPS, 3, C_ONLY, C_ONLY),
+    "nonesuch": (UNKNOWN, UNKNOWN, C_ONLY, C_ONLY),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_OUTCOMES)
+def test_build_named_outcomes(name):
+    settings = [(c, eps) for c in (None, 0.5) for eps in (None, 1 / 8)]
+    for (c, eps), outcome in zip(settings, NAMED_OUTCOMES[name]):
+        if isinstance(outcome, int):
+            assert build_named_graphon(name, c=c, eps=eps).k == outcome
+            continue
+        with pytest.raises(outcome[0]) as info:
+            build_named_graphon(name, c=c, eps=eps)
+        assert type(info.value) is outcome[0]
+        assert str(info.value) == outcome[1].format(name)
 
 
 def test_w1_geometry():

@@ -1,6 +1,6 @@
 import pytest
 
-from stepgraphon import UnsupportedEps
+from stepgraphon import UnsupportedEps, scenarios
 from stepgraphon.scenarios import (
     chains_scenario,
     chessboard_scenario,
@@ -32,15 +32,19 @@ def test_flatness_scenario_passes():
     assert report["forward_feasible"] and not report["backward_feasible"]
 
 
-def test_chains_scenario_passes():
-    ok, report = chains_scenario(seed=1, trials=2)
+def test_chains_scenario_passes(monkeypatch):
+    monkeypatch.setattr(scenarios, "CHAINS_TRIALS", 2)
+    ok, report = chains_scenario(seed=1)
+    assert len(report["rows"]) == 2
     assert ok
     for row in report["rows"]:
         assert row["l1"][-1] < 1e-12
 
 
-def test_multiway_scenario_passes():
-    ok, report = multiway_scenario(seed=2, trials=2)
+def test_multiway_scenario_passes(monkeypatch):
+    monkeypatch.setattr(scenarios, "MULTIWAY_TRIALS", 2)
+    ok, report = multiway_scenario(seed=2)
+    assert len(report["rows"]) == 2
     assert ok
     assert report["constants_distance"] == 1.0
 
@@ -65,11 +69,14 @@ def test_reproduce_counterexample_rejects_a_given_bad_eps(eps):
         reproduce("counterexample", eps=eps)
 
 
-def test_scenario_tolerance_overrides():
-    ok, report = chessboard_scenario(threshold=0.5)
+def test_scenario_tolerance_overrides(monkeypatch):
+    monkeypatch.setattr(scenarios, "CHESSBOARD_THRESHOLD", 0.5)
+    ok, report = chessboard_scenario()
     assert ok and report["threshold"] == 0.5
     # an impossible slack flips the chains verdict
-    ok, _ = chains_scenario(seed=1, cut_slack=-1.0)
+    monkeypatch.setattr(scenarios, "CHAINS_CUT_SLACK", -1.0)
+    ok, _ = chains_scenario(seed=1)
     assert not ok
-    ok, _ = flatness_scenario(residual_tol=1e-6)
+    monkeypatch.setattr(scenarios, "FLATNESS_RESIDUAL_TOL", 1e-6)
+    ok, _ = flatness_scenario()
     assert ok

@@ -1,4 +1,4 @@
-"""Source hygiene of the package: no dead imports, no unreferenced names."""
+"""Source hygiene of the package: no dead imports, unreferenced names or test-only defaults."""
 
 import ast
 from pathlib import Path
@@ -14,6 +14,11 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 # split_reconstruct's split-density input
 ACCEPTANCE_ONLY = {"split_reconstruct", "strictify", "reorder_by_ordered_partition",
                    "compose_couplings", "StepFunction1D"}
+# defaulted parameters that no package or perfbench call sets, kept on purpose
+UNSET_DEFAULTS = {
+    # the public flatness tolerance, kept for library callers (ROADMAP item 4)
+    "measures.check_flatter.tol",
+}
 
 
 def _references(tree, skip=None):
@@ -91,3 +96,54 @@ def test_acceptance_only_exports_are_called_by_the_criteria():
 def test_no_module_defines_all():
     assert [name for name, tree in MODULES.items()
             if "__all__" in _defined(tree)] == []
+
+
+def _defaulted(tree):
+    """(owner, function, parameter, position) of each defaulted parameter.
+
+    owner is the enclosing class or None; position counts the positional
+    arguments a call passes (self excluded) and is None for keyword-only.
+    """
+    scopes = [(None, tree.body)]
+    scopes += [(node.name, node.body) for node in tree.body if isinstance(node, ast.ClassDef)]
+    for owner, body in scopes:
+        for f in (node for node in body if isinstance(node, ast.FunctionDef)):
+            bound = owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list)
+            args = [*f.args.posonlyargs, *f.args.args]
+            first = len(args) - len(f.args.defaults)
+            for i in range(first, len(args)):
+                yield owner, f.name, args[i].arg, i - bound
+            for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+                if default is not None:
+                    yield owner, f.name, arg.arg, None
+
+
+def _passes(call, name, position):
+    """Whether the call can set the parameter: by position, keyword, * or **."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if position is not None and len(call.args) > position:
+        return True
+    return any(kw.arg in (None, name) for kw in call.keywords)
+
+
+def test_every_default_is_set_by_some_caller():
+    """A defaulted parameter that only tests set is a knob: make it a constant.
+
+    Calls match by the called name (a class name for __init__), so a call of
+    another function of the same name also counts as setting the parameter.
+    """
+    def callee(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    calls = [node for tree in (*MODULES.values(), *PERFBENCH.values())
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unset = set()
+    for module, tree in MODULES.items():
+        for owner, function, name, position in _defaulted(tree):
+            target = owner if function == "__init__" else function
+            if not any(callee(c) == target and _passes(c, name, position) for c in calls):
+                unset.add(".".join(filter(None, (module[:-3], owner, function, name))))
+    assert sorted(unset - UNSET_DEFAULTS) == []
+    assert UNSET_DEFAULTS <= unset
