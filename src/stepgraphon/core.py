@@ -5,10 +5,11 @@ symmetric matrix of block values; block i occupies the interval
 [cum_i, cum_{i+1}) of [0,1], so the list order fixes the geometry.  This
 module alone computes that layout: the breakpoints (_cumulative), interval
 overlaps (_overlaps), the block holding a point (_locate), the blocks that
-carry mass (_support), the overlay of two kernels (overlap_coupling) and the
-dyadic interval family (dyadic_intervals).  It also decides when two mass
-vectors match (_mismatch, within MATCH_TOL).  All operations are pure;
-arrays are frozen after construction.
+carry mass (_support), the overlay of two kernels (overlap_coupling), the
+cells of a coupling (_coupling_cells), the dyadic interval family
+(dyadic_intervals) and its overlaps with the blocks (_dyadic_overlaps).  It
+also decides when two mass vectors match (_mismatch, within MATCH_TOL).  All
+operations are pure; arrays are frozen after construction.
 """
 
 from __future__ import annotations
@@ -162,6 +163,11 @@ def dyadic_intervals(depth):
     return out
 
 
+def _dyadic_overlaps(cum, depth):
+    """(M, k) overlaps of the dyadic intervals, levels 0..depth, with the blocks of cum."""
+    return _overlaps(cum, *zip(*dyadic_intervals(depth)))
+
+
 class StepGraphon:
     """Symmetric step kernel with block masses summing to 1 and values in [0,1].
 
@@ -248,19 +254,12 @@ class StepFunction1D:
         seg = np.clip(x[..., None], lo, hi) - lo
         return (seg * self.values).sum(axis=-1)
 
-    def integral(self):
-        return float((np.diff(self.breakpoints) * self.values).sum())
-
     def to_dict(self):
         return {"breakpoints": self.breakpoints.tolist(), "values": self.values.tolist()}
 
     @classmethod
     def from_dict(cls, d):
         return cls(d["breakpoints"], d["values"])
-
-    @classmethod
-    def constant(cls, c):
-        return cls([0.0, 1.0], [c])
 
     @classmethod
     def indicator(cls, intervals):
@@ -308,16 +307,6 @@ class PartitionSpec:
     @classmethod
     def from_dict(cls, d):
         return cls(d["assignment"])
-
-    @classmethod
-    def identity(cls, weights):
-        w = np.asarray(weights, dtype=float)
-        return cls(np.diag(w))
-
-    @classmethod
-    def merge_all(cls, weights):
-        w = np.asarray(weights, dtype=float)
-        return cls(w.reshape(-1, 1))
 
     @classmethod
     def from_intervals(cls, weights, targets):
@@ -454,24 +443,32 @@ def stepping(W, P):
     return StepGraphon(b / b.sum(), np.clip(vals, 0.0, 1.0))
 
 
+def _coupling_cells(matrix):
+    """The positive cells (ii, jj) of a coupling matrix, row-major, and their masses.
+
+    The masses are divided by their sum.  These cells, in this order, are the
+    blocks of common_refinement and the coordinates of a cut-norm witness
+    under the coupling.
+    """
+    ii, jj = np.nonzero(matrix > 0)
+    c = matrix[ii, jj]
+    return ii, jj, c / c.sum()
+
+
 def common_refinement(U, W, C):
     """Overlay two graphons on the refinement indexed by coupling cells.
 
-    Cells (i, j) with C[i, j] > 0 are laid out row-major, so the first output
-    is a plain refinement of U while the second is a rearranged refinement of
-    W carried onto U's geometry.  Both outputs are index gathers of the
-    validated symmetric values, on the positive coupling cells divided by
-    their sum, so they are built without re-running the checks.
+    The blocks are C's _coupling_cells, so the first output is a plain
+    refinement of U while the second is a rearranged refinement of W carried
+    onto U's geometry.  Both outputs are index gathers of the validated
+    symmetric values, so they are built without re-running the checks.
     """
     if not isinstance(C, Coupling):
         raise MarginalMismatch("expected a Coupling")
     C.require_marginals(U.weights, W.weights)
-    ii, jj = np.nonzero(C.matrix > 0)
-    w_cells = C.matrix[ii, jj]
-    Uv = U.values[np.ix_(ii, ii)]
-    Wv = W.values[np.ix_(jj, jj)]
-    w_cells = w_cells / w_cells.sum()
-    return _derived(type(U), w_cells, Uv), _derived(type(W), w_cells, Wv)
+    ii, jj, w_cells = _coupling_cells(C.matrix)
+    return (_derived(type(U), w_cells, U.values[np.ix_(ii, ii)]),
+            _derived(type(W), w_cells, W.values[np.ix_(jj, jj)]))
 
 
 def overlap_coupling(U, W):

@@ -12,7 +12,7 @@ as for pairs that are bitwise equal up to a cell permutation, is exact.
 
 from __future__ import annotations
 
-import collections
+import collections.abc
 import functools
 import itertools
 import math
@@ -26,13 +26,14 @@ from .core import (
     SignedStepKernel,
     _canonical_cell_order,
     _check_stack,
+    _coupling_cells,
     _derived,
+    _dyadic_overlaps,
+    _freeze,
     _grid_cells,
-    _overlaps,
     _support,
     common_refinement,
     corner_rule,
-    dyadic_intervals,
 )
 from .errors import EmptySet, SolverFailure, StepGraphonError, TooManyBlocksForExact
 
@@ -84,9 +85,7 @@ class CutNormResult:
 @functools.cache
 def _pattern_table(n):
     """Read-only (2^n, n) 0/1 table: row i holds the bits of i, bit j in column j."""
-    table = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    table.flags.writeable = False
-    return table
+    return _freeze(((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float))
 
 
 @functools.lru_cache(maxsize=64)
@@ -98,8 +97,7 @@ def _heuristic_starts(seed, n_starts, k):
     table = np.empty((n_starts, k))
     for r in range(n_starts):
         table[r] = np.random.default_rng((seed, r)).integers(0, 2, size=k)
-    table.flags.writeable = False
-    return table
+    return _freeze(table)
 
 
 def _half_sums(ay):
@@ -420,13 +418,12 @@ def _min_cost_transport(cost, row, col):
 def _witness_gradient(U, W, cmat, res):
     """Gradient of the witnessed box integral as a function of the coupling.
 
-    The cut-norm witness lives on the nonzero cells of cmat in row-major
-    order (the refinement prunes zero cells the same way).
+    The cut-norm witness lives on core._coupling_cells of cmat.
     """
     ku, kw = cmat.shape
     s_grid = np.zeros((ku, kw))
     t_grid = np.zeros((ku, kw))
-    ii, jj = np.nonzero(cmat > 0)
+    ii, jj, _ = _coupling_cells(cmat)
     s_grid[ii, jj] = res.witness_s
     t_grid[ii, jj] = res.witness_t
     tc = t_grid * cmat
@@ -449,20 +446,17 @@ SUPPORT_CAP = 4096
 def _factored_cut_norm(U, W, cmat, seed):
     """Heuristic cut norm of U - W under cmat, without building the refinement.
 
-    On the n positive cells p = (ii[p], jj[p]) of cmat, row-major, with
-    masses a = c / c.sum() as in common_refinement, the difference kernel is
-    L D L^T: L (n, k_U + k_W) holds a[p] at (p, ii[p]) and (p, k_U + jj[p]),
-    and D = blockdiag(U.values, -W.values).  So a product x @ (L D L^T) is
-    two products through k_U + k_W columns, and, the kernel being symmetric,
-    it serves both sides of the bilinear form.  The alternating heuristic runs
+    On the n cells p = (ii[p], jj[p]) of cmat, with masses a, from
+    core._coupling_cells, the difference kernel is L D L^T: L (n, k_U + k_W)
+    holds a[p] at (p, ii[p]) and (p, k_U + jj[p]), and D =
+    blockdiag(U.values, -W.values).  So a product x @ (L D L^T) is two
+    products through k_U + k_W columns, and, the kernel being symmetric, it
+    serves both sides of the bilinear form.  The alternating heuristic runs
     on it with cut_norm's loop and starts, SEARCH_RESTARTS of them.  The
     value is |(s L) D (t L)^T|, the witness's box integral, so a lower bound;
-    the witness is on the cells in row-major order, as the refinement lays
-    them out.
+    the witness is on those cells, in their order.
     """
-    ii, jj = np.nonzero(cmat > 0)
-    c = cmat[ii, jj]
-    a = c / c.sum()
+    ii, jj, a = _coupling_cells(cmat)
     n, ku = len(a), U.k
     ell = np.zeros((n, ku + W.k))
     ell[np.arange(n), ii] = a
@@ -591,9 +585,12 @@ def _isomorphic_start(A, B):
 
 
 def _search_budget(budget):
-    """DEFAULT_BUDGET updated by budget, or StepGraphonError for a bad entry."""
+    """DEFAULT_BUDGET updated by budget, a mapping or None, or StepGraphonError if it is bad."""
     cfg = dict(DEFAULT_BUDGET)
-    for key, value in (budget or {}).items():
+    budget = {} if budget is None else budget
+    if not isinstance(budget, collections.abc.Mapping):
+        raise StepGraphonError(f"budget must be a mapping, got {type(budget).__name__}")
+    for key, value in budget.items():
         if key not in DEFAULT_BUDGET:
             raise StepGraphonError(f"budget key {key!r} is not one of {sorted(DEFAULT_BUDGET)}")
         if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 0):
@@ -692,8 +689,7 @@ def cut_distance(U, W, budget=None, seed=0):
 
 def rectangle_signature(W, depth):
     """Exact integrals of W over all depth-D dyadic rectangles (M x M)."""
-    lo, hi = zip(*dyadic_intervals(depth))
-    r = _overlaps(W.cumulative(), lo, hi)
+    r = _dyadic_overlaps(W.cumulative(), depth)
     return r @ W.values @ r.T
 
 

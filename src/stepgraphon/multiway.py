@@ -20,6 +20,7 @@ from .core import (
     MATCH_TOL,
     PartitionSpec,
     _check_stack,
+    _freeze,
     _mismatch,
     _require_source,
     corner_rule,
@@ -129,9 +130,7 @@ def _vertex_orders(k, q):
                               dtype=np.intp).reshape(-1, k)
         col_orders = np.array([order(q, l) for _ in range(k) for l in range(q)
                                for order in (first, last)], dtype=np.intp).reshape(-1, q)
-    row_orders.flags.writeable = False
-    col_orders.flags.writeable = False
-    return row_orders, col_orders
+    return _freeze(row_orders), _freeze(col_orders)
 
 
 def _scaled_random(seed, count, row, col):

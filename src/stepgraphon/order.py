@@ -18,9 +18,9 @@ from .core import (
     PartitionSpec,
     StepGraphon,
     _canonical_cell_order,
+    _dyadic_overlaps,
+    _freeze,
     _interlace_order,
-    _overlaps,
-    dyadic_intervals,
     edge_density,
     grid_version,
     stepping,
@@ -136,7 +136,7 @@ class EnvelopeSample:
         """Read `to_dict` output; a bad resolution, depth or signature raises StepGraphonError."""
         resolution, depth = int(d["resolution"]), int(d["depth"])
         for name, value, low in (("resolution", resolution, 1), ("depth", depth, 0)):
-            if value != d[name] or value < low:
+            if isinstance(d[name], bool) or value != d[name] or value < low:
                 raise StepGraphonError(f"envelope {name} must be an integer >= {low}, "
                                        f"got {d[name]!r}")
         m = (1 << (min(depth, 32) + 1)) - 1  # from depth 32 on, m * m is wider than any array
@@ -171,8 +171,7 @@ def _envelope_perms(seed, count, n):
         table[idx] = np.random.default_rng((seed, idx)).permutation(n)
     for row, level in enumerate(levels, start=count):
         table[row] = _interlace_order(n, level)
-    table.flags.writeable = False
-    return table
+    return _freeze(table)
 
 
 def _check_envelope(n, count, depth):
@@ -221,7 +220,7 @@ def _envelope_cloud(base, count, depth, seed):
     """
     n = base.k
     perms = _envelope_perms(seed, count, n)
-    r = _overlaps(base.cumulative(), *zip(*dyadic_intervals(depth)))
+    r = _dyadic_overlaps(base.cumulative(), depth)
     m = len(r)
     rows = len(perms)
     sigs = np.empty((rows + depth + 1, m * m))

@@ -209,8 +209,7 @@ def reproduce(which, eps=None, seed=0):
     if which == "chessboard":
         return chessboard_scenario()
     if which == "counterexample":
-        eps_values = (eps,) if eps is not None else (2 ** -4, 2 ** -6, 2 ** -8)
-        return counterexample_scenario(eps_values)
+        return counterexample_scenario() if eps is None else counterexample_scenario((eps,))
     if which == "flatness":
         return flatness_scenario()
     if which == "chains":

@@ -129,15 +129,15 @@ def test_int_f_examples():
 
 def test_stepping_identity_and_merge():
     g = random_graphon(np.random.default_rng(2))
-    same = stepping(g, PartitionSpec.identity(g.weights))
+    same = stepping(g, PartitionSpec(np.diag(g.weights)))
     assert l1_distance(same, g) < 1e-12
-    merged = stepping(g, PartitionSpec.merge_all(g.weights))
+    merged = stepping(g, PartitionSpec(g.weights[:, None]))
     assert merged.k == 1
     assert merged.values[0, 0] == pytest.approx(edge_density(g), abs=1e-12)
 
 
 def test_stepping_bipartite_merge_realizes_half():
-    merged = stepping(bipartite_graphon(), PartitionSpec.merge_all([0.5, 0.5]))
+    merged = stepping(bipartite_graphon(), PartitionSpec([[0.5], [0.5]]))
     assert merged.values[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
@@ -179,7 +179,7 @@ def test_stepping_idempotent(rng):
     g = random_graphon(rng)
     p = PartitionSpec.dyadic(g.weights, 2)
     once = stepping(g, p)
-    twice = stepping(once, PartitionSpec.identity(once.weights))
+    twice = stepping(once, PartitionSpec(np.diag(once.weights)))
     assert l1_distance(once, twice) < 1e-12
 
 
@@ -337,7 +337,7 @@ def test_interlace_version_preserves_density(rng):
 
 def test_reorder_identity_and_swap():
     g = StepGraphon([0.25, 0.75], [[0.1, 0.6], [0.6, 0.9]])
-    same = reorder_by_ordered_partition(g, PartitionSpec.identity(g.weights))
+    same = reorder_by_ordered_partition(g, PartitionSpec(np.diag(g.weights)))
     assert l1_distance(same, g) == 0.0
     swap = reorder_by_ordered_partition(
         g, PartitionSpec([[0.0, 0.25], [0.75, 0.0]]))
@@ -361,7 +361,7 @@ def test_reorder_split_block_to_both_ends():
 def test_split_reconstruct_degenerate_split():
     bip = bipartite_graphon()
     for level in (0.0, 1.0):
-        s = StepFunction1D.constant(level)
+        s = StepFunction1D([0.0, 1.0], [level])
         assert l1_distance(split_reconstruct(bip, s, 4), bip) == 0.0
 
 
@@ -374,7 +374,7 @@ def test_split_reconstruct_rejects_off_grid_breakpoints():
 
 def test_split_reconstruct_half_split_averages():
     # each grid point mixes the four quadrant values 0, 1, 1, 0 equally
-    out = split_reconstruct(bipartite_graphon(), StepFunction1D.constant(0.5), 8)
+    out = split_reconstruct(bipartite_graphon(), StepFunction1D([0.0, 1.0], [0.5]), 8)
     assert (out.values == 0.5).all()
 
 
@@ -415,7 +415,7 @@ def test_step_function_validation():
     f = StepFunction1D([0.0, 0.25, 1.0], [1.0, 0.0])
     assert f(0.1) == 1.0 and f(0.25) == 0.0 and f(1.0) == 0.0
     assert f.prefix_integral(np.array(0.5)) == pytest.approx(0.25)
-    assert f.integral() == pytest.approx(0.25)
+    assert f.prefix_integral(np.array(1.0)) == pytest.approx(0.25)
 
 
 # ------------------------------------------------------------- refused inputs

@@ -86,6 +86,8 @@ GOOD = {EnvelopeSample: ENVELOPE, CutNormResult: CUT_NORM}
     (CutNormResult, "witness_T", [0.5, 1], "cut-norm witnesses"),
     (CutNormResult, "witness_T", [0], "cut-norm witnesses"),
     (CutNormResult, "witness_S", [[1, 0]], "cut-norm witnesses"),
+    (EnvelopeSample, "resolution", True, "envelope resolution"),
+    (EnvelopeSample, "depth", False, "envelope depth"),
 ])
 def test_reader_rejects_a_bad_field(tmp_path, cls, field, value, message):
     good = GOOD[cls]

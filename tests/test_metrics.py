@@ -30,9 +30,8 @@ from stepgraphon import (
     weak_star_distance,
 )
 from stepgraphon import core, measures, metrics
-from stepgraphon.core import common_refinement, corner_rule
+from stepgraphon.core import common_refinement, corner_rule, dyadic_intervals
 from stepgraphon.measures import DiscreteMeasure, _flatness_system
-from stepgraphon.metrics import dyadic_intervals
 from stepgraphon.named import bipartite_graphon
 from stepgraphon.scenarios import hierarchical_graphon
 
@@ -517,6 +516,17 @@ def test_cut_distance_constants():
     q = StepGraphon([1.0], [[0.7]])
     val, _ = cut_distance(p, q, budget={"restarts": 1, "max_iters": 2})
     assert val == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("budget, kind", [
+    ([("restarts", 1)], "list"), ("x", "str"), (3, "int"), ((), "tuple")])
+def test_cut_distance_refuses_a_budget_that_is_not_a_mapping(budget, kind):
+    p = StepGraphon([1.0], [[0.2]])
+    with pytest.raises(StepGraphonError, match=f"^budget must be a mapping, got {kind}$"):
+        cut_distance(p, p, budget=budget)
+    for default in (None, {}):
+        val, coupling = cut_distance(p, p, budget=default)
+        assert val == 0.0 and coupling.matrix.tolist() == [[1.0]]
 
 
 def test_cut_distance_bipartite_vs_half_is_an_eighth():

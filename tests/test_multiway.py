@@ -31,14 +31,14 @@ from conftest import corner_rule_reference, random_graphon, scaled_random_refere
 
 def test_multiway_matrix_single_part():
     g = random_graphon(np.random.default_rng(1))
-    m = multiway_matrix(g, PartitionSpec.merge_all(g.weights))
+    m = multiway_matrix(g, PartitionSpec(g.weights[:, None]))
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(edge_density(g), abs=1e-12)
 
 
 def test_multiway_matrix_bipartite_identity():
     bip = bipartite_graphon()
-    m = multiway_matrix(bip, PartitionSpec.identity(bip.weights))
+    m = multiway_matrix(bip, PartitionSpec(np.diag(bip.weights)))
     assert np.allclose(m, [[0.0, 0.25], [0.25, 0.0]])
 
 

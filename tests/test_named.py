@@ -105,7 +105,7 @@ def test_u2_is_the_split_reconstruction_of_w1_at_one_half():
     for k in range(3, 11):
         eps = 2.0 ** -k
         n = 2 ** k
-        got = split_reconstruct(w1_graphon(eps), StepFunction1D.constant(0.5), n)
+        got = split_reconstruct(w1_graphon(eps), StepFunction1D([0.0, 1.0], [0.5]), n)
         assert np.array_equal(grid_version(u2_graphon(eps), n).values, got.values)
 
 

@@ -1,6 +1,7 @@
-"""Source hygiene of the package: no dead imports, unreferenced names or test-only defaults."""
+"""Package source hygiene: no dead imports, unreferenced names or methods, test-only defaults."""
 
 import ast
+import collections
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,6 +19,13 @@ ACCEPTANCE_ONLY = {"split_reconstruct", "strictify", "reorder_by_ordered_partiti
 UNSET_DEFAULTS = {
     # the public flatness tolerance, kept for library callers (ROADMAP item 4)
     "measures.check_flatter.tol",
+}
+# methods that no package, perfbench or criteria code reads, kept on purpose
+UNREAD_METHODS = {
+    # argparse calls it on a parse error
+    "cli._Parser.error",
+    # perfbench/test_perfbench.py builds couplings with it, and perfbench is the benchmark's
+    "core.Coupling.diagonal",
 }
 
 
@@ -87,6 +95,36 @@ def test_every_export_is_reached():
     unreached = [name for name in exported if name not in ACCEPTANCE_ONLY
                  and not any(name in _references(tree, skip=name) for tree in readers)]
     assert unreached == []
+
+
+def _methods(tree):
+    """(class name, method node) of each non-dunder method of a top-level class."""
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                yield cls.name, node
+
+
+def _attribute_reads(trees):
+    """How often each name is reached as an attribute anywhere in the trees."""
+    return collections.Counter(node.attr for tree in trees for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute))
+
+
+def test_every_method_is_reached():
+    """Each method is reached outside its own body by the package, perfbench or the criteria.
+
+    A method is reached as an attribute, matched by name, so an attribute of
+    the same name elsewhere also counts; the criteria keep
+    StepFunction1D.indicator.
+    """
+    readers = [*MODULES.values(), *PERFBENCH.values(), ast.parse(ACCEPTANCE.read_text())]
+    reads = _attribute_reads(readers)
+    unread = {f"{module[:-3]}.{owner}.{method.name}"
+              for module, tree in MODULES.items() for owner, method in _methods(tree)
+              if reads[method.name] == _attribute_reads([method])[method.name]}
+    assert sorted(unread - UNREAD_METHODS) == []
+    assert UNREAD_METHODS <= unread
 
 
 def test_acceptance_only_exports_are_called_by_the_criteria():
