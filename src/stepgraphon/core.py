@@ -197,11 +197,15 @@ class StepGraphon:
 
     @classmethod
     def from_dict(cls, d):
-        """Read `to_dict` output; a `"signed"` flag reads as SignedStepKernel.
+        """Read `to_dict` output; a `"signed": true` flag reads as SignedStepKernel.
 
-        SignedStepKernel.from_dict reads a file with or without the flag.
+        A present flag must be a boolean.  SignedStepKernel.from_dict reads a
+        file with or without the flag.
         """
-        if d.get("signed"):
+        signed = d.get("signed", False)
+        if not isinstance(signed, bool):
+            raise StepGraphonError(f'the "signed" flag must be true or false, got {signed!r}')
+        if signed:
             cls = SignedStepKernel
         return cls(d["weights"], d["values"])
 
@@ -253,13 +257,6 @@ class StepFunction1D:
         hi = self.breakpoints[1:]
         seg = np.clip(x[..., None], lo, hi) - lo
         return (seg * self.values).sum(axis=-1)
-
-    def to_dict(self):
-        return {"breakpoints": self.breakpoints.tolist(), "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["breakpoints"], d["values"])
 
     @classmethod
     def indicator(cls, intervals):
@@ -359,10 +356,6 @@ class Coupling:
             "row_marginal": self.row_marginal.tolist(),
             "col_marginal": self.col_marginal.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["matrix"], d["row_marginal"], d["col_marginal"])
 
     @classmethod
     def diagonal(cls, weights):

@@ -28,17 +28,18 @@ def save(obj, path):
 
 
 def load(path, cls):
-    """Read a file written by `save` as `cls.from_dict` of its JSON object.
+    """Read a file as `cls.from_dict` of its JSON object.
 
-    An unreadable file, a top-level value that is not an object, and fields
-    the constructor cannot convert (KeyError, TypeError, ValueError,
-    OverflowError) raise StepGraphonError; the constructors' own named errors
-    pass through.
+    The commands read graphons, signed kernels, measures and cut sets; no
+    other class has a reader.  An unreadable or too deeply nested file, a
+    top-level value that is not an object, and fields the constructor cannot
+    convert (KeyError, TypeError, ValueError, OverflowError) raise
+    StepGraphonError; the constructors' own named errors pass through.
     """
     try:
         with open(path) as fh:
             d = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise StepGraphonError(f"cannot read {path}: {exc}") from exc
     if not isinstance(d, dict):
         raise StepGraphonError(f"{path} holds a JSON {type(d).__name__}, not an object")

@@ -69,18 +69,6 @@ class CutNormResult:
             "mode": self.mode,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        """Read `to_dict` output; a bad mode, value or witness raises StepGraphonError."""
-        value, s, t = float(d["value"]), np.asarray(d["witness_S"]), np.asarray(d["witness_T"])
-        if d["mode"] not in ("exact", "heuristic"):
-            raise StepGraphonError(f"cut-norm mode must be exact or heuristic, got {d['mode']!r}")
-        if not (math.isfinite(value) and value >= 0.0):
-            raise StepGraphonError(f"cut-norm value must be finite and >= 0, got {value!r}")
-        if s.ndim != 1 or s.shape != t.shape or not np.isin(np.concatenate((s, t)), (0, 1)).all():
-            raise StepGraphonError("cut-norm witnesses must be 0/1 vectors of one length")
-        return cls(value, s, t, d["mode"])
-
 
 @functools.cache
 def _pattern_table(n):

@@ -131,21 +131,6 @@ class EnvelopeSample:
             "signatures": self.signatures.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        """Read `to_dict` output; a bad resolution, depth or signature raises StepGraphonError."""
-        resolution, depth = int(d["resolution"]), int(d["depth"])
-        for name, value, low in (("resolution", resolution, 1), ("depth", depth, 0)):
-            if isinstance(d[name], bool) or value != d[name] or value < low:
-                raise StepGraphonError(f"envelope {name} must be an integer >= {low}, "
-                                       f"got {d[name]!r}")
-        m = (1 << (min(depth, 32) + 1)) - 1  # from depth 32 on, m * m is wider than any array
-        sigs = np.asarray(d["signatures"], dtype=float)
-        if sigs.ndim != 2 or sigs.shape[1] != m * m or not np.isfinite(sigs).all():
-            raise StepGraphonError(f"envelope signatures at depth {depth} must be rows of "
-                                   "(2^(depth+1) - 1)^2 finite values")
-        return cls(resolution, depth, sigs)
-
     def __len__(self):
         return len(self.signatures)
 

@@ -10,7 +10,6 @@ import pytest
 from stepgraphon import io
 from stepgraphon.cli import build_parser, main
 from stepgraphon.core import StepGraphon
-from stepgraphon.order import EnvelopeSample
 
 from conftest import flatness_defect_pair
 
@@ -152,8 +151,7 @@ def test_order_envelope_and_chi(tmp_path, capsys):
                        "--count", "5", "--depth", "3", "--seed", "7",
                        "--out", str(out)], capsys)
     assert code == 0
-    sample = io.load(out, EnvelopeSample)
-    assert sample.resolution == 8
+    assert json.loads(out.read_text())["resolution"] == 8
     code, text = run_cli(["order", "chi", "--u", str(bip), "--w", str(bip),
                           "--n", "8", "--count", "5", "--depth", "3",
                           "--json"], capsys)
@@ -454,7 +452,6 @@ def test_envelope_sampling_seeded_determinism(tmp_path, capsys):
 
 
 def test_flatness_witness_roundtrip(tmp_path, capsys):
-    from stepgraphon.core import Coupling
     l1 = tmp_path / "l1.json"
     l2 = tmp_path / "l2.json"
     out = tmp_path / "witness.json"
@@ -465,8 +462,7 @@ def test_flatness_witness_roundtrip(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["feasible"] is True
-    coupling = Coupling.from_dict(payload["coupling"])
-    assert coupling.matrix.tolist() == [[0.5, 0.5]]
+    assert payload["coupling"]["matrix"] == [[0.5, 0.5]]
 
 
 def test_cut_set_without_provenance_exits_one_without_traceback(tmp_path):
@@ -478,6 +474,17 @@ def test_cut_set_without_provenance_exits_one_without_traceback(tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_deeply_nested_file_exits_one_without_traceback(tmp_path):
+    # past its nesting limit json.load raises RecursionError, not ValueError
+    path = tmp_path / "deep.json"
+    path.write_text('{"weights": ' + "[" * 100000 + "]" * 100000 + "}")
+    proc = run_module(["density", "--w", str(path)])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}: ")
 
 
 @pytest.mark.parametrize("args", [

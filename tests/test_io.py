@@ -4,26 +4,20 @@ import numpy as np
 import pytest
 
 from stepgraphon import io
-from stepgraphon.core import SignedStepKernel, StepFunction1D, StepGraphon, grid_version
+from stepgraphon.core import SignedStepKernel, StepGraphon, grid_version
 from stepgraphon.errors import StepGraphonError, ValueOutOfRange
 from stepgraphon.measures import DiscreteMeasure
-from stepgraphon.metrics import CutNormResult, cut_distance, cut_norm
-from stepgraphon.core import Coupling
+from stepgraphon.metrics import cut_distance
 from stepgraphon.multiway import sample_multiway_set
 from stepgraphon.named import bipartite_graphon
-from stepgraphon.order import EnvelopeSample, sample_envelope
 
 SIGNED = SignedStepKernel([0.5, 0.5], [[-0.5, 0.5], [0.5, -0.5]])
 
 OBJECTS = [
     StepGraphon([0.25, 0.75], [[0.1, 0.6], [0.6, 0.9]]),
     SIGNED,
-    StepFunction1D([0.0, 0.3, 1.0], [0.2, 0.9]),
     DiscreteMeasure([0.0, 0.5, 1.0], [0.25, 0.5, 0.25]),
-    Coupling([[0.25, 0.25], [0.25, 0.25]], [0.5, 0.5], [0.5, 0.5]),
     sample_multiway_set(bipartite_graphon(), [0.5, 0.5], count=2, seed=1),
-    sample_envelope(bipartite_graphon(), 4, count=2, depth=1, seed=7),
-    cut_norm(SIGNED),
 ]
 
 
@@ -56,47 +50,19 @@ def test_flagless_signed_file_loads_as_signed_kernel(tmp_path):
 
 
 def test_overflowing_field_is_a_named_error(tmp_path):
-    # JSON reads 1e400 as inf, and int(inf) raises OverflowError
-    path = tmp_path / "env.json"
-    path.write_text('{"resolution": 1e400, "depth": 1, "signatures": [[0.0]]}')
-    with pytest.raises(StepGraphonError, match="not a EnvelopeSample file"):
-        io.load(path, EnvelopeSample)
+    # JSON reads a 400-digit integer exactly, and float() of it raises OverflowError
+    path = tmp_path / "g.json"
+    path.write_text('{"weights": [1' + "0" * 400 + '], "values": [[0.5]]}')
+    with pytest.raises(StepGraphonError, match="not a StepGraphon file: OverflowError"):
+        io.load(path, StepGraphon)
 
 
-NAN, INF = float("nan"), float("inf")
-ENVELOPE = {"resolution": 4, "depth": 1, "signatures": [[0.25] * 9]}
-CUT_NORM = {"value": 0.25, "witness_S": [1, 0], "witness_T": [0, 1], "mode": "exact"}
-GOOD = {EnvelopeSample: ENVELOPE, CutNormResult: CUT_NORM}
-
-
-@pytest.mark.parametrize("cls, field, value, message", [
-    (EnvelopeSample, "resolution", 2.5, "envelope resolution"),
-    (EnvelopeSample, "resolution", -3, "envelope resolution"),
-    (EnvelopeSample, "depth", 0.5, "envelope depth"),
-    (EnvelopeSample, "depth", -1, "envelope depth"),
-    (EnvelopeSample, "depth", 2, "envelope signatures"),
-    (EnvelopeSample, "depth", 10 ** 9, "envelope signatures"),
-    (EnvelopeSample, "signatures", [[1.0, NAN]], "envelope signatures"),
-    (EnvelopeSample, "signatures", [[0.0] * 8 + [INF]], "envelope signatures"),
-    (EnvelopeSample, "signatures", [0.0] * 9, "envelope signatures"),
-    (CutNormResult, "mode", "bogus", "cut-norm mode"),
-    (CutNormResult, "value", -5, "cut-norm value"),
-    (CutNormResult, "value", NAN, "cut-norm value"),
-    (CutNormResult, "witness_S", [3, 7], "cut-norm witnesses"),
-    (CutNormResult, "witness_T", [0.5, 1], "cut-norm witnesses"),
-    (CutNormResult, "witness_T", [0], "cut-norm witnesses"),
-    (CutNormResult, "witness_S", [[1, 0]], "cut-norm witnesses"),
-    (EnvelopeSample, "resolution", True, "envelope resolution"),
-    (EnvelopeSample, "depth", False, "envelope depth"),
-])
-def test_reader_rejects_a_bad_field(tmp_path, cls, field, value, message):
-    good = GOOD[cls]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(good))
-    assert io.load(path, cls).to_dict() == good
-    path.write_text(json.dumps({**good, field: value}))
-    with pytest.raises(StepGraphonError, match=message):
-        io.load(path, cls)
+@pytest.mark.parametrize("flag", ["false", "true", 1, 0, None])
+def test_signed_flag_must_be_a_boolean(tmp_path, flag):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"weights": [1.0], "values": [[0.5]], "signed": flag}))
+    with pytest.raises(StepGraphonError, match='"signed" flag'):
+        io.load(path, StepGraphon)
 
 
 def test_save_into_missing_directory_is_a_named_error(tmp_path):
@@ -119,13 +85,3 @@ def test_loaded_cell_permuted_copy_is_at_distance_zero(tmp_path):
     path = tmp_path / "w.json"
     io.save(grid_version(U, 13, np.random.default_rng(14).permutation(13)), path)
     assert cut_distance(U, io.load(path, StepGraphon))[0] == 0.0
-
-
-@pytest.mark.parametrize("missing", ["row_marginal", "col_marginal"])
-def test_coupling_file_needs_both_marginals(tmp_path, missing):
-    d = Coupling([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5], [0.5, 0.5]).to_dict()
-    del d[missing]
-    path = tmp_path / "coupling.json"
-    path.write_text(json.dumps(d))
-    with pytest.raises(StepGraphonError, match=f"not a Coupling file: KeyError\\('{missing}'\\)"):
-        io.load(path, Coupling)

@@ -1,4 +1,4 @@
-"""Package source hygiene: no dead imports, unreferenced names or methods, test-only defaults."""
+"""Source hygiene: no dead imports, unreached names, methods or readers, test-only defaults."""
 
 import ast
 import collections
@@ -185,3 +185,35 @@ def test_every_default_is_set_by_some_caller():
                 unset.add(".".join(filter(None, (module[:-3], owner, function, name))))
     assert sorted(unset - UNSET_DEFAULTS) == []
     assert UNSET_DEFAULTS <= unset
+
+
+def test_every_reader_has_a_command():
+    """Each from_dict is reached by a command.
+
+    cli.py passes its class, or a base of it, to io.load, or a reached
+    reader calls it (MultiwayMatrixSet's reads PartitionSpec's).
+    """
+    classes = {node.name: node for tree in MODULES.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+
+    def from_dict(cls):
+        return next((node for node in cls.body if isinstance(node, ast.FunctionDef)
+                     and node.name == "from_dict"), None)
+
+    def lineage(name):
+        bases = [base.id for base in classes[name].bases if isinstance(base, ast.Name)]
+        return {name}.union(*(lineage(base) for base in bases if base in classes))
+
+    loaded = {call.args[1].id for call in ast.walk(MODULES["cli.py"])
+              if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+              and call.func.attr == "load" and getattr(call.func.value, "id", None) == "io"
+              and len(call.args) == 2 and isinstance(call.args[1], ast.Name)}
+    readers = {name for name, cls in classes.items() if from_dict(cls)}
+    reached = frontier = {name for name in readers if lineage(name) & loaded}
+    while frontier:
+        called = {node.value.id for name in frontier for node in ast.walk(from_dict(classes[name]))
+                  if isinstance(node, ast.Attribute) and node.attr == "from_dict"
+                  and isinstance(node.value, ast.Name)}
+        frontier = (called & readers) - reached
+        reached = reached | frontier
+    assert sorted(readers - reached) == []
