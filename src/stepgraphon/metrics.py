@@ -40,7 +40,8 @@ from .errors import EmptySet, SolverFailure, StepGraphonError, TooManyBlocksForE
 EXACT_BLOCK_CAP = 24
 SWEEP_BLOCK_CAP = 8
 _BLOCK_FLOATS = 1 << 16  # exact enumeration block; timed faster than 2^17 or 2^18
-_SCREEN_BLOCKS = 8  # float32 screen from this many blocks (k >= 15); below it costs more
+_SCREEN_BLOCKS = 8  # bound screen from this many blocks (k >= 15)
+_SCREEN_FANOUT = 1 << 10  # children per screen expansion; 2^9 timed slower on ties, 2^11 on random
 DEFAULT_BUDGET = {"restarts": 32, "max_iters": 200}
 HEURISTIC_RESTARTS = 32  # seeded starts of the heuristic cut norm
 WEAK_STAR_DEPTH_CAP = 10  # the deepest level with a nonzero float64 weight
@@ -127,48 +128,111 @@ def _pattern_blocks(low, high, low_total, high_total, per_block, keep=None):
         yield hi, pos, neg
 
 
-def _screen_blocks(low, high, low_total, high_total, per_block, total_abs):
-    """One float32 pass: the blocks that may hold a float64 maximum.
+def _completion_bound(cols, plus, minus, work):
+    """Upper bound on the pos and neg of every completion of each node.
 
-    Scaling: low, high and their totals are multiplied by 2^shift, exact,
-    so that the largest magnitude of low and high lies in [0.5, 1), and
-    cast to float32.  All values below are in these scaled units.
-
-    Error bound.  For a pattern let A = sum_j |high[j, hi]| + |low[j, lo]|.
-    A and the magnitude of the pattern total are at most T' = 2^shift T,
-    T = sum |ay|, up to float64 rounding.  Compare pos and neg with their
-    exact values from the float64 low, high and totals; u32 = 2^-24 and
-    u64 = 2^-53 are the unit roundoffs.
-    - float32: a column sum is two rounded casts and a rounded add, off by
-      (2 u32 + u32^2) times its share of A; the k-term sum adds (k - 1) u32 A
-      in any summation order; the totals' casts and add and neg's
-      subtraction add less than 4 u32 A.  So pos and neg are within
-      (k + 7) u32 A.
-    - float64: the same steps without the casts, within (k + 5) u64 A.
-    - underflow: the 4k + 3 float32 casts, adds and sum steps lose at most
-      2^-126 each (2^-150 per cast and nothing per add under gradual
-      underflow; 2^-126 also covers flush to zero).
-    So E = 2 ((k + 7) u32 + (k + 5) u64) T' + (4k + 4) 2^-126 bounds
-    |v32 - v64| for every pattern, pos and neg; the factor 2 covers the
-    float64 rounding of A <= T' and of the threshold.
-
-    Screen.  Let G be the largest float32 value.  Its pattern's float64
-    value is at least G - E, and so is the float64 maximum.  A block whose
-    float32 maximum is below G - 2E holds only float64 values below G - E,
-    hence no float64 maximum, and is dropped.  Every other block is kept;
-    a NaN keeps them all.
+    A node fixes some rows, and column i of cols holds their column sums;
+    plus and minus sum the positive parts and the magnitudes of the
+    negative parts of the rows still free.  A completion's column sum j
+    lies in [cols_j - minus_j, cols_j + plus_j], so its pos is at most
+    sum_j (cols_j + plus_j)+ and its neg at most sum_j (minus_j - cols_j)+.
+    With plus and minus 0 this is the node's own value, the larger of its
+    pos and neg.  work is a (2, *cols.shape) buffer.
     """
-    k = low.shape[0]
-    shift = -int(np.frexp(max(np.abs(low).max(), np.abs(high).max()))[1])
+    np.add(cols, plus[:, None], out=work[0])
+    np.subtract(minus[:, None], cols, out=work[1])
+    np.maximum(work, 0.0, out=work)
+    return work.sum(axis=1).max(axis=0)
 
-    def scaled(x):
-        return np.ldexp(x, shift, out=np.empty(x.shape, np.float32), casting="same_kind")
 
-    maxima = np.array([max(pos.max(), neg.max()) for _, pos, neg in _pattern_blocks(
-        scaled(low), scaled(high), scaled(low_total), scaled(high_total), per_block)])
-    err = (2.0 * ((k + 7) * 2.0 ** -24 + (k + 5) * 2.0 ** -53) * math.ldexp(total_abs, shift)
-           + (4 * k + 4) * 2.0 ** -126)
-    return ~(maxima < maxima.max() - 2.0 * err)
+def _bound_screen(ay, per_block, total_abs):
+    """The blocks of the scan that may hold a float64 maximum.
+
+    A depth-first branch and bound fixes the rows heaviest first
+    (descending sum_j |ay_ij|, stable).  A node of depth d fixes the first
+    d of them; it is a column of k column sums over the rows it sets and
+    one more entry, its pattern's index over all k rows (exact in float64,
+    as k <= 24).  The incumbent is the value of the heuristic's pattern
+    (cut_norm's heuristic call), and the own pattern of every node that
+    survives, its free rows unset, can raise it.  A batch of n nodes is
+    expanded by the next r rows at once, r >= 1 the most that keeps its
+    n 2^r children within _SCREEN_FANOUT, and batches hold at most half
+    that.  A child whose _completion_bound is below the incumbent minus
+    the margin is pruned.  The tree ends at the first depth whose free
+    rows sum to at most the margin in |ay|, depth k unless the lightest
+    rows are that light: below it no bound can tell patterns apart.
+    A node that survives there marks with its bound every high half hi
+    that its completions reach, its own and each with more of the free
+    rows of the high half set.  A block of per_block consecutive hi is
+    kept when its largest mark is within the margin of the final
+    incumbent.  Pruning and marking only use bounds, so the depth at
+    which the tree ends changes the work, not the blocks that must stay.
+
+    Margin.  Let T = sum |ay| and u = 2^-53.  Every value below is made by
+    additions, subtractions and max(., 0) of float64 entries of ay; each
+    of these is exact when its result is subnormal and within u of it
+    otherwise, so to first order in u, in units of u T and in any
+    summation order:
+    - the scan's pos is within 2k of the exact value (k for a column sum,
+      k - 1 for the sum over columns), and its neg within 5k (the pattern
+      total adds 3k - 1, the subtraction 1);
+    - a node's column sums are within k and the free rows' sums within
+      k - 1, so a bound is within 3k; a node's own value, its neg again
+      as pos minus its total, is within 4k + 1;
+    - the heuristic's value (a product with ay and a sum) is within 2k.
+    A pruned pattern's scan value is thus at most its bound + 3k + 5k, and
+    the scan's maximum at least the incumbent - (4k + 1) - 5k.  So a
+    margin of 18k u T keeps every block that holds a float64 maximum;
+    32k u T also covers the second-order terms and the rounding of T, of
+    the margin and of the threshold, and 2^-1070 the margin's underflow.
+    """
+    k = ay.shape[0]
+    l = (k + 1) // 2
+    order = np.argsort(-np.abs(ay).sum(axis=1), kind="stable")
+    rows = np.concatenate((ay[order], np.ldexp(1.0, order)[:, None]), axis=1)
+    plus = np.zeros((k + 1, k))
+    minus = np.zeros((k + 1, k))
+    plus[:k] = np.cumsum(np.maximum(rows[:, :k], 0.0)[::-1], axis=0)[::-1]
+    minus[:k] = np.cumsum(np.maximum(-rows[:, :k], 0.0)[::-1], axis=0)[::-1]
+    s, _ = _alternating_max(_heuristic_starts(0, HEURISTIC_RESTARTS, k),
+                            lambda x: x @ ay, lambda x: x @ ay.T)
+    cols = s @ ay
+    best = max(np.maximum(cols, 0.0).sum(), np.maximum(-cols, 0.0).sum())
+    margin = 32 * k * 2.0 ** -53 * total_abs + 2.0 ** -1070
+    free = plus.sum(axis=1) + minus.sum(axis=1)
+    stop = int(np.argmax(free <= margin))
+    kids_buf = np.empty((k + 1) * _SCREEN_FANOUT)
+    work_buf = np.empty(2 * k * _SCREEN_FANOUT)
+    marks = np.full(1 << (k - l), -np.inf)
+    stack = [(0, np.zeros((k + 1, 1)))]
+    while stack:
+        depth, nodes = stack.pop()
+        n = min(nodes.shape[1], _SCREEN_FANOUT // 2)
+        if nodes.shape[1] > n:
+            stack.append((depth, nodes[:, n:]))
+        r = min(stop - depth, (_SCREEN_FANOUT // n).bit_length() - 1)
+        m = n << r
+        kids = kids_buf[:(k + 1) * m].reshape(k + 1, m)
+        np.add(nodes[:, :n, None], (_pattern_table(r) @ rows[depth:depth + r]).T[:, None, :],
+               out=kids.reshape(k + 1, n, 1 << r))
+        depth += r
+        work = work_buf[:2 * k * m].reshape(2, k, m)
+        bound = _completion_bound(kids[:k], plus[depth], minus[depth], work)
+        live = bound >= best - margin
+        if live.any():
+            nodes = kids[:, live]
+            pos = np.maximum(nodes[:k], 0.0, out=work[0, :, :nodes.shape[1]]).sum(axis=0)
+            best = max(best, pos.max(), (pos - nodes[:k].sum(axis=0)).max())
+            if depth < stop:
+                stack.append((depth, nodes))
+            else:
+                np.maximum.at(marks, nodes[k].astype(np.int64) >> l, bound[live])
+    for j in order[stop:]:
+        if j >= l:
+            halves = marks.reshape(-1, 2, 1 << (j - l))
+            np.maximum(halves[:, 0], halves[:, 1], out=halves[:, 1])
+    marks = np.pad(marks, (0, -len(marks) % per_block), constant_values=-np.inf)
+    return marks.reshape(-1, per_block).max(axis=1) >= best - margin
 
 
 def _exact_cut_norm(ay):
@@ -182,20 +246,25 @@ def _exact_cut_norm(ay):
     The first maximum in pattern order wins, pos before neg.
 
     The scan runs over blocks of consecutive hi.  From _SCREEN_BLOCKS
-    blocks on it takes two passes: a float32 pass (_screen_blocks) keeps
-    the blocks that may hold a float64 maximum, and the float64 pass scans
-    only those, in the same order with the same strict update.  A skipped
-    block holds only patterns below the float64 maximum, so the winner,
-    and with it the witness, is the one a scan of every block finds.
+    blocks on a branch and bound (_bound_screen) first keeps the blocks
+    that may hold a float64 maximum, and the float64 pass scans only
+    those, in the same order with the same strict update.  A skipped block
+    holds only patterns below the float64 maximum, so the winner, and with
+    it the witness, is the one a scan of every block finds.  There an
+    all-zero ay returns s = t = 0 at once, as that scan would: every
+    pattern ties at 0, so no bound prunes one.
     """
     k = ay.shape[0]
-    low, high, low_total, high_total = _half_sums(ay)
-    n_low, n_high = low.shape[1], high.shape[1]
+    l = (k + 1) // 2
+    n_low, n_high = 1 << l, 1 << (k - l)
     per_block = min(n_high, max(1, _BLOCK_FLOATS // (k * n_low)))
     keep = None
     if math.ceil(n_high / per_block) >= _SCREEN_BLOCKS:
-        keep = _screen_blocks(low, high, low_total, high_total, per_block,
-                              float(np.abs(ay).sum()))
+        total_abs = float(np.abs(ay).sum())
+        if total_abs == 0.0:
+            return np.zeros(k), np.zeros(k)
+        keep = _bound_screen(ay, per_block, total_abs)
+    low, high, low_total, high_total = _half_sums(ay)
     best_val, best_idx, best_sign = -1.0, 0, 1.0
     for hi, pos, neg in _pattern_blocks(low, high, low_total, high_total, per_block, keep):
         ip, iq = int(pos.argmax()), int(neg.argmax())

@@ -237,10 +237,21 @@ def test_cut_norm_exact_equals_brute_force(kernel):
 
 
 def screened_kernel(family, k, rng):
-    """A signed kernel of one of the families the float32 screen must not misjudge."""
+    """A signed kernel of one of the families the bound screen must not misjudge."""
     a = rng.dirichlet(np.ones(k))
     v = rng.uniform(-1, 1, (k, k))
-    if family == "ties":
+    if family == "mirror":
+        # the direct sum of X and -X on mirrored masses, and one empty cell
+        # when k is odd: the largest pos and the largest neg tie exactly
+        m = k // 2
+        a[m:2 * m] = a[:m]
+        x = v[:m, :m]
+        v = np.zeros((k, k))
+        v[:m, :m], v[m:2 * m, m:2 * m] = x, -x
+    elif family == "subnormal":
+        # masses down to 1e-170: their products underflow float64
+        a = 10.0 ** rng.permutation(np.linspace(-170.0, 0.0, k))
+    elif family == "ties":
         a = np.full(k, 1.0 / k)
         v = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (k, k))
     elif family == "duplicate":
@@ -269,13 +280,14 @@ def assert_scan_matches_reference(kernel):
     assert res.witness_t.tolist() == t.astype(int).tolist()
 
 
-SCREENED_FAMILIES = ["random", "ties", "duplicate", "zero", "tiny-masses", "dominant"]
+SCREENED_FAMILIES = ["random", "ties", "duplicate", "zero", "tiny-masses", "dominant",
+                     "mirror", "subnormal"]
 
 
 @pytest.mark.parametrize("family", SCREENED_FAMILIES)
-@pytest.mark.parametrize("k", [15, 16, 17, 18, 19, 20, 24])
+@pytest.mark.parametrize("k", range(15, 25))
 def test_screened_scan_is_bit_identical_to_float64_scan(k, family):
-    # from k = 15 the scan screens its blocks in float32; value and witness must
+    # from k = 15 a branch and bound screens the blocks; value and witness must
     # be those of the all-float64 scan, ties and underflow included
     rng = np.random.default_rng((k, SCREENED_FAMILIES.index(family)))
     assert_scan_matches_reference(screened_kernel(family, k, rng))
@@ -296,39 +308,78 @@ def test_screened_scan_matches_float64_scan_on_integer_kernels(kernel):
     assert_scan_matches_reference(kernel)
 
 
-def scanned_blocks(monkeypatch, kernel):
-    """Blocks the exact cut norm scans in float32 and in float64."""
-    seen = {np.float32: 0, np.float64: 0}
-    scan = metrics._pattern_blocks
+def scan_counts(monkeypatch, kernel):
+    """Blocks the exact cut norm scans, and nodes its screen bounds.
 
-    def counting(low, *args):
+    The node count sums the columns of every _completion_bound call; None
+    when no screen runs.
+    """
+    counts = {"blocks": 0, "nodes": None}
+    scan, bound = metrics._pattern_blocks, metrics._completion_bound
+
+    def counting_scan(low, *args):
+        assert low.dtype == np.float64
         for block in scan(low, *args):
-            seen[low.dtype.type] += 1
+            counts["blocks"] += 1
             yield block
 
-    monkeypatch.setattr(metrics, "_pattern_blocks", counting)
+    def counting_bound(cols, *args):
+        counts["nodes"] = (counts["nodes"] or 0) + cols.shape[1]
+        return bound(cols, *args)
+
+    monkeypatch.setattr(metrics, "_pattern_blocks", counting_scan)
+    monkeypatch.setattr(metrics, "_completion_bound", counting_bound)
     cut_norm(kernel, mode="exact")
-    return seen[np.float32], seen[np.float64]
+    return counts["blocks"], counts["nodes"]
 
 
 def test_screen_leaves_few_blocks_to_rescan(monkeypatch):
     # k = 19 spans 171 blocks; a screen that keeps them all would still be exact,
-    # so only this count shows it has stopped saving work
-    screened, rescanned = scanned_blocks(monkeypatch, random_kernel(np.random.default_rng(19), 19))
-    assert screened == 171
-    assert 1 <= rescanned <= 4
+    # so only these counts show it saves work: the tree has 2^20 - 1 nodes
+    blocks, nodes = scan_counts(monkeypatch, random_kernel(np.random.default_rng(19), 19))
+    assert 1 <= blocks <= 4
+    assert nodes < 0.05 * 2 ** 20
 
 
 def test_screen_starts_at_eight_blocks(monkeypatch):
-    # k = 14 spans 4 blocks and runs in float64 alone; k = 15 spans 8
-    assert scanned_blocks(monkeypatch, random_kernel(np.random.default_rng(14), 14)) == (0, 4)
-    screened, rescanned = scanned_blocks(monkeypatch, random_kernel(np.random.default_rng(15), 15))
-    assert screened == 8 and 1 <= rescanned < 8
+    # k = 14 spans 4 blocks and scans them all, with no screen; k = 15 spans 8
+    assert scan_counts(monkeypatch, random_kernel(np.random.default_rng(14), 14)) == (4, None)
+    blocks, nodes = scan_counts(monkeypatch, random_kernel(np.random.default_rng(15), 15))
+    assert 1 <= blocks <= 4 and nodes > 0
 
 
-def test_screen_rescans_every_block_of_the_zero_kernel(monkeypatch):
-    kernel = SignedStepKernel(np.full(16, 1 / 16), np.zeros((16, 16)))
-    assert scanned_blocks(monkeypatch, kernel) == (16, 16)
+def test_zero_kernel_skips_the_scan(monkeypatch):
+    # every pattern of a zero kernel ties at 0, so no bound prunes one; the full
+    # scan's winner is pattern 0, and the exact cut norm returns it at once
+    def no_scan(*args):
+        raise AssertionError("the zero kernel entered the scan")
+
+    monkeypatch.setattr(metrics, "_pattern_blocks", no_scan)
+    res = cut_norm(SignedStepKernel(np.full(24, 1 / 24), np.zeros((24, 24))), mode="exact")
+    assert res.value == 0.0
+    assert res.witness_s.tolist() == res.witness_t.tolist() == [0] * 24
+
+
+def test_exact_cut_norm_does_not_depend_on_the_seed():
+    # the screen starts from the heuristic's pattern at seed 0; only the scan
+    # picks the value and the witness
+    kernel = random_kernel(np.random.default_rng(19), 19)
+    a, b = cut_norm(kernel, mode="exact", seed=0), cut_norm(kernel, mode="exact", seed=7)
+    assert a.to_dict() == b.to_dict()
+
+
+def test_screen_memory_stays_small_on_ties():
+    # the screen walks its tree depth first in bounded batches; breadth first,
+    # one depth of this kernel's tree holds 194,184 nodes, about 39 MB
+    rng = np.random.default_rng((24, SCREENED_FAMILIES.index("ties")))
+    kernel = screened_kernel("ties", 24, rng)
+    tracemalloc.start()
+    try:
+        cut_norm(kernel, mode="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 # ------------------------------------------------------------ permutation sweep
@@ -409,7 +460,7 @@ def test_sweep_builds_no_array_over_every_permutation():
 
 def test_sweep_and_exact_scan_share_the_pattern_blocks(monkeypatch):
     # the sweep scans each chunk of permutations in one call and one block;
-    # a 14-cell cut norm is one call of 4 float64 blocks, with no float32 screen
+    # a 14-cell cut norm is one call of 4 float64 blocks, with no screen
     calls = []
     scan = metrics._pattern_blocks
 
