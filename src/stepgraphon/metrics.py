@@ -39,7 +39,7 @@ from .errors import EmptySet, SolverFailure, StepGraphonError, TooManyBlocksForE
 
 EXACT_BLOCK_CAP = 24
 SWEEP_BLOCK_CAP = 8
-_BLOCK_FLOATS = 1 << 16  # exact enumeration block; timed faster than 2^17 or 2^18
+_BLOCK_FLOATS = 1 << 16  # exact scan block, timed faster than 2^17 or 2^18; picks tied witnesses
 _SCREEN_BLOCKS = 8  # bound screen from this many blocks (k >= 15)
 _SCREEN_FANOUT = 1 << 10  # children per screen expansion; 2^9 timed slower on ties, 2^11 on random
 DEFAULT_BUDGET = {"restarts": 32, "max_iters": 200}
@@ -47,10 +47,6 @@ HEURISTIC_RESTARTS = 32  # seeded starts of the heuristic cut norm
 WEAK_STAR_DEPTH_CAP = 10  # the deepest level with a nonzero float64 weight
 LP_RESIDUAL_TOL = 10 * math.sqrt(1e-9)  # scipy.optimize.linprog's check of an optimum
 HIGHS_TOL_FLOOR = 1e-10  # the least primal feasibility tolerance HiGHS accepts
-# scipy.optimize.linprog's status for a HiGHS model status; any other is 4
-_LP_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
-              "kInfeasible": 2, "kModelError": 2, "kUnbounded": 3}
-LPResult = collections.namedtuple("LPResult", "status x message")
 
 
 class CutNormResult:
@@ -89,36 +85,31 @@ def _heuristic_starts(seed, n_starts, k):
     return _freeze(table)
 
 
-def _half_sums(ay):
-    """Column sums of every subset of each half of the rows, and their totals.
+def _pattern_blocks(ay, per_block, blocks):
+    """Yield (hi, pos, neg) for each listed block of per_block consecutive hi.
 
-    ay is one (k, k) kernel or a stack (..., k, k).  With l = ceil(k / 2),
-    column i of low (..., k, 2^l) holds the column sums of the rows among
-    the first l that the bits of i select, and high (..., k, 2^(k - l)) the
-    same for the last k - l rows; the totals sum those columns.
+    ay is one (k, k) kernel or a stack (..., k, k); its dtype sets the
+    precision, and its leading batch axes carry through to pos and neg.
+    With l = ceil(k / 2), column lo of low holds the column sums of the
+    rows among the first l that the bits of lo select, and column hi of
+    high the same for the last k - l rows, so pattern (hi << l) | lo has
+    column sums high[:, hi] + low[:, lo].  blocks are ascending block
+    numbers; block b holds hi from b * per_block on.  Axes of the work
+    buffer are (*batch, column, hi, lo), so pos and neg, flattened after
+    the batch axes, run in pattern order, and the sum over columns adds
+    whole (hi, lo) slices in column order: a pattern's pos has the same
+    bits in a short block as in a full one.
     """
     k = ay.shape[-1]
     l = (k + 1) // 2
     low = ay[..., :l, :].swapaxes(-1, -2) @ _pattern_table(l).T
     high = ay[..., l:, :].swapaxes(-1, -2) @ _pattern_table(k - l).T
-    return low, high, low.sum(axis=-2), high.sum(axis=-2)
-
-
-def _pattern_blocks(low, high, low_total, high_total, per_block, keep=None):
-    """Yield (hi, pos, neg) for each block of per_block consecutive hi.
-
-    The arrays' dtype sets the precision, and leading batch axes of low,
-    high and their totals carry through to pos and neg.  Axes of the work
-    buffer are (*batch, column, hi, lo), so pos and neg, flattened after
-    the batch axes, run in pattern order.  keep, one bool per block, skips
-    the blocks it marks False.
-    """
-    *batch, k, n_low = low.shape
+    low_total, high_total = low.sum(axis=-2), high.sum(axis=-2)
+    *batch, _, n_low = low.shape
     n_high = high.shape[-1]
     buf = np.empty((*batch, k, per_block, n_low), dtype=low.dtype)
-    for block, hi in enumerate(range(0, n_high, per_block)):
-        if keep is not None and not keep[block]:
-            continue
+    for block in blocks:
+        hi = block * per_block
         n = min(per_block, n_high - hi)
         cols = np.add(high[..., hi:hi + n, None], low[..., None, :], out=buf[..., :n, :])
         np.maximum(cols, 0.0, out=cols)
@@ -153,20 +144,20 @@ def _bound_screen(ay, per_block, total_abs):
     d of them; it is a column of k column sums over the rows it sets and
     one more entry, its pattern's index over all k rows (exact in float64,
     as k <= 24).  The incumbent is the value of the heuristic's pattern
-    (cut_norm's heuristic call), and the own pattern of every node that
-    survives, its free rows unset, can raise it.  A batch of n nodes is
-    expanded by the next r rows at once, r >= 1 the most that keeps its
-    n 2^r children within _SCREEN_FANOUT, and batches hold at most half
-    that.  A child whose _completion_bound is below the incumbent minus
-    the margin is pruned.  The tree ends at the first depth whose free
-    rows sum to at most the margin in |ay|, depth k unless the lightest
-    rows are that light: below it no bound can tell patterns apart.
+    (cut_norm's heuristic call).  A batch of n nodes is expanded by the
+    next r rows at once, r >= 1 the most that keeps its n 2^r children
+    within _SCREEN_FANOUT, and batches hold at most half that.  A child
+    whose _completion_bound is below the incumbent minus the margin is
+    pruned.  The tree ends at the first depth whose free rows sum to at
+    most the margin in |ay|, depth k unless the lightest rows are that
+    light: below it no bound can tell patterns apart.
     A node that survives there marks with its bound every high half hi
     that its completions reach, its own and each with more of the free
     rows of the high half set.  A block of per_block consecutive hi is
-    kept when its largest mark is within the margin of the final
-    incumbent.  Pruning and marking only use bounds, so the depth at
-    which the tree ends changes the work, not the blocks that must stay.
+    kept when its largest mark is within the margin of the incumbent, and
+    the screen returns the ascending numbers of the kept blocks.  Pruning
+    and marking only use bounds, so the depth at which the tree ends
+    changes the work, not the blocks that must stay.
 
     Margin.  Let T = sum |ay| and u = 2^-53.  Every value below is made by
     additions, subtractions and max(., 0) of float64 entries of ay; each
@@ -177,12 +168,11 @@ def _bound_screen(ay, per_block, total_abs):
       k - 1 for the sum over columns), and its neg within 5k (the pattern
       total adds 3k - 1, the subtraction 1);
     - a node's column sums are within k and the free rows' sums within
-      k - 1, so a bound is within 3k; a node's own value, its neg again
-      as pos minus its total, is within 4k + 1;
+      k - 1, so a bound is within 3k;
     - the heuristic's value (a product with ay and a sum) is within 2k.
     A pruned pattern's scan value is thus at most its bound + 3k + 5k, and
-    the scan's maximum at least the incumbent - (4k + 1) - 5k.  So a
-    margin of 18k u T keeps every block that holds a float64 maximum;
+    the scan's maximum at least the incumbent - 2k - 5k.  So a margin of
+    15k u T keeps every block that holds a float64 maximum;
     32k u T also covers the second-order terms and the rounding of T, of
     the margin and of the threshold, and 2^-1070 the margin's underflow.
     """
@@ -199,6 +189,7 @@ def _bound_screen(ay, per_block, total_abs):
     cols = s @ ay
     best = max(np.maximum(cols, 0.0).sum(), np.maximum(-cols, 0.0).sum())
     margin = 32 * k * 2.0 ** -53 * total_abs + 2.0 ** -1070
+    cutoff = best - margin
     free = plus.sum(axis=1) + minus.sum(axis=1)
     stop = int(np.argmax(free <= margin))
     kids_buf = np.empty((k + 1) * _SCREEN_FANOUT)
@@ -218,11 +209,9 @@ def _bound_screen(ay, per_block, total_abs):
         depth += r
         work = work_buf[:2 * k * m].reshape(2, k, m)
         bound = _completion_bound(kids[:k], plus[depth], minus[depth], work)
-        live = bound >= best - margin
+        live = bound >= cutoff
         if live.any():
             nodes = kids[:, live]
-            pos = np.maximum(nodes[:k], 0.0, out=work[0, :, :nodes.shape[1]]).sum(axis=0)
-            best = max(best, pos.max(), (pos - nodes[:k].sum(axis=0)).max())
             if depth < stop:
                 stack.append((depth, nodes))
             else:
@@ -232,7 +221,7 @@ def _bound_screen(ay, per_block, total_abs):
             halves = marks.reshape(-1, 2, 1 << (j - l))
             np.maximum(halves[:, 0], halves[:, 1], out=halves[:, 1])
     marks = np.pad(marks, (0, -len(marks) % per_block), constant_values=-np.inf)
-    return marks.reshape(-1, per_block).max(axis=1) >= best - margin
+    return np.flatnonzero(marks.reshape(-1, per_block).max(axis=1) >= cutoff)
 
 
 def _exact_cut_norm(ay):
@@ -243,30 +232,32 @@ def _exact_cut_norm(ay):
     low[:, lo], where low and high hold the column sums of every subset of
     the first l and the last k - l rows.  pos sums the positive column sums
     of a pattern and neg the negative ones, as pos minus the pattern total.
-    The first maximum in pattern order wins, pos before neg.
 
-    The scan runs over blocks of consecutive hi.  From _SCREEN_BLOCKS
-    blocks on a branch and bound (_bound_screen) first keeps the blocks
-    that may hold a float64 maximum, and the float64 pass scans only
-    those, in the same order with the same strict update.  A skipped block
-    holds only patterns below the float64 maximum, so the winner, and with
-    it the witness, is the one a scan of every block finds.  There an
-    all-zero ay returns s = t = 0 at once, as that scan would: every
-    pattern ties at 0, so no bound prunes one.
+    The scan runs over blocks of per_block consecutive hi, in order; in
+    each it tries pos's first maximum, then neg's, and a try wins only with
+    a strictly larger value.  So pos wins a tie with neg in its block even
+    where neg reaches the value at an earlier pattern, and the block size
+    (_BLOCK_FLOATS) is part of the witness.  From _SCREEN_BLOCKS blocks on
+    a branch and bound (_bound_screen) first picks the blocks that may hold
+    a float64 maximum, and the float64 pass scans only those, in the same
+    order with the same strict update.  A skipped block holds only
+    patterns below the float64 maximum, so the winner, and with it the
+    witness, is the one a scan of every block finds.  There an all-zero ay
+    returns s = t = 0 at once, as that scan would: every pattern ties at 0,
+    so no bound prunes one.
     """
     k = ay.shape[0]
     l = (k + 1) // 2
     n_low, n_high = 1 << l, 1 << (k - l)
     per_block = min(n_high, max(1, _BLOCK_FLOATS // (k * n_low)))
-    keep = None
-    if math.ceil(n_high / per_block) >= _SCREEN_BLOCKS:
+    blocks = range(math.ceil(n_high / per_block))
+    if len(blocks) >= _SCREEN_BLOCKS:
         total_abs = float(np.abs(ay).sum())
         if total_abs == 0.0:
             return np.zeros(k), np.zeros(k)
-        keep = _bound_screen(ay, per_block, total_abs)
-    low, high, low_total, high_total = _half_sums(ay)
+        blocks = _bound_screen(ay, per_block, total_abs)
     best_val, best_idx, best_sign = -1.0, 0, 1.0
-    for hi, pos, neg in _pattern_blocks(low, high, low_total, high_total, per_block, keep):
+    for hi, pos, neg in _pattern_blocks(ay, per_block, blocks):
         ip, iq = int(pos.argmax()), int(neg.argmax())
         if pos[ip] > best_val:
             best_val, best_idx, best_sign = float(pos[ip]), hi * n_low + ip, 1.0
@@ -379,10 +370,11 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
     "highs") gives it: A_eq as CSC without its zeros, presolve on, the dual
     simplex, no output.  So x is the same bits, without the wrapper's input
     cleaning, option checks and bound-marginal loop, which cost more than the
-    solve.  The status is scipy's: 0 optimal, 1 a time or iteration limit,
-    2 infeasible, 3 unbounded, 4 anything else, including an optimum with a
-    NaN, an entry below -LP_RESIDUAL_TOL or an equality residual above it.
-    x is None unless HiGHS found an optimum.
+    solve.  Returns x for an optimum, and None where scipy reports status 2:
+    HiGHS finds the model infeasible or refuses it.  Every other end raises
+    SolverFailure: an optimum with a NaN, an entry below -LP_RESIDUAL_TOL or
+    an equality residual above it (where scipy reports status 4), and any
+    other model status, such as unbounded or a time or iteration limit.
 
     HiGHS rejects a primal_feasibility_tolerance below HIGHS_TOL_FLOOR
     together with every other option, printing its own error line although
@@ -425,7 +417,6 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
 
     highs = highs_core._Highs()
     error = highs_core.HighsStatus.kError
-    x, held = None, False
     if highs.passOptions(options) == error:
         model_status = highs.getModelStatus()
     elif highs.passModel(lp) == error:
@@ -440,12 +431,14 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
             held = (not np.isnan(highs.getInfo().objective_function_value)
                     and (x >= -LP_RESIDUAL_TOL).all()
                     and (np.abs(residual) <= LP_RESIDUAL_TOL).all())
-    status = _LP_STATUS.get(model_status.name, 4)
-    message = f"HiGHS model status {highs.modelStatusToString(model_status)}"
-    if status == 0 and not held:
-        status = 4
-        message = f"the optimum misses its constraints by more than {LP_RESIDUAL_TOL:.2e}"
-    return LPResult(status, x, message)
+            if not held:
+                raise SolverFailure(
+                    f"the optimum misses its constraints by more than {LP_RESIDUAL_TOL:.2e}")
+            return x
+    if model_status in (highs_core.HighsModelStatus.kInfeasible,
+                        highs_core.HighsModelStatus.kModelError):
+        return None
+    raise SolverFailure(f"HiGHS model status {highs.modelStatusToString(model_status)}")
 
 
 def _marginal_rows(n, m):
@@ -466,10 +459,10 @@ def _marginal_rows(n, m):
 def _min_cost_transport(cost, row, col):
     """Exact linear-programming solve of the transportation problem."""
     n, m = cost.shape
-    res = linprog(cost.ravel(), _marginal_rows(n, m), np.concatenate((row, col[:-1])))
-    if res.status != 0:
-        raise SolverFailure(f"transport LP failed with status {res.status}")
-    return np.clip(res.x.reshape(n, m), 0.0, None)
+    x = linprog(cost.ravel(), _marginal_rows(n, m), np.concatenate((row, col[:-1])))
+    if x is None:
+        raise SolverFailure("the transport LP is infeasible")
+    return np.clip(x.reshape(n, m), 0.0, None)
 
 
 def _witness_gradient(U, W, cmat, res):
@@ -607,8 +600,7 @@ def _perm_sweep(u, w):
     for base in range(0, len(perms), chunk):
         p = perms[base:base + chunk]
         d = (u - w[p[:, :, None], p[:, None, :]]) * scale
-        low, high, low_total, high_total = _half_sums(d)
-        _, pos, neg = next(_pattern_blocks(low, high, low_total, high_total, high.shape[-1]))
+        _, pos, neg = next(_pattern_blocks(d, 1 << (k // 2), [0]))
         vals = np.maximum(pos.max(axis=-1), neg.max(axis=-1))
         i = int(np.argmin(vals))
         if vals[i] < best_val:

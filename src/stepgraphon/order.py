@@ -10,6 +10,7 @@ rearrangement signatures at a fixed dyadic depth.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -60,7 +61,8 @@ def order_check(U, W):
     Densities must agree within TOL; flatness runs at check_flatter's
     default tolerance.  Returns refuted with the failing certificates, or
     consistent.  A consistent verdict is not a proof of the order relation;
-    the conditions are necessary only.
+    the conditions are necessary only.  A flatness detail carries the
+    witness's residual, None for a refusal (whose residual is inf).
     """
     reasons = []
     du, dw = edge_density(U), edge_density(W)
@@ -74,7 +76,8 @@ def order_check(U, W):
         reasons.append({
             "condition": f"{name}-frequency-flatness",
             "passed": wit.feasible,
-            "detail": {"residual": wit.residual, "reason": wit.reason},
+            "detail": {"residual": wit.residual if math.isfinite(wit.residual) else None,
+                       "reason": wit.reason},
         })
     status = "consistent" if all(r["passed"] for r in reasons) else "refuted"
     return OrderVerdict(status, reasons)

@@ -29,9 +29,19 @@ def run_module(args, module=("-m", "stepgraphon.cli"), timeout=None):
                           env=dict(os.environ, PYTHONPATH=path))
 
 
+def strict_json(text):
+    """json.loads refusing NaN and the infinities, which JSON (RFC 8259) has no token for."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(args, capsys):
+    """main(args) and its stdout, which a --json call must print as strict JSON."""
     code = main(args)
     out = capsys.readouterr().out
+    if "--json" in args:
+        strict_json(out)
     return code, out
 
 
@@ -105,6 +115,34 @@ def test_flatness_exit_codes(tmp_path, capsys):
     code, _ = run_cli(["flatness", "--l1", str(l1), "--l2", str(l2),
                        "--exact-rational"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("exact", [[], ["--exact-rational"]], ids=["float", "exact"])
+def test_refuted_flatness_writes_strict_json(tmp_path, capsys, exact):
+    # a refusal has no residual, and JSON has no token for its inf
+    two = tmp_path / "two.json"
+    dirac = tmp_path / "dirac.json"
+    out = tmp_path / "witness.json"
+    two.write_text(json.dumps({"atoms": [0.0, 1.0], "masses": [0.5, 0.5]}))
+    dirac.write_text(json.dumps({"atoms": [0.5], "masses": [1.0]}))
+    code, text = run_cli(["flatness", "--l1", str(two), "--l2", str(dirac), *exact,
+                          "--out", str(out), "--json"], capsys)
+    assert code == 3
+    for payload in (strict_json(text), strict_json(out.read_text())):
+        assert payload["feasible"] is False and payload["residual"] is None
+
+
+def test_refuted_order_check_writes_strict_json(tmp_path, capsys):
+    # a benchmark graphon above its stepping refutes both flatness conditions
+    stepped, g = flatness_defect_pair(1, 0)
+    io.save(stepped, tmp_path / "s.json")
+    io.save(g, tmp_path / "g.json")
+    code, text = run_cli(["order", "check", "--u", str(tmp_path / "g.json"),
+                          "--w", str(tmp_path / "s.json"), "--json"], capsys)
+    assert code == 3
+    flatness = [r for r in strict_json(text)["reasons"] if "flatness" in r["condition"]]
+    assert [r["passed"] for r in flatness] == [False, False]
+    assert [r["detail"]["residual"] for r in flatness] == [None, None]
 
 
 def test_order_check_exit_codes(tmp_path, capsys):

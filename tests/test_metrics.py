@@ -285,10 +285,11 @@ SCREENED_FAMILIES = ["random", "ties", "duplicate", "zero", "tiny-masses", "domi
 
 
 @pytest.mark.parametrize("family", SCREENED_FAMILIES)
-@pytest.mark.parametrize("k", range(15, 25))
+@pytest.mark.parametrize("k", range(2, 25))
 def test_screened_scan_is_bit_identical_to_float64_scan(k, family):
     # from k = 15 a branch and bound screens the blocks; value and witness must
-    # be those of the all-float64 scan, ties and underflow included
+    # be those of the all-float64 scan, ties and underflow included; below it
+    # the scan visits every block, from k = 13 more than one
     rng = np.random.default_rng((k, SCREENED_FAMILIES.index(family)))
     assert_scan_matches_reference(screened_kernel(family, k, rng))
 
@@ -308,20 +309,38 @@ def test_screened_scan_matches_float64_scan_on_integer_kernels(kernel):
     assert_scan_matches_reference(kernel)
 
 
-def scan_counts(monkeypatch, kernel):
-    """Blocks the exact cut norm scans, and nodes its screen bounds.
+def test_exact_witness_takes_pos_before_neg_within_a_block():
+    # this kernel is one block, and its pos and neg maxima are exactly equal;
+    # neg reaches the value first, at pattern 11, but the scan tries pos's
+    # first maximum, pattern 14, before neg's, and a tie does not replace it
+    rng = np.random.default_rng((5, SCREENED_FAMILIES.index("mirror")))
+    kernel = screened_kernel("mirror", 5, rng)
+    ay = np.outer(kernel.weights, kernel.weights) * kernel.values
+    [(_, pos, neg)] = metrics._pattern_blocks(ay, 4, [0])
+    assert pos.max() == neg.max()
+    assert (int(pos.argmax()), int(neg.argmax())) == (14, 11)
+    res = cut_norm(kernel, mode="exact")
+    assert res.witness_s.tolist() == [0, 1, 1, 1, 0]
 
-    The node count sums the columns of every _completion_bound call; None
-    when no screen runs.
+
+def scan_counts(monkeypatch, kernel):
+    """The block numbers the exact cut norm hands its scan, and the nodes its
+    screen bounds.
+
+    The scan must yield one block for each number.  The node count sums the
+    columns of every _completion_bound call; None when no screen runs.
     """
-    counts = {"blocks": 0, "nodes": None}
+    counts = {"blocks": None, "nodes": None}
     scan, bound = metrics._pattern_blocks, metrics._completion_bound
 
-    def counting_scan(low, *args):
-        assert low.dtype == np.float64
-        for block in scan(low, *args):
-            counts["blocks"] += 1
+    def counting_scan(ay, per_block, blocks):
+        assert ay.dtype == np.float64
+        counts["blocks"] = list(blocks)
+        yielded = 0
+        for block in scan(ay, per_block, blocks):
+            yielded += 1
             yield block
+        assert yielded == len(counts["blocks"])
 
     def counting_bound(cols, *args):
         counts["nodes"] = (counts["nodes"] or 0) + cols.shape[1]
@@ -337,15 +356,24 @@ def test_screen_leaves_few_blocks_to_rescan(monkeypatch):
     # k = 19 spans 171 blocks; a screen that keeps them all would still be exact,
     # so only these counts show it saves work: the tree has 2^20 - 1 nodes
     blocks, nodes = scan_counts(monkeypatch, random_kernel(np.random.default_rng(19), 19))
-    assert 1 <= blocks <= 4
+    assert 1 <= len(blocks) <= 4
     assert nodes < 0.05 * 2 ** 20
+
+
+def test_screen_hands_the_scan_only_the_blocks_it_keeps(monkeypatch):
+    # at k = 24 each hi is its own block; the scan gets the kept block
+    # numbers, ascending, and never walks the other 4,000 or so
+    blocks, _ = scan_counts(monkeypatch, random_kernel(np.random.default_rng(24), 24))
+    assert 1 <= len(blocks) <= 4
+    assert blocks == sorted(set(blocks)) and blocks[-1] < 4096
 
 
 def test_screen_starts_at_eight_blocks(monkeypatch):
     # k = 14 spans 4 blocks and scans them all, with no screen; k = 15 spans 8
-    assert scan_counts(monkeypatch, random_kernel(np.random.default_rng(14), 14)) == (4, None)
+    assert scan_counts(monkeypatch, random_kernel(np.random.default_rng(14), 14)) == (
+        [0, 1, 2, 3], None)
     blocks, nodes = scan_counts(monkeypatch, random_kernel(np.random.default_rng(15), 15))
-    assert 1 <= blocks <= 4 and nodes > 0
+    assert 1 <= len(blocks) <= 4 and nodes > 0
 
 
 def test_zero_kernel_skips_the_scan(monkeypatch):
@@ -464,9 +492,9 @@ def test_sweep_and_exact_scan_share_the_pattern_blocks(monkeypatch):
     calls = []
     scan = metrics._pattern_blocks
 
-    def counting(low, *args):
-        calls.append([low.dtype.type, low.shape[:-2], 0])
-        for block in scan(low, *args):
+    def counting(ay, *args):
+        calls.append([ay.dtype.type, ay.shape[:-2], 0])
+        for block in scan(ay, *args):
             calls[-1][2] += 1
             yield block
 
@@ -892,14 +920,25 @@ def flatness_systems(draw):
 @example(transport_system(16, 64, 1, "ties"))
 @example(transport_system(16, 64, 2, "normal"))
 def test_direct_highs_call_matches_scipy_linprog(system):
-    # the direct HiGHS call keeps scipy.optimize.linprog's status and x bits
+    # the direct HiGHS call returns scipy.optimize.linprog's x bits where scipy
+    # reports an optimum (status 0), None where it reports infeasible (2), and
+    # raises SolverFailure on every other status
     cost, a, b, tol = system
     options = {} if tol is None else {"primal_feasibility_tolerance": tol}
     ref = scipy.optimize.linprog(cost, A_eq=a, b_eq=b, method="highs", options=options)
-    res = metrics.linprog(cost, a, b, **options)
-    assert res.status == ref.status
-    assert (res.x is None) == (ref.x is None)
-    assert res.x is None or np.array_equal(res.x, ref.x)
+    if ref.status in (0, 2):
+        x = metrics.linprog(cost, a, b, **options)
+        assert (x is None) == (ref.status == 2)
+        assert x is None or np.array_equal(x, ref.x)
+    else:
+        with pytest.raises(SolverFailure):
+            metrics.linprog(cost, a, b, **options)
+
+
+def test_linprog_raises_on_an_unbounded_model():
+    # minimize -x1 subject to x1 - x2 = 0: x1 = x2 grows without bound
+    with pytest.raises(SolverFailure, match="HiGHS model status Unbounded"):
+        metrics.linprog(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
 
 
 def test_lp_solves_never_reach_scipy_linprog(monkeypatch):
@@ -927,8 +966,8 @@ def test_linprog_refuses_a_tolerance_below_the_highs_floor_without_output(capfd,
     with pytest.raises(StepGraphonError, match="below HiGHS's floor 1e-10"):
         metrics.linprog(cost, a, b, primal_feasibility_tolerance=tol)
     assert capfd.readouterr() == ("", "")
-    res = metrics.linprog(cost, a, b, primal_feasibility_tolerance=metrics.HIGHS_TOL_FLOOR)
-    assert res.status == 0
+    x = metrics.linprog(cost, a, b, primal_feasibility_tolerance=metrics.HIGHS_TOL_FLOOR)
+    assert isinstance(x, np.ndarray) and x.shape == (6,)
     assert capfd.readouterr() == ("", "")
     assert measures.HIGHS_TOL_FLOOR is metrics.HIGHS_TOL_FLOOR
 
