@@ -14,9 +14,14 @@ from __future__ import annotations
 
 import collections.abc
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import numbers
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -363,68 +368,116 @@ def cut_norm_distance(U, W, C, mode=None):
     return cut_norm(kernel, mode=mode).value
 
 
+@functools.cache
+def _highs_core():
+    """scipy's HiGHS extension, scipy.optimize._highspy._core, without scipy.optimize.
+
+    `import scipy` runs only the package's start-up, whose _distributor_init
+    puts the DLLs of Windows wheels on the path.  A loaded extension is
+    reused.  Otherwise the file is loaded alone and registered under its
+    dotted name, where a later `import scipy.optimize` finds it.
+    """
+    import scipy
+
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    spec = importlib.machinery.FileFinder(directory, (
+        importlib.machinery.ExtensionFileLoader,
+        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(
+            f"no HiGHS extension _core in {directory}; stepgraphon needs scipy>=1.17", name=name)
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[name] = core
+    spec.loader.exec_module(core)
+    return core
+
+
+_solvers = threading.local()
+
+
+def _thread_solver(core):
+    """This thread's HiGHS solver and HiGHS's default primal feasibility tolerance.
+
+    Built on the thread's first solve, with the options that
+    scipy.optimize.linprog(method="highs") passes: presolve on, the dual
+    simplex, no debug checks, no output.
+    """
+    try:
+        return _solvers.solver
+    except AttributeError:
+        pass
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = options.output_flag = False
+    highs = core._Highs()
+    if highs.passOptions(options) == core.HighsStatus.kError:
+        raise SolverFailure("HiGHS refused the options of scipy's linprog")
+    _solvers.solver = highs, options.primal_feasibility_tolerance
+    return _solvers.solver
+
+
 def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
     """Solve min c.x subject to A_eq x = b_eq, x >= 0 on scipy's bundled HiGHS.
 
     HiGHS gets the model and options that scipy.optimize.linprog(method=
-    "highs") gives it: A_eq as CSC without its zeros, presolve on, the dual
-    simplex, no output.  So x is the same bits, without the wrapper's input
-    cleaning, option checks and bound-marginal loop, which cost more than the
-    solve.  Returns x for an optimum, and None where scipy reports status 2:
-    HiGHS finds the model infeasible or refuses it.  Every other end raises
+    "highs") gives it: A_eq without its zeros (row-wise here; HiGHS makes
+    the column-wise copy scipy passes), presolve on, the dual simplex, no
+    output.  So x is the same bits, without the wrapper's input cleaning,
+    option checks and bound-marginal loop, which cost more than the solve.
+    Returns x for an optimum, and None where scipy reports status 2: HiGHS
+    finds the model infeasible or refuses it.  Every other end raises
     SolverFailure: an optimum with a NaN, an entry below -LP_RESIDUAL_TOL or
     an equality residual above it (where scipy reports status 4), and any
     other model status, such as unbounded or a time or iteration limit.
 
-    HiGHS rejects a primal_feasibility_tolerance below HIGHS_TOL_FLOOR
-    together with every other option, printing its own error line although
-    output is off, so such a tolerance raises StepGraphonError before any
-    model is built.
+    HiGHS rejects a primal_feasibility_tolerance below HIGHS_TOL_FLOOR,
+    printing its own error line although output is off, so such a
+    tolerance raises StepGraphonError before HiGHS is reached.
 
-    Importing scipy.optimize costs most of a process start, and only the
-    transport and flatness LPs need it, so it is imported on the first
-    solve.  measures binds this same function.
+    The first solve loads scipy's package start-up and its HiGHS extension
+    alone (_highs_core), never scipy.optimize, whose import costs most of a
+    process start.  Each thread solves on its own HiGHS solver, built once:
+    a call sets the tolerance (HiGHS's default when None) and passes a
+    whole new model, so nothing carries over from the last solve.
+    measures binds this same function.
     """
     if primal_feasibility_tolerance is not None and not (
             primal_feasibility_tolerance >= HIGHS_TOL_FLOOR):
         raise StepGraphonError(
             f"primal feasibility tolerance {primal_feasibility_tolerance!r} is below "
             f"HiGHS's floor {HIGHS_TOL_FLOOR!r}")
-    from scipy.optimize._highspy import _core as highs_core
+    core = _highs_core()
+    highs, default_tol = _thread_solver(core)
+    error = core.HighsStatus.kError
+    tol = default_tol if primal_feasibility_tolerance is None else primal_feasibility_tolerance
+    if highs.setOptionValue("primal_feasibility_tolerance", float(tol)) == error:
+        raise SolverFailure(f"HiGHS refused primal feasibility tolerance {tol!r}")
 
     n_row, n_col = A_eq.shape
-    # column by column, rows ascending; flat indices, as 2-D np.nonzero is slower
-    cols, rows = np.divmod(np.flatnonzero(A_eq.T != 0), n_row)
-    lp = highs_core.HighsLp()
+    rows, cols = np.nonzero(A_eq)
+    lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n_col
     lp.num_row_ = lp.a_matrix_.num_row_ = n_row
-    lp.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate(
-        ([0], np.cumsum(np.bincount(cols, minlength=n_col)))).astype(np.int32)
-    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.format_ = core.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = np.searchsorted(rows, np.arange(n_row + 1)).astype(np.int32)
+    lp.a_matrix_.index_ = cols.astype(np.int32)
     lp.a_matrix_.value_ = A_eq[rows, cols]
     lp.col_cost_ = c
     lp.col_lower_ = np.zeros(n_col)
-    lp.col_upper_ = np.full(n_col, highs_core.kHighsInf)
+    lp.col_upper_ = np.full(n_col, core.kHighsInf)
     lp.row_lower_ = lp.row_upper_ = b_eq
-    options = highs_core.HighsOptions()
-    options.presolve = "on"
-    options.simplex_strategy = highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = highs_core.HighsDebugLevel.kHighsDebugLevelNone
-    options.log_to_console = options.output_flag = False
-    if primal_feasibility_tolerance is not None:
-        options.primal_feasibility_tolerance = primal_feasibility_tolerance
 
-    highs = highs_core._Highs()
-    error = highs_core.HighsStatus.kError
-    if highs.passOptions(options) == error:
-        model_status = highs.getModelStatus()
-    elif highs.passModel(lp) == error:
-        model_status = highs_core.HighsModelStatus.kModelError
+    if highs.passModel(lp) == error:
+        model_status = core.HighsModelStatus.kModelError
     else:
         solved = highs.run() != error
         model_status = highs.getModelStatus()
-        if solved and model_status == highs_core.HighsModelStatus.kOptimal:
+        if solved and model_status == core.HighsModelStatus.kOptimal:
             solution = highs.getSolution()
             x = np.array(solution.col_value)
             residual = b_eq - np.array(solution.row_value)
@@ -435,8 +488,7 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
                 raise SolverFailure(
                     f"the optimum misses its constraints by more than {LP_RESIDUAL_TOL:.2e}")
             return x
-    if model_status in (highs_core.HighsModelStatus.kInfeasible,
-                        highs_core.HighsModelStatus.kModelError):
+    if model_status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
         return None
     raise SolverFailure(f"HiGHS model status {highs.modelStatusToString(model_status)}")
 

@@ -1,6 +1,12 @@
 import itertools
 import math
+import os
+import pickle
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +46,7 @@ from conftest import (corner_rule_reference, dyadic_measure, exact_cut_norm_refe
                       perm_value_reference, random_graphon, random_kernel, spread_measure)
 
 HALF = StepGraphon([1.0], [[0.5]])
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def northwest(row, col):
@@ -896,26 +903,31 @@ def transport_system(n, m, seed, costs):
     return cost, metrics._marginal_rows(n, m), np.concatenate((row, col[:-1])), None
 
 
-@st.composite
-def flatness_systems(draw):
+def flatness_system(seed, max_atoms, pair, tol):
     """The flatness LP of a dyadic measure pair: a contraction against its
     spread (feasible), the reverse or an unrelated pair (mostly status 2)."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    base = dyadic_measure(rng, draw(st.integers(1, 8)))
-    l1, l2 = draw(st.sampled_from([
-        lambda: (base, spread_measure(rng, base)),
-        lambda: (spread_measure(rng, base), base),
-        lambda: (base, dyadic_measure(rng, 8))]))()
+    rng = np.random.default_rng(seed)
+    base = dyadic_measure(rng, max_atoms)
+    if pair == "unrelated":
+        l1, l2 = base, dyadic_measure(rng, 8)
+    else:
+        spread = spread_measure(rng, base)
+        l1, l2 = (base, spread) if pair == "contraction" else (spread, base)
     a, b = _flatness_system(l1, l2)
     cost = np.abs(np.subtract.outer(l1.atoms, l2.atoms)).ravel()
-    return cost, a, b, draw(st.sampled_from([1e-10, 1e-9]))
+    return cost, a, b, tol
+
+
+flatness_systems = st.builds(flatness_system, st.integers(0, 2 ** 32 - 1), st.integers(1, 8),
+                             st.sampled_from(["contraction", "reverse", "unrelated"]),
+                             st.sampled_from([1e-10, 1e-9]))
 
 
 @settings(max_examples=150)
 @given(st.one_of(
     st.builds(transport_system, st.integers(1, 16), st.integers(1, 64),
               st.integers(0, 2 ** 32 - 1), st.sampled_from(["normal", "ties", "zero"])),
-    flatness_systems()))
+    flatness_systems))
 @example(transport_system(1, 1, 0, "ties"))
 @example(transport_system(16, 64, 1, "ties"))
 @example(transport_system(16, 64, 2, "normal"))
@@ -970,6 +982,144 @@ def test_linprog_refuses_a_tolerance_below_the_highs_floor_without_output(capfd,
     assert isinstance(x, np.ndarray) and x.shape == (6,)
     assert capfd.readouterr() == ("", "")
     assert measures.HIGHS_TOL_FLOOR is metrics.HIGHS_TOL_FLOOR
+
+
+def scipy_bits(system):
+    """The x bytes of scipy.optimize.linprog(method="highs"), None where it reports status 2."""
+    cost, a, b, tol = system
+    options = {} if tol is None else {"primal_feasibility_tolerance": tol}
+    ref = scipy.optimize.linprog(cost, A_eq=a, b_eq=b, method="highs", options=options)
+    assert ref.status in (0, 2), ref.message
+    return ref.x.tobytes() if ref.status == 0 else None
+
+
+def run_python(program, stdin=b"", path=()):
+    """Run program in a fresh interpreter with path, then src/, first on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [*path, SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", program], input=stdin, capture_output=True,
+                          env=env, timeout=120)
+
+
+FRESH_SOLVES = """
+import pickle
+import sys
+
+from stepgraphon import metrics
+
+for cost, a, b, tol in pickle.load(sys.stdin.buffer):
+    x = metrics.linprog(cost, a, b, primal_feasibility_tolerance=tol)
+    print(None if x is None else x.tobytes().hex())
+assert "scipy.optimize" not in sys.modules
+assert "scipy.optimize._highspy._core" in sys.modules
+"""
+
+
+def test_fresh_process_solves_on_the_extension_alone():
+    # pytest has imported scipy.optimize, so only a fresh interpreter loads
+    # the extension file itself; it solves transport and flatness LPs in
+    # turn, with ties, an infeasible model and both tolerances
+    systems = [transport_system(16, 64, 1, "ties"), flatness_system(0, 8, "contraction", 1e-10),
+               transport_system(5, 6, 0, "normal"), flatness_system(1, 8, "reverse", 1e-9),
+               transport_system(16, 64, 2, "ties"), flatness_system(2, 8, "contraction", 1e-9),
+               transport_system(1, 1, 0, "ties"), flatness_system(3, 8, "unrelated", 1e-10),
+               transport_system(8, 8, 3, "zero")]
+    expected = [scipy_bits(system) for system in systems]
+    assert None in expected
+    proc = run_python(FRESH_SOLVES, stdin=pickle.dumps(systems))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == [
+        "None" if bits is None else bits.hex() for bits in expected]
+
+
+LATE_IMPORT = """
+import sys
+
+import numpy as np
+
+from stepgraphon import metrics
+
+x = metrics.linprog(np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+
+assert sys.modules["scipy.optimize._highspy._core"] is metrics._highs_core()
+ref = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method="highs")
+assert ref.status == 0 and ref.x.tobytes() == x.tobytes()
+print("ok")
+"""
+
+
+def test_a_later_scipy_optimize_import_reuses_the_loaded_extension():
+    proc = run_python(LATE_IMPORT)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"ok\n"
+
+
+def test_a_scipy_without_the_highs_extension_is_a_named_error(tmp_path):
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    proc = run_python("import numpy as np\n"
+                      "from stepgraphon import metrics\n"
+                      "metrics.linprog(np.ones(1), np.ones((1, 1)), np.ones(1))\n",
+                      path=[str(tmp_path)])
+    assert proc.returncode == 1
+    directory = tmp_path / "scipy" / "optimize" / "_highspy"
+    assert proc.stderr.decode().splitlines()[-1] == (
+        f"ModuleNotFoundError: no HiGHS extension _core in {directory}; "
+        "stepgraphon needs scipy>=1.17")
+
+
+def test_nothing_carries_over_between_solves(capfd):
+    # every call sets its tolerance and passes a whole model to the thread's
+    # one solver, so after each other end the next LP still has scipy's bits
+    check = transport_system(5, 6, 0, "normal")
+    expected = scipy_bits(check)
+    infeasible = flatness_system(1, 8, "reverse", 1e-10)
+    assert scipy_bits(infeasible) is None
+
+    def still_solves():
+        assert metrics.linprog(*check[:3]).tobytes() == expected
+        assert capfd.readouterr() == ("", "")
+
+    # HiGHS refuses a matrix with an infinite entry: the model-error branch
+    assert metrics.linprog(np.ones(2), np.array([[1.0, np.inf]]), np.ones(1)) is None
+    still_solves()
+    with pytest.raises(SolverFailure, match="HiGHS model status Unbounded"):
+        metrics.linprog(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
+    still_solves()
+    cost, a, b, tol = infeasible
+    assert metrics.linprog(cost, a, b, primal_feasibility_tolerance=tol) is None
+    still_solves()
+    with pytest.raises(StepGraphonError, match="below HiGHS's floor"):
+        metrics.linprog(*check[:3], primal_feasibility_tolerance=1e-12)
+    still_solves()
+    # a loose tolerance moves this optimum, and the next call is back at HiGHS's default
+    cost, a, b, _ = transport_system(16, 64, 0, "normal")
+    loose = scipy_bits((cost, a, b, 1e-3))
+    assert loose != scipy_bits((cost, a, b, None))
+    assert metrics.linprog(cost, a, b, primal_feasibility_tolerance=1e-3).tobytes() == loose
+    assert metrics.linprog(cost, a, b).tobytes() == scipy_bits((cost, a, b, None))
+    assert capfd.readouterr() == ("", "")
+
+
+def test_each_thread_solves_on_its_own_solver():
+    cost, a, b, _ = check = transport_system(16, 64, 1, "ties")
+    solvers, results = [], []
+
+    def solve():
+        solvers.append(metrics._thread_solver(metrics._highs_core())[0])
+        results.append(metrics.linprog(cost, a, b).tobytes())
+
+    threads = [threading.Thread(target=solve) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    solvers.append(metrics._thread_solver(metrics._highs_core())[0])
+    assert len({id(highs) for highs in solvers}) == 3
+    assert results == [scipy_bits(check)] * 2
 
 
 def test_heuristic_start_table_is_cached_and_read_only():
