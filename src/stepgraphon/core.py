@@ -319,6 +319,17 @@ class PartitionSpec:
         return cls.from_intervals(weights, dyadic_intervals(depth)[(1 << depth) - 1:])
 
 
+def _derived_partition(assignment):
+    """A PartitionSpec on an assignment that passes its checks by construction.
+
+    Freezes the assignment as given, as _derived does for kernels: only for
+    plans already checked and clipped, such as the sampled multiway plans.
+    """
+    spec = PartitionSpec.__new__(PartitionSpec)
+    spec.assignment = _freeze(assignment)
+    return spec
+
+
 class Coupling:
     """Nonnegative matrix with prescribed row and column sums."""
 

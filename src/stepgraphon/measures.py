@@ -62,7 +62,7 @@ class DiscreteMeasure:
             if out_a and x - out_a[-1] <= ATOM_DEDUP_TOL:
                 out_m[-1] += w
             else:
-                out_a.append(float(np.clip(x, 0.0, 1.0)))
+                out_a.append(min(max(x, 0.0), 1.0))
                 out_m.append(w)
         keep = [i for i, w in enumerate(out_m) if w > 0]
         self.atoms = _freeze(np.array([out_a[i] for i in keep]))

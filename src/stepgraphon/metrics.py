@@ -287,8 +287,10 @@ def _alternating_max(s0, times, times_transpose):
     not: BLAS may sum a row in another order when the number of rows
     changes.)  For the same reason the column sums s_new @ K that score an
     iteration are bitwise those the next one would compute from its s, so
-    they are kept, row by row, instead of recomputed.  Returns the (s, t)
-    of the larger of the best value of K and that of -K, K on a tie.
+    they are kept, row by row, instead of recomputed, and the first
+    product, where both halves are s0, is taken on one half and stacked
+    with its negation.  Returns the (s, t) of the larger of the best value
+    of K and that of -K, K on a tie.
     """
     def product(f, x):
         out = f(x)
@@ -297,7 +299,8 @@ def _alternating_max(s0, times, times_transpose):
 
     s = np.stack((s0, s0)).astype(float)
     vals = np.full(s.shape[:2], -np.inf)
-    cols = product(times, s)
+    first = times(s[:1])  # both signs start from s0
+    cols = np.concatenate((first, -first))
     for _ in range(100):
         t = (cols > 0).astype(float)
         s_new = (product(times_transpose, t) > 0).astype(float)
@@ -395,6 +398,7 @@ def _highs_core():
     return core
 
 
+_TRANSPORT_SHAPES = 64  # plan shapes whose transport models are kept; `cutdist` solves 6
 _solvers = threading.local()
 
 
@@ -403,7 +407,9 @@ def _thread_solver(core):
 
     Built on the thread's first solve, with the options that
     scipy.optimize.linprog(method="highs") passes: presolve on, the dual
-    simplex, no debug checks, no output.
+    simplex, no debug checks, no output.  The thread also keeps the values
+    it last gave the options that linprog sets per call (_set_options), and
+    its transport models (_transport_model).
     """
     try:
         return _solvers.solver
@@ -417,23 +423,115 @@ def _thread_solver(core):
     highs = core._Highs()
     if highs.passOptions(options) == core.HighsStatus.kError:
         raise SolverFailure("HiGHS refused the options of scipy's linprog")
+    _solvers.options = {"presolve": options.presolve,
+                        "primal_feasibility_tolerance": options.primal_feasibility_tolerance}
+    _solvers.models = {}
     _solvers.solver = highs, options.primal_feasibility_tolerance
     return _solvers.solver
+
+
+def _set_options(core, highs, **values):
+    """Set each option of this thread's solver whose value differs from its last."""
+    last = _solvers.options
+    for name, value in values.items():
+        if last[name] != value:
+            if highs.setOptionValue(name, value) == core.HighsStatus.kError:
+                raise SolverFailure(f"HiGHS refused {name} {value!r}")
+            last[name] = value
+
+
+def _rowwise(dense):
+    """HiGHS's row-wise (start, index, value) arrays of the nonzeros of a dense matrix."""
+    rows, cols = np.nonzero(dense)
+    start = np.searchsorted(rows, np.arange(len(dense) + 1)).astype(np.int32)
+    return start, cols.astype(np.int32), dense[rows, cols]
+
+
+def _highs_lp(core, shape, start, index, value):
+    """A HighsLp on a row-wise matrix with x >= 0, before its costs and row bounds."""
+    n_row, n_col = shape
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
+    lp.a_matrix_.format_ = core.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
+    lp.col_lower_ = np.zeros(n_col)
+    lp.col_upper_ = np.full(n_col, core.kHighsInf)
+    return lp
+
+
+def _marginal_rows(n, m):
+    """Independent 0/1 marginal constraints on a row-major n x m plan.
+
+    Row i sums cells (i, *) and row n + j cells (*, j) for j < m - 1.  The
+    last column sum is implied by the others, and its right-hand side could
+    disagree with them by rounding, so it is left out: callers pass the
+    column marginal without its last entry.
+    """
+    rows = np.zeros((n + m - 1, n, m))
+    i, j = np.arange(n), np.arange(m - 1)
+    rows[i, i, :] = 1.0
+    rows[n + j, :, j] = 1.0
+    return rows.reshape(n + m - 1, n * m)
+
+
+class _TransportRows:
+    """_marginal_rows(n, m) in row-wise form, which linprog takes for A_eq.
+
+    shape is the dense shape; start, index and value are read-only.  presolve
+    is the HiGHS setting its LPs are solved with: "off" when both sides have
+    at least 3 cells, where presolve removes nothing and leaves every bit of
+    x as it was, and "on" otherwise, where it eliminates the singleton and
+    doubleton rows of a 1- or 2-cell side and HiGHS then reaches another
+    optimal vertex without it.
+    """
+
+    def __init__(self, n, m):
+        dense = _marginal_rows(n, m)
+        self.shape = dense.shape
+        self.start, self.index, self.value = map(_freeze, _rowwise(dense))
+        self.presolve = "off" if min(n, m) >= 3 else "on"
+
+
+@functools.lru_cache(maxsize=_TRANSPORT_SHAPES)
+def _transport_rows(n, m):
+    """The _TransportRows of an n x m plan, one object per shape while cached."""
+    return _TransportRows(n, m)
+
+
+def _transport_model(core, rows):
+    """This thread's HighsLp on the _TransportRows rows, built on first use.
+
+    A thread keeps at most _TRANSPORT_SHAPES of them and drops the oldest.
+    """
+    models = _solvers.models
+    lp = models.get(rows)
+    if lp is None:
+        if len(models) >= _TRANSPORT_SHAPES:
+            del models[next(iter(models))]
+        lp = models[rows] = _highs_lp(core, rows.shape, rows.start, rows.index, rows.value)
+    return lp
 
 
 def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
     """Solve min c.x subject to A_eq x = b_eq, x >= 0 on scipy's bundled HiGHS.
 
-    HiGHS gets the model and options that scipy.optimize.linprog(method=
-    "highs") gives it: A_eq without its zeros (row-wise here; HiGHS makes
-    the column-wise copy scipy passes), presolve on, the dual simplex, no
+    A_eq is a dense matrix, or the transport rows _TransportRows.  HiGHS
+    gets the model and options that scipy.optimize.linprog(method="highs")
+    gives it: A_eq without its zeros (row-wise here; HiGHS makes the
+    column-wise copy scipy passes), presolve on, the dual simplex, no
     output.  So x is the same bits, without the wrapper's input cleaning,
     option checks and bound-marginal loop, which cost more than the solve.
-    Returns x for an optimum, and None where scipy reports status 2: HiGHS
-    finds the model infeasible or refuses it.  Every other end raises
-    SolverFailure: an optimum with a NaN, an entry below -LP_RESIDUAL_TOL or
-    an equality residual above it (where scipy reports status 4), and any
-    other model status, such as unbounded or a time or iteration limit.
+    The one exception is presolve on transport rows with at least 3 cells
+    on both sides: it is off there, as it removes nothing from those LPs and
+    x keeps scipy's bits without it (_TransportRows).  Returns x for an
+    optimum, and None where scipy reports status 2: HiGHS finds the model
+    infeasible or refuses it.  Every other end raises SolverFailure: an
+    optimum with a NaN, an entry below -LP_RESIDUAL_TOL or an equality
+    residual above it (where scipy reports status 4), and any other model
+    status, such as unbounded or a time or iteration limit.
 
     HiGHS rejects a primal_feasibility_tolerance below HIGHS_TOL_FLOOR,
     printing its own error line although output is off, so such a
@@ -441,10 +539,13 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
 
     The first solve loads scipy's package start-up and its HiGHS extension
     alone (_highs_core), never scipy.optimize, whose import costs most of a
-    process start.  Each thread solves on its own HiGHS solver, built once:
-    a call sets the tolerance (HiGHS's default when None) and passes a
-    whole new model, so nothing carries over from the last solve.
-    measures binds this same function.
+    process start.  Each thread solves on its own HiGHS solver, built once.
+    A call sets the tolerance (HiGHS's default when None) and presolve,
+    each only where it differs from the thread's last call, and passes a
+    whole model, so nothing carries over from the last solve.  A dense
+    A_eq makes a new model; transport rows reuse the thread's model for
+    their shape (_transport_model), on which the call sets only the costs
+    and the row bounds.  measures binds this same function.
     """
     if primal_feasibility_tolerance is not None and not (
             primal_feasibility_tolerance >= HIGHS_TOL_FLOOR):
@@ -453,25 +554,16 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
             f"HiGHS's floor {HIGHS_TOL_FLOOR!r}")
     core = _highs_core()
     highs, default_tol = _thread_solver(core)
-    error = core.HighsStatus.kError
     tol = default_tol if primal_feasibility_tolerance is None else primal_feasibility_tolerance
-    if highs.setOptionValue("primal_feasibility_tolerance", float(tol)) == error:
-        raise SolverFailure(f"HiGHS refused primal feasibility tolerance {tol!r}")
-
-    n_row, n_col = A_eq.shape
-    rows, cols = np.nonzero(A_eq)
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
-    lp.a_matrix_.format_ = core.MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = np.searchsorted(rows, np.arange(n_row + 1)).astype(np.int32)
-    lp.a_matrix_.index_ = cols.astype(np.int32)
-    lp.a_matrix_.value_ = A_eq[rows, cols]
+    if isinstance(A_eq, _TransportRows):
+        lp, presolve = _transport_model(core, A_eq), A_eq.presolve
+    else:
+        lp, presolve = _highs_lp(core, A_eq.shape, *_rowwise(A_eq)), "on"
+    _set_options(core, highs, presolve=presolve, primal_feasibility_tolerance=float(tol))
     lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(n_col)
-    lp.col_upper_ = np.full(n_col, core.kHighsInf)
     lp.row_lower_ = lp.row_upper_ = b_eq
 
+    error = core.HighsStatus.kError
     if highs.passModel(lp) == error:
         model_status = core.HighsModelStatus.kModelError
     else:
@@ -493,25 +585,10 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
     raise SolverFailure(f"HiGHS model status {highs.modelStatusToString(model_status)}")
 
 
-def _marginal_rows(n, m):
-    """Independent 0/1 marginal constraints on a row-major n x m plan.
-
-    Row i sums cells (i, *) and row n + j cells (*, j) for j < m - 1.  The
-    last column sum is implied by the others, and its right-hand side could
-    disagree with them by rounding, so it is left out: callers pass the
-    column marginal without its last entry.
-    """
-    rows = np.zeros((n + m - 1, n, m))
-    i, j = np.arange(n), np.arange(m - 1)
-    rows[i, i, :] = 1.0
-    rows[n + j, :, j] = 1.0
-    return rows.reshape(n + m - 1, n * m)
-
-
 def _min_cost_transport(cost, row, col):
     """Exact linear-programming solve of the transportation problem."""
     n, m = cost.shape
-    x = linprog(cost.ravel(), _marginal_rows(n, m), np.concatenate((row, col[:-1])))
+    x = linprog(cost.ravel(), _transport_rows(n, m), np.concatenate((row, col[:-1])))
     if x is None:
         raise SolverFailure("the transport LP is infeasible")
     return np.clip(x.reshape(n, m), 0.0, None)

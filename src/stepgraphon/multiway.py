@@ -20,8 +20,10 @@ from .core import (
     MATCH_TOL,
     PartitionSpec,
     _check_stack,
+    _derived_partition,
     _freeze,
     _mismatch,
+    _nonnegative,
     _require_source,
     corner_rule,
     edge_density,
@@ -55,23 +57,39 @@ class MultiwayMatrixSet:
         self.matrices = [np.asarray(m, dtype=float) for m in matrices]
         self.provenance = list(provenance)
         q = len(self.a)
-        bound = np.outer(self.a, self.a)
-        for m in self.matrices:
-            if m.shape != (q, q):
-                raise DimensionMismatch(f"matrix shape {m.shape} != ({q}, {q})")
-            if not ((m >= -MATCH_TOL) & (m <= bound + MATCH_TOL)).all():
-                raise StepGraphonError("cut matrix entry is not a number in [0, a_l*a_m]")
+        # each check runs on a stack of the items before the first misshapen
+        # one, which is then the next offender: the first offender in order
+        # raises, as a check of one item at a time would
+        n = _first(m.shape != (q, q) for m in self.matrices)
+        stack = np.array(self.matrices[:n]).reshape(n, q, q)
+        if not ((stack >= -MATCH_TOL) & (stack <= np.outer(self.a, self.a) + MATCH_TOL)).all():
+            raise StepGraphonError("cut matrix entry is not a number in [0, a_l*a_m]")
+        if n < len(self.matrices):
+            raise DimensionMismatch(f"matrix shape {self.matrices[n].shape} != ({q}, {q})")
         if len(self.provenance) != len(self.matrices):
             raise ProvenanceMismatch(
                 f"{len(self.matrices)} matrices but {len(self.provenance)} partitions")
-        for idx, spec in enumerate(self.provenance):
-            if _mismatch(spec.target_masses, self.a):
-                raise ProvenanceMismatch(
-                    f"partition {idx} has part masses {spec.target_masses.tolist()}, "
-                    f"not {self.a.tolist()}")
-            if _mismatch(spec.source_weights, self.provenance[0].source_weights):
-                raise ProvenanceMismatch(
-                    f"partition {idx} splits other source weights than partition 0")
+        if self.provenance:
+            k = len(self.provenance[0].assignment)
+            n = _first(spec.assignment.shape != (k, q) for spec in self.provenance)
+            r = np.array([spec.assignment for spec in self.provenance[:n]]).reshape(n, k, q)
+            targets, sources = r.sum(axis=1), r.sum(axis=2)
+            held = ((np.abs(targets - self.a).max(axis=1, initial=0.0) <= MATCH_TOL)
+                    & (np.abs(sources - sources[:1]).max(axis=1, initial=0.0) <= MATCH_TOL))
+            idx = _first(~held)
+            if idx < len(self.provenance):
+                self._check_partition(idx)
+
+    def _check_partition(self, idx):
+        """Partition idx's two checks alone, which raise for the first offender."""
+        spec = self.provenance[idx]
+        if _mismatch(spec.target_masses, self.a):
+            raise ProvenanceMismatch(
+                f"partition {idx} has part masses {spec.target_masses.tolist()}, "
+                f"not {self.a.tolist()}")
+        if _mismatch(spec.source_weights, self.provenance[0].source_weights):
+            raise ProvenanceMismatch(
+                f"partition {idx} splits other source weights than partition 0")
 
     @property
     def q(self):
@@ -91,6 +109,12 @@ class MultiwayMatrixSet:
 
     def __len__(self):
         return len(self.matrices)
+
+
+def _first(flags):
+    """Index of the first true flag, or the number of flags if none is."""
+    flags = list(flags)
+    return flags.index(True) if True in flags else len(flags)
 
 
 def multiway_matrix(W, R):
@@ -153,19 +177,21 @@ def _scaled_random(seed, count, row, col):
     for idx in range(count):
         plans[idx] = np.random.default_rng((seed, idx)).random((k, q)) + 0.05
     live, m, res = np.arange(count), plans, np.full(count, np.inf)
+    sums = m.sum(axis=2)  # row sums, kept from each round's residual for the next scaling
     for _ in range(SCALING_CAP):
         if not len(live):
             break
-        m *= _safe_ratio(row, m.sum(axis=2))[:, :, None]
+        m *= _safe_ratio(row, sums)[:, :, None]
         m *= _safe_ratio(col, m.sum(axis=1))[:, None, :]
-        res = np.maximum(np.abs(m.sum(axis=2) - row).max(axis=1),
+        sums = m.sum(axis=2)
+        res = np.maximum(np.abs(sums - row).max(axis=1),
                          np.abs(m.sum(axis=1) - col).max(axis=1))
         done = res < SCALING_TOL
         if done.any():
             fin = m[done]
-            fin *= _safe_ratio(row, fin.sum(axis=2))[:, :, None]
+            fin *= _safe_ratio(row, sums[done])[:, :, None]
             plans[live[done]] = fin
-            live, m, res = live[~done], m[~done], res[~done]
+            live, m, res, sums = live[~done], m[~done], res[~done], sums[~done]
     if len(live):
         raise ScalingDiverged(res.max(), SCALING_CAP)
     return plans
@@ -192,14 +218,15 @@ def sample_multiway_set(W, a, count, seed=0):
     StepGraphonError before it is built.
 
     Duplicates go in two stages, in plan order.  Only the first plan of
-    each byte pattern stays; the distinct plans' row sums are checked
-    against W's block weights all at once (PartitionMismatch as
-    require_source raises it) and their matrices come from one stacked
-    product.  Walking the kept matrices in order, every later matrix within
-    l1 distance DEDUP_TOL of a kept one is dropped, so the next survivor
-    is the next kept matrix: the kept matrices and their provenance are
-    those of testing every plan's matrix in turn against the kept ones.
-    Only kept plans become a PartitionSpec and go through multiway_matrix.
+    each byte pattern stays; the distinct plans are clipped at 0 and their
+    row sums checked against W's block weights all at once
+    (PartitionMismatch as PartitionSpec and require_source raise it), and
+    their matrices come from one stacked product.  Walking the kept
+    matrices in order, every later matrix within l1 distance DEDUP_TOL of a
+    kept one is dropped, so the next survivor is the next kept matrix: the
+    kept matrices and their provenance are those of testing every plan's
+    matrix in turn against the kept ones.  Only kept plans become a
+    PartitionSpec, without a second check, and go through multiway_matrix.
     """
     a = np.asarray(a, dtype=float)
     if count < 0:
@@ -214,7 +241,7 @@ def sample_multiway_set(W, a, count, seed=0):
     rows = plans.reshape(len(plans), k * q)
     _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * k * q))).ravel(),
                          return_index=True)
-    plans = plans[np.sort(first)]
+    plans = _nonnegative(plans[np.sort(first)])
     _require_source(plans, w)
 
     stack = _stacked_matrices(W, plans)
@@ -224,7 +251,7 @@ def sample_multiway_set(W, a, count, seed=0):
     while len(rest):
         i, rest = rest[0], rest[1:]
         rest = rest[~(np.abs(stack[rest] - stack[i]).sum(axis=(1, 2)) <= DEDUP_TOL)]
-        spec = PartitionSpec(plans[i])
+        spec = _derived_partition(plans[i].copy())
         m = multiway_matrix(W, spec)
         if abs(m.sum() - density) > SCALING_TOL:
             raise StepGraphonError("cut matrix total drifted from the edge density")

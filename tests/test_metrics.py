@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import os
@@ -875,7 +876,11 @@ def test_transport_constraints_are_row_and_column_sums(monkeypatch):
     monkeypatch.setattr(metrics, "linprog", capture)
     plan = metrics._min_cost_transport(np.arange(12.0).reshape(n, m),
                                        np.full(n, 1 / n), np.full(m, 1 / m))
-    assert np.array_equal(seen[0], expected[:-1])
+    # the transport path hands linprog its rows in row-wise form; read back densely
+    rows = seen[0]
+    dense = np.zeros(rows.shape)
+    dense[np.repeat(np.arange(rows.shape[0]), np.diff(rows.start)), rows.index] = rows.value
+    assert np.array_equal(dense, expected[:-1])
     assert np.allclose(plan.sum(axis=1), 1 / n) and np.allclose(plan.sum(axis=0), 1 / m)
     # the flatness system stacks one barycenter row per atom of l1 below the
     # same independent marginal rows (the last column sum is implied)
@@ -945,6 +950,134 @@ def test_direct_highs_call_matches_scipy_linprog(system):
     else:
         with pytest.raises(SolverFailure):
             metrics.linprog(cost, a, b, **options)
+
+
+def transport_bits(n, m, seed, costs, presolve=None):
+    """The transport path's x bytes from scipy.optimize.linprog(method="highs"), clipped
+    at 0 as _min_cost_transport clips them; presolve None follows the path's rule."""
+    cost, a, b, _ = transport_system(n, m, seed, costs)
+    if presolve is None:
+        presolve = min(n, m) < 3
+    ref = scipy.optimize.linprog(cost, A_eq=a, b_eq=b, method="highs",
+                                 options={"presolve": presolve})
+    assert ref.status == 0, ref.message
+    return np.clip(ref.x.reshape(n, m), 0.0, None).tobytes()
+
+
+def transport_plan(n, m, seed, costs):
+    """The (cost, row, col) arguments of _min_cost_transport for transport_system."""
+    cost, _, b, _ = transport_system(n, m, seed, costs)
+    return cost.reshape(n, m), b[:n], np.append(b[n:], 1.0 - b[n:].sum())
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 16), st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["normal", "ties", "zero"]))
+@example(3, 3, 0, "normal")
+@example(16, 64, 1, "ties")
+@example(2, 64, 0, "normal")
+@example(1, 5, 0, "ties")
+def test_transport_path_skips_presolve_only_where_it_changes_no_bit(n, m, seed, costs):
+    # with both sides of at least 3 cells the path solves without presolve and
+    # still has scipy's default bits: a HiGHS whose presolve starts to change
+    # these LPs fails here; a 1- or 2-cell side keeps presolve, which moves them
+    x = metrics._min_cost_transport(*transport_plan(n, m, seed, costs)).tobytes()
+    assert x == transport_bits(n, m, seed, costs)
+    if min(n, m) >= 3:
+        assert x == transport_bits(n, m, seed, costs, presolve=True)
+
+
+def solve_step(step):
+    """Run one LP of a cached-model sequence: the hex of x, "None" or "SolverFailure"."""
+    kind, args = step
+    try:
+        if kind == "transport":
+            x = metrics._min_cost_transport(*args)
+        else:
+            cost, a, b, tol = args
+            x = metrics.linprog(cost, a, b, primal_feasibility_tolerance=tol)
+    except metrics.SolverFailure:
+        return "SolverFailure"
+    return "None" if x is None else x.tobytes().hex()
+
+
+# transport shapes interleaved with flatness LPs, a model HiGHS refuses, an
+# unbounded and an infeasible model; 5 x 6 and 16 x 64 come back after others.
+# An outcome of None is scipy's.
+CACHE_STEPS = [
+    ("transport", (5, 6, 0, "normal"), None),
+    ("dense", flatness_system(0, 8, "contraction", 1e-10), None),
+    ("transport", (16, 64, 1, "ties"), None),
+    ("dense", (np.ones(2), np.array([[1.0, np.inf]]), np.ones(1), None), "None"),
+    ("transport", (2, 64, 2, "normal"), None),
+    ("dense", (np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]), None),
+     "SolverFailure"),
+    ("transport", (5, 6, 3, "ties"), None),
+    ("dense", flatness_system(1, 8, "reverse", 1e-10), "None"),
+    ("transport", (16, 64, 4, "normal"), None),
+    ("dense", flatness_system(2, 8, "contraction", 1e-9), None),
+    ("transport", (1, 5, 5, "ties"), None)]
+
+
+def cache_steps():
+    """CACHE_STEPS as solve_step takes them, and the outcome of each."""
+    steps, expected = [], []
+    for kind, args, outcome in CACHE_STEPS:
+        if kind == "transport":
+            steps.append((kind, transport_plan(*args)))
+            outcome = outcome or transport_bits(*args).hex()
+        else:
+            steps.append((kind, args))
+            outcome = outcome or scipy_bits(args).hex()
+        expected.append(outcome)
+    return steps, expected
+
+
+def test_cached_transport_models_give_fresh_solve_bits(monkeypatch):
+    # each thread keeps its own models, at most _TRANSPORT_SHAPES of them: with
+    # a bound of 2 every third shape drops the oldest, and a shape that comes
+    # back is built again; no outcome depends on what the thread solved before
+    steps, expected = cache_steps()
+    monkeypatch.setattr(metrics, "_TRANSPORT_SHAPES", 2)
+    results, sizes = [], []
+
+    def run():
+        out = []
+        for step in steps:
+            out.append(solve_step(step))
+            sizes.append(len(metrics._solvers.models))
+        results.append(out)
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert results == [expected] * 2
+    assert max(sizes) == 2
+
+
+CACHED_SOLVES = """
+import pickle
+import sys
+
+from stepgraphon import metrics
+
+{solve_step}
+for step in pickle.load(sys.stdin.buffer):
+    print(solve_step(step))
+assert 0 < len(metrics._solvers.models) <= metrics._TRANSPORT_SHAPES
+assert "scipy.optimize" not in sys.modules
+"""
+
+
+def test_fresh_process_solves_the_cached_sequence():
+    steps, expected = cache_steps()
+    program = CACHED_SOLVES.format(solve_step=inspect.getsource(solve_step))
+    proc = run_python(program, stdin=pickle.dumps(steps))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == expected
 
 
 def test_linprog_raises_on_an_unbounded_model():

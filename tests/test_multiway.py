@@ -314,7 +314,7 @@ masses = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
 
 @given(masses, masses, st.integers(0, 2**32 - 1))
 def test_sampled_plans_have_no_negative_entry(row, col, seed):
-    # the sampler checks only the plans it keeps for negative mass
+    # the sampler refuses negative mass; no plan it makes has any
     row, col = np.array(row) / sum(row), np.array(col) / sum(col)
     vertices = multiway.corner_rule(row, col, *multiway._vertex_orders(len(row), len(col)))
     assert not (vertices < 0).any()
@@ -403,3 +403,40 @@ def test_cut_matrix_set_refuses_bad_matrices():
         MultiwayMatrixSet([0.5, 0.5], [[[0.25, 0.25]]], [spec])
     with pytest.raises(StepGraphonError, match=r"not a number in \[0, a_l\*a_m\]"):
         MultiwayMatrixSet([0.5, 0.5], [[[0.25, 0.3], [0.25, 0.25]]], [spec])
+
+
+def _refusal(a, matrices, provenance):
+    with pytest.raises(StepGraphonError) as err:
+        MultiwayMatrixSet(a, matrices, provenance)
+    return type(err.value), str(err.value)
+
+
+def test_cut_matrix_set_names_a_later_offender():
+    # the checks run on stacks, and the first offender in order still raises
+    a = [0.5, 0.5]
+    m = [[0.1, 0.1], [0.1, 0.1]]
+    wide, high = [[0.25, 0.25]], [[0.25, 0.3], [0.25, 0.25]]
+    spec = PartitionSpec([[0.25, 0.25], [0.25, 0.25]])
+    shape = (DimensionMismatch, "matrix shape (1, 2) != (2, 2)")
+    bound = (StepGraphonError, "cut matrix entry is not a number in [0, a_l*a_m]")
+    assert _refusal(a, [m, m, wide], [spec] * 3) == shape
+    assert _refusal(a, [m, high, m], [spec] * 3) == bound
+    assert _refusal(a, [m, high, wide], [spec] * 3) == bound
+    assert _refusal(a, [m, wide, high], [spec] * 3) == shape
+    assert _refusal(a, [m, m, m], [spec] * 2) == (
+        ProvenanceMismatch, "3 matrices but 2 partitions")
+    masses = PartitionSpec([[0.5, 0.0], [0.3, 0.2]])  # parts (0.8, 0.2)
+    sources = PartitionSpec([[0.4, 0.2], [0.1, 0.3]])  # source weights (0.6, 0.4)
+    three = PartitionSpec([[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]])
+    one = PartitionSpec([[0.5, 0.5]])
+    assert _refusal(a, [m] * 3, [spec, spec, masses]) == (
+        ProvenanceMismatch, "partition 2 has part masses [0.8, 0.2], not [0.5, 0.5]")
+    assert _refusal(a, [m] * 3, [spec, sources, masses]) == (
+        ProvenanceMismatch, "partition 1 splits other source weights than partition 0")
+    assert _refusal(a, [m] * 3, [spec, spec, three]) == (
+        ProvenanceMismatch, "partition 2 has part masses [0.5, 0.5, 0.0], not [0.5, 0.5]")
+    assert _refusal(a, [m] * 3, [spec, one, masses]) == (
+        ProvenanceMismatch, "partition 1 splits other source weights than partition 0")
+    assert _refusal(a, [m] * 3, [three, spec, spec]) == (
+        ProvenanceMismatch, "partition 0 has part masses [0.5, 0.5, 0.0], not [0.5, 0.5]")
+    assert len(MultiwayMatrixSet(a, [m] * 3, [spec] * 3)) == 3
