@@ -398,7 +398,9 @@ def _highs_core():
     return core
 
 
-_TRANSPORT_SHAPES = 64  # plan shapes whose transport models are kept; `cutdist` solves 6
+# plan shapes whose transport rows are kept; the 5,028 transport LPs of `cutdist` seeds
+# 1, 2, 3 and 5 come in 6: 5x6 (3,832 of them), 8x64, 4x64, 16x64, 6x6 and 10x10
+_TRANSPORT_SHAPES = 64
 _solvers = threading.local()
 
 
@@ -407,9 +409,9 @@ def _thread_solver(core):
 
     Built on the thread's first solve, with the options that
     scipy.optimize.linprog(method="highs") passes: presolve on, the dual
-    simplex, no debug checks, no output.  The thread also keeps the values
-    it last gave the options that linprog sets per call (_set_options), and
-    its transport models (_transport_model).
+    simplex, no debug checks, no output.  The solver is the only state a
+    thread keeps: linprog sets presolve and the tolerance and passes a whole
+    model on every call.
     """
     try:
         return _solvers.solver
@@ -423,21 +425,8 @@ def _thread_solver(core):
     highs = core._Highs()
     if highs.passOptions(options) == core.HighsStatus.kError:
         raise SolverFailure("HiGHS refused the options of scipy's linprog")
-    _solvers.options = {"presolve": options.presolve,
-                        "primal_feasibility_tolerance": options.primal_feasibility_tolerance}
-    _solvers.models = {}
     _solvers.solver = highs, options.primal_feasibility_tolerance
     return _solvers.solver
-
-
-def _set_options(core, highs, **values):
-    """Set each option of this thread's solver whose value differs from its last."""
-    last = _solvers.options
-    for name, value in values.items():
-        if last[name] != value:
-            if highs.setOptionValue(name, value) == core.HighsStatus.kError:
-                raise SolverFailure(f"HiGHS refused {name} {value!r}")
-            last[name] = value
 
 
 def _rowwise(dense):
@@ -445,21 +434,6 @@ def _rowwise(dense):
     rows, cols = np.nonzero(dense)
     start = np.searchsorted(rows, np.arange(len(dense) + 1)).astype(np.int32)
     return start, cols.astype(np.int32), dense[rows, cols]
-
-
-def _highs_lp(core, shape, start, index, value):
-    """A HighsLp on a row-wise matrix with x >= 0, before its costs and row bounds."""
-    n_row, n_col = shape
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
-    lp.a_matrix_.format_ = core.MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
-    lp.col_lower_ = np.zeros(n_col)
-    lp.col_upper_ = np.full(n_col, core.kHighsInf)
-    return lp
 
 
 def _marginal_rows(n, m):
@@ -480,12 +454,13 @@ def _marginal_rows(n, m):
 class _TransportRows:
     """_marginal_rows(n, m) in row-wise form, which linprog takes for A_eq.
 
-    shape is the dense shape; start, index and value are read-only.  presolve
-    is the HiGHS setting its LPs are solved with: "off" when both sides have
-    at least 3 cells, where presolve removes nothing and leaves every bit of
-    x as it was, and "on" otherwise, where it eliminates the singleton and
-    doubleton rows of a 1- or 2-cell side and HiGHS then reaches another
-    optimal vertex without it.
+    shape is the dense shape; start, index and value are the read-only
+    arrays linprog hands HiGHS, so every thread can share one object per
+    shape (_transport_rows).  presolve is the HiGHS setting its LPs are
+    solved with: "off" when both sides have at least 3 cells, where presolve
+    removes nothing and leaves every bit of x as it was, and "on" otherwise,
+    where it eliminates the singleton and doubleton rows of a 1- or 2-cell
+    side and HiGHS then reaches another optimal vertex without it.
     """
 
     def __init__(self, n, m):
@@ -501,20 +476,6 @@ def _transport_rows(n, m):
     return _TransportRows(n, m)
 
 
-def _transport_model(core, rows):
-    """This thread's HighsLp on the _TransportRows rows, built on first use.
-
-    A thread keeps at most _TRANSPORT_SHAPES of them and drops the oldest.
-    """
-    models = _solvers.models
-    lp = models.get(rows)
-    if lp is None:
-        if len(models) >= _TRANSPORT_SHAPES:
-            del models[next(iter(models))]
-        lp = models[rows] = _highs_lp(core, rows.shape, rows.start, rows.index, rows.value)
-    return lp
-
-
 def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
     """Solve min c.x subject to A_eq x = b_eq, x >= 0 on scipy's bundled HiGHS.
 
@@ -528,10 +489,10 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
     on both sides: it is off there, as it removes nothing from those LPs and
     x keeps scipy's bits without it (_TransportRows).  Returns x for an
     optimum, and None where scipy reports status 2: HiGHS finds the model
-    infeasible or refuses it.  Every other end raises SolverFailure: an
-    optimum with a NaN, an entry below -LP_RESIDUAL_TOL or an equality
-    residual above it (where scipy reports status 4), and any other model
-    status, such as unbounded or a time or iteration limit.
+    infeasible or refuses it.  Every other end raises SolverFailure: a
+    refused option, an optimum with a NaN, an entry below -LP_RESIDUAL_TOL
+    or an equality residual above it (where scipy reports status 4), and
+    any other model status, such as unbounded or a time or iteration limit.
 
     HiGHS rejects a primal_feasibility_tolerance below HIGHS_TOL_FLOOR,
     printing its own error line although output is off, so such a
@@ -540,12 +501,12 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
     The first solve loads scipy's package start-up and its HiGHS extension
     alone (_highs_core), never scipy.optimize, whose import costs most of a
     process start.  Each thread solves on its own HiGHS solver, built once.
-    A call sets the tolerance (HiGHS's default when None) and presolve,
-    each only where it differs from the thread's last call, and passes a
-    whole model, so nothing carries over from the last solve.  A dense
-    A_eq makes a new model; transport rows reuse the thread's model for
-    their shape (_transport_model), on which the call sets only the costs
-    and the row bounds.  measures binds this same function.
+    A call sets presolve and the tolerance (HiGHS's default when None), then
+    hands the solver the whole model as plain arrays in one passModel call:
+    the row-wise matrix (_rowwise of a dense A_eq, or the shared arrays of
+    the transport rows), the costs, x >= 0, and b_eq as both row bounds.
+    HiGHS copies them, so nothing carries over from the last solve.
+    measures binds this same function.
     """
     if primal_feasibility_tolerance is not None and not (
             primal_feasibility_tolerance >= HIGHS_TOL_FLOOR):
@@ -556,15 +517,19 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
     highs, default_tol = _thread_solver(core)
     tol = default_tol if primal_feasibility_tolerance is None else primal_feasibility_tolerance
     if isinstance(A_eq, _TransportRows):
-        lp, presolve = _transport_model(core, A_eq), A_eq.presolve
+        (start, index, value), presolve = (A_eq.start, A_eq.index, A_eq.value), A_eq.presolve
     else:
-        lp, presolve = _highs_lp(core, A_eq.shape, *_rowwise(A_eq)), "on"
-    _set_options(core, highs, presolve=presolve, primal_feasibility_tolerance=float(tol))
-    lp.col_cost_ = c
-    lp.row_lower_ = lp.row_upper_ = b_eq
-
+        (start, index, value), presolve = _rowwise(A_eq), "on"
     error = core.HighsStatus.kError
-    if highs.passModel(lp) == error:
+    for name, option in (("presolve", presolve), ("primal_feasibility_tolerance", float(tol))):
+        if highs.setOptionValue(name, option) == error:
+            raise SolverFailure(f"HiGHS refused {name} {option!r}")
+
+    num_row, num_col = A_eq.shape
+    if highs.passModel(num_col, num_row, len(value), int(core.MatrixFormat.kRowwise),
+                       int(core.ObjSense.kMinimize), 0.0, c, np.zeros(num_col),
+                       np.full(num_col, core.kHighsInf), b_eq, b_eq, start, index, value,
+                       np.zeros(num_col, np.int32)) == error:
         model_status = core.HighsModelStatus.kModelError
     else:
         solved = highs.run() != error
@@ -573,7 +538,7 @@ def linprog(c, A_eq, b_eq, primal_feasibility_tolerance=None):
             solution = highs.getSolution()
             x = np.array(solution.col_value)
             residual = b_eq - np.array(solution.row_value)
-            held = (not np.isnan(highs.getInfo().objective_function_value)
+            held = (not np.isnan(highs.getObjectiveValue())
                     and (x >= -LP_RESIDUAL_TOL).all()
                     and (np.abs(residual) <= LP_RESIDUAL_TOL).all())
             if not held:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -988,7 +989,7 @@ def test_transport_path_skips_presolve_only_where_it_changes_no_bit(n, m, seed, 
 
 
 def solve_step(step):
-    """Run one LP of a cached-model sequence: the hex of x, "None" or "SolverFailure"."""
+    """Run one LP of CACHE_STEPS: the hex of x, "None" or "SolverFailure"."""
     kind, args = step
     try:
         if kind == "transport":
@@ -1033,20 +1034,15 @@ def cache_steps():
     return steps, expected
 
 
-def test_cached_transport_models_give_fresh_solve_bits(monkeypatch):
-    # each thread keeps its own models, at most _TRANSPORT_SHAPES of them: with
-    # a bound of 2 every third shape drops the oldest, and a shape that comes
-    # back is built again; no outcome depends on what the thread solved before
+def test_interleaved_transport_shapes_give_fresh_solve_bits():
+    # both threads share one frozen _TransportRows per shape and each solves on
+    # its own solver; no outcome depends on what the thread solved before
     steps, expected = cache_steps()
-    monkeypatch.setattr(metrics, "_TRANSPORT_SHAPES", 2)
-    results, sizes = [], []
+    results, rows = [], []
 
     def run():
-        out = []
-        for step in steps:
-            out.append(solve_step(step))
-            sizes.append(len(metrics._solvers.models))
-        results.append(out)
+        results.append([solve_step(step) for step in steps])
+        rows.append(metrics._transport_rows(5, 6))
 
     threads = [threading.Thread(target=run) for _ in range(2)]
     for thread in threads:
@@ -1055,10 +1051,10 @@ def test_cached_transport_models_give_fresh_solve_bits(monkeypatch):
         thread.join(timeout=60)
         assert not thread.is_alive()
     assert results == [expected] * 2
-    assert max(sizes) == 2
+    assert rows[0] is rows[1] and not rows[0].value.flags.writeable
 
 
-CACHED_SOLVES = """
+STEP_SOLVES = """
 import pickle
 import sys
 
@@ -1067,14 +1063,13 @@ from stepgraphon import metrics
 {solve_step}
 for step in pickle.load(sys.stdin.buffer):
     print(solve_step(step))
-assert 0 < len(metrics._solvers.models) <= metrics._TRANSPORT_SHAPES
 assert "scipy.optimize" not in sys.modules
 """
 
 
-def test_fresh_process_solves_the_cached_sequence():
+def test_fresh_process_solves_the_interleaved_sequence():
     steps, expected = cache_steps()
-    program = CACHED_SOLVES.format(solve_step=inspect.getsource(solve_step))
+    program = STEP_SOLVES.format(solve_step=inspect.getsource(solve_step))
     proc = run_python(program, stdin=pickle.dumps(steps))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().split() == expected
@@ -1233,6 +1228,42 @@ def test_nothing_carries_over_between_solves(capfd):
     assert loose != scipy_bits((cost, a, b, None))
     assert metrics.linprog(cost, a, b, primal_feasibility_tolerance=1e-3).tobytes() == loose
     assert metrics.linprog(cost, a, b).tobytes() == scipy_bits((cost, a, b, None))
+    assert capfd.readouterr() == ("", "")
+
+
+def solver_faults(core, highs):
+    """Replacements for calls of the real solver highs, each with linprog's message."""
+    def shifted_solution():
+        solution = highs.getSolution()
+        return types.SimpleNamespace(
+            col_value=solution.col_value,
+            row_value=np.array(solution.row_value) + 2 * metrics.LP_RESIDUAL_TOL)
+
+    missed = "the optimum misses its constraints by more than"
+    return {"refused option": ({"setOptionValue": lambda name, value: core.HighsStatus.kError},
+                               "HiGHS refused presolve 'on'"),
+            "missed constraints": ({"getSolution": shifted_solution}, missed),
+            "NaN objective": ({"getObjectiveValue": lambda: math.nan}, missed)}
+
+
+@pytest.mark.parametrize("fault", ["refused option", "missed constraints", "NaN objective"])
+def test_linprog_raises_on_a_solver_fault(monkeypatch, capfd, fault):
+    # branches no real model reaches: the thread's solver, wrapped so one call
+    # answers wrongly, raises SolverFailure, and the next real solve has scipy's bits
+    core = metrics._highs_core()
+    highs, default_tol = metrics._thread_solver(core)
+    calls, message = solver_faults(core, highs)[fault]
+
+    class Faulty:
+        def __getattr__(self, name):
+            return calls.get(name) or getattr(highs, name)
+
+    check = transport_system(5, 6, 0, "normal")
+    monkeypatch.setattr(metrics, "_thread_solver", lambda core: (Faulty(), default_tol))
+    with pytest.raises(SolverFailure, match=message):
+        metrics.linprog(*check[:3])
+    monkeypatch.undo()
+    assert metrics.linprog(*check[:3]).tobytes() == scipy_bits(check)
     assert capfd.readouterr() == ("", "")
 
 
