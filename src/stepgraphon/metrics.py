@@ -350,11 +350,6 @@ def cut_norm(Y, mode="exact", seed=0):
     return CutNormResult(value, full_s, full_t, mode)
 
 
-def _difference_kernel(U, W, C):
-    ru, rw = common_refinement(U, W, C)
-    return _derived(SignedStepKernel, ru.weights, np.subtract(ru.values, rw.values))
-
-
 def cut_norm_distance(U, W, C, mode=None):
     """Cut norm of U - W overlaid by the coupling C, heuristic starts at seed 0.
 
@@ -365,7 +360,8 @@ def cut_norm_distance(U, W, C, mode=None):
     """
     if isinstance(U, SignedStepKernel) or isinstance(W, SignedStepKernel):
         raise StepGraphonError("cut_norm_distance takes two graphons, not a signed kernel")
-    kernel = _difference_kernel(U, W, C)
+    ru, rw = common_refinement(U, W, C)
+    kernel = _derived(SignedStepKernel, ru.weights, np.subtract(ru.values, rw.values))
     if mode is None:
         mode = "exact" if kernel.k <= EXACT_BLOCK_CAP else "heuristic"
     return cut_norm(kernel, mode=mode).value
@@ -587,10 +583,10 @@ SEARCH_RESTARTS = 8
 SUPPORT_CAP = 4096
 
 
-def _factored_cut_norm(U, W, cmat, seed):
-    """Heuristic cut norm of U - W under cmat, without building the refinement.
+def _factored_cut_norm(U, W, ii, jj, a, seed):
+    """Heuristic cut norm of U - W on coupling cells, without building the refinement.
 
-    On the n cells p = (ii[p], jj[p]) of cmat, with masses a, from
+    On the n cells p = (ii[p], jj[p]) of a coupling, with masses a, from
     core._coupling_cells, the difference kernel is L D L^T: L (n, k_U + k_W)
     holds a[p] at (p, ii[p]) and (p, k_U + jj[p]), and D =
     blockdiag(U.values, -W.values).  So a product x @ (L D L^T) is two
@@ -600,7 +596,6 @@ def _factored_cut_norm(U, W, cmat, seed):
     value is |(s L) D (t L)^T|, the witness's box integral, so a lower bound;
     the witness is on those cells, in their order.
     """
-    ii, jj, a = _coupling_cells(cmat)
     n, ku = len(a), U.k
     ell = np.zeros((n, ku + W.k))
     ell[np.arange(n), ii] = a
@@ -616,31 +611,36 @@ def _factored_cut_norm(U, W, cmat, seed):
 
 
 def _search_eval(U, W, cmat, seed, memo):
-    """Cut norm of U - W under the coupling cmat, memoized by cmat's bytes.
+    """Cut norm of U - W under the coupling matrix cmat, memoized by cmat's bytes.
 
-    A coupling of at most SEARCH_EXACT_CAP cells gets the exact cut norm of
-    its difference kernel; a larger one the heuristic on the kernel's
-    factorization, _factored_cut_norm.
+    cmat is unchecked (_search_plan checks the LP plans; the rest are exact
+    starts or convex combinations).  Up to SEARCH_EXACT_CAP cells it gets the
+    exact cut norm of a a^T (U[ii][:, ii] - W[jj][:, jj]) on core._coupling_cells,
+    bitwise cut_norm's on the refinement; past that _factored_cut_norm's heuristic.
     """
     key = ("eval", cmat.tobytes())
     if key not in memo:
-        coupling = Coupling(cmat, U.weights, W.weights)  # checks cmat on both paths
-        if np.count_nonzero(cmat > 0) <= SEARCH_EXACT_CAP:
-            memo[key] = cut_norm(_difference_kernel(U, W, coupling), mode="exact")
+        ii, jj, a = _coupling_cells(cmat)
+        if len(a) <= SEARCH_EXACT_CAP:
+            ay = np.outer(a, a) * (U.values[ii][:, ii] - W.values[jj][:, jj])
+            s, t = _exact_cut_norm(ay)
+            memo[key] = CutNormResult(abs(s @ ay @ t), s, t, "exact")
         else:
-            memo[key] = _factored_cut_norm(U, W, cmat, seed)
+            memo[key] = _factored_cut_norm(U, W, ii, jj, a, seed)
     return memo[key]
 
 
 def _search_plan(U, W, grad, memo):
     """Transport plan minimizing <grad, C>, memoized by grad's bytes.
 
-    A failed LP is memoized as None, which ends the search.
+    A failed LP is memoized as None, which ends the search.  A plan is
+    memoized after Coupling's checks, as linprog allows residuals above MATCH_TOL.
     """
     key = ("plan", grad.tobytes())
     if key not in memo:
         try:
-            memo[key] = _min_cost_transport(grad, U.weights, W.weights)
+            plan = _min_cost_transport(grad, U.weights, W.weights)
+            memo[key] = Coupling(plan, U.weights, W.weights).matrix
         except SolverFailure:
             memo[key] = None
     return memo[key]
@@ -749,8 +749,8 @@ def cut_distance(U, W, budget=None, seed=0):
     corner-rule vertices through an alternating local search, and a
     permutation sweep when both sides refine to at most 8 equal-mass cells
     and neither has a single cell (one cell leaves one coupling, the
-    product, and it is a start).  The result is the minimum over everything
-    evaluated, an upper bound on the cut distance.  The sweep is exact over
+    product, and it is a start).  The returned coupling is the one with the
+    least score over everything evaluated.  The sweep is exact over
     cell permutations only: its minimum is the permutation distance
     delta-hat of the two grids, an upper bound on the cut distance, and a
     fractional coupling from the search can be lower.
@@ -764,13 +764,11 @@ def cut_distance(U, W, budget=None, seed=0):
     length of the call; a memo hit returns exactly what recomputing would, so
     results do not depend on it.  Restarts whose corner starts would hold
     more than core.ARRAY_CAP values raise StepGraphonError before any is built.
-    The search scores a coupling of at most SEARCH_EXACT_CAP cells by the
-    exact cut norm of its difference kernel.  A larger one is scored by the
-    seeded alternating heuristic on the kernel's rank-(k_U + k_W)
-    factorization over the coupling's cells (_factored_cut_norm), with no
-    refinement built.  That value is a lower bound on the coupling's cut
-    norm, so past SEARCH_EXACT_CAP cells the returned value can be below the
-    exact cut norm under the returned coupling.  A SignedStepKernel raises
+    The search scores a coupling by the exact cut norm of its difference
+    kernel up to SEARCH_EXACT_CAP cells, past that by a heuristic lower bound
+    (_factored_cut_norm).  The returned value is the exact cut norm under the
+    returned coupling when it has at most EXACT_BLOCK_CAP cells, and past that
+    the search's score, which can be below it.  A SignedStepKernel raises
     StepGraphonError.
     """
     if isinstance(U, SignedStepKernel) or isinstance(W, SignedStepKernel):
@@ -825,6 +823,8 @@ def cut_distance(U, W, budget=None, seed=0):
     full = np.zeros((A.k, B.k))
     full[np.ix_(idx_a, idx_b)] = best_c
     coupling = Coupling(full, A.weights, B.weights)
+    if np.count_nonzero(full > 0) <= EXACT_BLOCK_CAP:  # before the transpose: the search's cells
+        best_val = cut_norm_distance(A, B, coupling, mode="exact")
     if swap:
         coupling = coupling.transpose()
     return float(best_val), coupling

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -717,7 +718,7 @@ def _count_calls(monkeypatch, name, body=None):
 def test_local_search_memo_replays_without_recomputing(monkeypatch, rng):
     u = random_graphon(rng, k=4)
     w = random_graphon(rng, k=5)
-    evals = _count_calls(monkeypatch, "_difference_kernel")
+    evals = _count_calls(monkeypatch, "_exact_cut_norm")  # one per exact evaluation
     lps = _count_calls(monkeypatch, "_min_cost_transport")
     c0 = northwest(u.weights, w.weights)
     memo = {}
@@ -1585,7 +1586,8 @@ def test_heuristic_batch_equals_per_sign_reference(kind, k):
 @settings(max_examples=60)
 @given(graphon_pairs(max_k=8, min_count=0), st.data())
 def test_search_refinements_equal_validated_copies(pair, data):
-    # the refinements the search derives skip the checks; the public
+    # the refinements and the difference kernel that cut_norm_distance
+    # derives for the search's answer skip the checks; the public
     # constructors accept them and rebuild them bit for bit
     U, W = pair
     n = data.draw(st.integers(1, 3))
@@ -1596,7 +1598,9 @@ def test_search_refinements_equal_validated_copies(pair, data):
     gamma = data.draw(st.sampled_from([1.0, 0.5, 0.25, 0.1]))
     for cmat in (*corners, (1.0 - gamma) * corners[0] + gamma * corners[-1]):
         C = Coupling(cmat, U.weights, W.weights)
-        derived = (*common_refinement(U, W, C), metrics._difference_kernel(U, W, C))
+        with mock.patch.object(metrics, "cut_norm", wraps=metrics.cut_norm) as scored:
+            cut_norm_distance(U, W, C)
+        derived = (*common_refinement(U, W, C), scored.call_args.args[0])
         for G in derived:
             copy = type(G)(G.weights, G.values)
             assert np.array_equal(copy.weights, G.weights)
@@ -1625,6 +1629,33 @@ def test_cut_norm_distance_refuses_a_signed_kernel():
             cut_norm_distance(u, w, Coupling.diagonal(u.weights))
 
 
+def difference_kernel(U, W, cmat):
+    """U - W on the common refinement of Coupling(cmat), built by the public constructors."""
+    ru, rw = common_refinement(U, W, Coupling(cmat, U.weights, W.weights))
+    return SignedStepKernel(ru.weights, ru.values - rw.values)
+
+
+@settings(max_examples=80)
+@given(graphon_pairs(max_k=8, min_count=0), st.data())
+def test_search_eval_equals_the_public_exact_path_bit_for_bit(pair, data):
+    # up to the search's exact cap, the score from the coupling cells alone
+    # is cut_norm on the validated refinement: same value, same witness
+    U, W = pair
+    shuffle = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    first, second = corner_rule(U.weights, W.weights,
+                                [shuffle.permutation(U.k) for _ in range(2)],
+                                [shuffle.permutation(W.k) for _ in range(2)])
+    gamma = data.draw(st.sampled_from([1.0, 0.5, 0.25, 0.1]))
+    cmat = data.draw(st.sampled_from([first, (1.0 - gamma) * first + gamma * second]))
+    assume(np.count_nonzero(cmat > 0) <= metrics.SEARCH_EXACT_CAP)
+    res = metrics._search_eval(U, W, cmat, 0, {})
+    ref = cut_norm(difference_kernel(U, W, cmat), mode="exact")
+    assert res.mode == ref.mode == "exact"
+    assert res.value == ref.value
+    assert np.array_equal(res.witness_s, ref.witness_s)
+    assert np.array_equal(res.witness_t, ref.witness_t)
+
+
 @st.composite
 def factored_cases(draw):
     """A random graphon pair of up to 16 x 64 blocks and a coupling of more
@@ -1650,7 +1681,7 @@ def test_factored_search_eval_is_its_witness_on_the_refinement(case):
     # the witness's box integral on the built refinement, so a lower bound
     U, W, cmat = case
     res = metrics._search_eval(U, W, cmat, 0, {})
-    kernel = metrics._difference_kernel(U, W, Coupling(cmat, U.weights, W.weights))
+    kernel = difference_kernel(U, W, cmat)
     a = kernel.weights
     ay = np.outer(a, a) * kernel.values
     assert res.mode == "heuristic" and res.witness_s.shape == (kernel.k,)
@@ -1665,16 +1696,35 @@ def stepping_pair():
     return stepping(G, PartitionSpec.dyadic(G.weights, 4)), G
 
 
+def unrelated_pair(seed):
+    """Two random graphons of 5 and 6 cells."""
+    rng = np.random.default_rng(seed)
+    return random_graphon(rng, k=5), random_graphon(rng, k=6)
+
+
 def test_cut_distance_builds_no_refinement_past_the_exact_cap(monkeypatch):
-    U, W = stepping_pair()
-    cells = []
-    refine = metrics.common_refinement
+    # the search builds no refinement; the answer's re-score builds one,
+    # last, on the returned coupling, and only up to EXACT_BLOCK_CAP cells
+    events = []
+    search, refine = metrics._local_search, metrics.common_refinement
+    monkeypatch.setattr(metrics, "_local_search",
+                        lambda *args: events.append("search") or search(*args))
     monkeypatch.setattr(metrics, "common_refinement", lambda A, B, C:
-                        cells.append(np.count_nonzero(C.matrix > 0)) or refine(A, B, C))
+                        events.append(C.matrix) or refine(A, B, C))
     factored = _count_calls(monkeypatch, "_factored_cut_norm")
-    val, _ = cut_distance(U, W, budget={"restarts": 2, "max_iters": 4})
-    assert val > 0.0 and len(factored) > 0
-    assert all(n <= metrics.SEARCH_EXACT_CAP for n in cells)
+    for (U, W), budget, cells in ((stepping_pair(), {"restarts": 2, "max_iters": 4}, 64),
+                                  (unrelated_pair(8), None, 20)):
+        events.clear()
+        factored.clear()
+        val, coupling = cut_distance(U, W, budget=budget)
+        assert np.count_nonzero(coupling.matrix > 0) == cells
+        assert val > 0.0 and len(factored) > 0 and "search" in events
+        refinements = [e for e in events if not isinstance(e, str)]
+        if cells <= metrics.EXACT_BLOCK_CAP:
+            assert len(refinements) == 1 and events[-1] is refinements[0]
+            assert np.array_equal(refinements[0], coupling.matrix)
+        else:
+            assert refinements == []
 
 
 def test_cut_distance_memory_does_not_grow_with_refined_cells():
@@ -1692,13 +1742,64 @@ def test_cut_distance_memory_does_not_grow_with_refined_cells():
 
 
 def test_cut_distance_search_does_not_revalidate(monkeypatch):
+    # no kernel is rechecked, and a Coupling is built only for the product
+    # start, each LP plan and the answer, not for each scored candidate
     rng = np.random.default_rng(7)
     U, W = random_graphon(rng, k=5), random_graphon(rng, k=6)
-    checks = []
+    checks, built = [], []
     validate = core._validate_symmetric
     monkeypatch.setattr(core, "_validate_symmetric",
                         lambda *args: checks.append(args) or validate(*args))
-    evals = _count_calls(monkeypatch, "_difference_kernel")
+    init = Coupling.__init__
+    monkeypatch.setattr(Coupling, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    evals = _count_calls(monkeypatch, "_search_eval")
+    plans = _count_calls(monkeypatch, "_min_cost_transport")
     val, _ = cut_distance(U, W)
-    assert val > 0.0 and len(evals) > 0
+    assert val > 0.0 and len(evals) > len(built)
     assert checks == []
+    assert len(built) == 1 + len(plans) + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphon_pairs(max_k=6, min_count=0))
+@example(stepping_pair())
+def test_every_scored_coupling_meets_its_marginals(pair):
+    # _search_eval takes its matrices unchecked: each is nonnegative and
+    # meets both marginals within MATCH_TOL, as Coupling would require
+    U, W = pair
+    body = metrics._search_eval
+    with mock.patch.object(metrics, "_search_eval", wraps=body) as scored:
+        cut_distance(U, W, budget={"restarts": 4, "max_iters": 20})
+    assert scored.call_count > 0
+    for call in scored.call_args_list:
+        A, B, cmat = call.args[:3]
+        assert (cmat >= 0.0).all()
+        assert np.abs(cmat.sum(axis=1) - A.weights).max() <= core.MATCH_TOL
+        assert np.abs(cmat.sum(axis=0) - B.weights).max() <= core.MATCH_TOL
+
+
+def test_a_plan_that_misses_its_marginals_raises(monkeypatch):
+    # the LP plans are checked where the search memoizes them, so the
+    # first plan raises, before the search scores it
+    solve, plans = metrics._min_cost_transport, []
+
+    def off(cost, row, col):
+        plans.append(solve(cost, row, col).copy())
+        plans[-1][0, 0] += 1e-6
+        return plans[-1]
+
+    monkeypatch.setattr(metrics, "_min_cost_transport", off)
+    with pytest.raises(MarginalMismatch, match="^row sums do not match the row marginal$"):
+        cut_distance(*unrelated_pair(7))
+    assert len(plans) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+@example(8)  # 20 cells; the search's heuristic score was 0.1263799, the exact 0.1268606
+def test_cut_distance_is_the_exact_cut_norm_under_its_coupling(seed):
+    U, W = unrelated_pair(seed)
+    val, coupling = cut_distance(U, W)
+    if np.count_nonzero(coupling.matrix > 0) <= metrics.EXACT_BLOCK_CAP:
+        assert val == cut_norm_distance(U, W, coupling, mode="exact")
