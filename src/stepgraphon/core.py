@@ -436,7 +436,7 @@ def int_f(W, f):
 
 
 def stepping(W, P):
-    """Blockwise averaging of W over the partition P (zero parts get value 0)."""
+    """Blockwise averaging of W over the partition P, in W's type (zero parts get value 0)."""
     P.require_source(W.weights)
     r = P.assignment
     b = P.target_masses
@@ -444,7 +444,7 @@ def stepping(W, P):
     m = 0.5 * (m + m.T)  # + commutes exactly, so m and m / outer(b, b) are bitwise symmetric
     denom = np.outer(b, b)
     vals = np.divide(m, denom, out=np.zeros_like(m), where=denom > 0)
-    return StepGraphon(b / b.sum(), np.clip(vals, 0.0, 1.0))
+    return type(W)(b / b.sum(), np.clip(vals, W.lo, W.hi))
 
 
 def _coupling_cells(matrix):
@@ -511,6 +511,8 @@ def grid_version(W, n, perm=None):
     measure-preserving rearrangement, so the multiset of cell values (and
     every rearrangement-invariant functional) is unchanged.
     """
+    if n < 1:
+        raise ResolutionIncompatible("grid resolution must be >= 1")
     cell_block = _grid_cells(W.weights, n)
     if perm is None:
         perm = np.arange(n)
@@ -603,7 +605,7 @@ def reorder_by_ordered_partition(W, J):
 
     Piece (l, i) holds the mass J[i, l] with W's block-i values; pieces are
     laid out part-major, realizing the shift that sends part 0 to the left end.
-    Zero-mass pieces are dropped.
+    Zero-mass pieces are dropped, and the result has W's type.
     """
     J.require_source(W.weights)
     r = J.assignment
@@ -611,7 +613,7 @@ def reorder_by_ordered_partition(W, J):
     weights = np.array([r[i, l] for l, i in pieces])
     src = np.array([i for _, i in pieces])
     vals = W.values[np.ix_(src, src)]
-    return StepGraphon(weights / weights.sum(), vals)
+    return type(W)(weights / weights.sum(), vals)
 
 
 def split_reconstruct(Wt, s, n):
@@ -622,6 +624,7 @@ def split_reconstruct(Wt, s, n):
     cumulative maps of s (mass moved left, mass moved right) at midpoints of
     the n-cell grid.  Midpoint evaluation is exact once every breakpoint of s
     is a multiple of 1/n and the composed maps land inside single blocks.
+    The result has Wt's type, its values clipped to Wt's range.
     """
     if n < 1:
         raise ResolutionIncompatible("grid resolution must be >= 1")
@@ -642,4 +645,4 @@ def split_reconstruct(Wt, s, n):
     m_pq = v[np.ix_(p, q)] * np.outer(sx, 1.0 - sx)
     m_qq = v[np.ix_(q, q)] * np.outer(1.0 - sx, 1.0 - sx)
     vals = (m_pp + m_qq) + (m_pq + m_pq.T)
-    return StepGraphon(np.full(n, 1.0 / n), np.clip(vals, 0.0, 1.0))
+    return type(Wt)(np.full(n, 1.0 / n), np.clip(vals, Wt.lo, Wt.hi))

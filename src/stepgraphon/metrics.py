@@ -156,13 +156,12 @@ def _bound_screen(ay, per_block, total_abs):
     pruned.  The tree ends at the first depth whose free rows sum to at
     most the margin in |ay|, depth k unless the lightest rows are that
     light: below it no bound can tell patterns apart.
-    A node that survives there marks with its bound every high half hi
-    that its completions reach, its own and each with more of the free
-    rows of the high half set.  A block of per_block consecutive hi is
-    kept when its largest mark is within the margin of the incumbent, and
-    the screen returns the ascending numbers of the kept blocks.  Pruning
-    and marking only use bounds, so the depth at which the tree ends
-    changes the work, not the blocks that must stay.
+    A node that survives there flags every high half hi that its
+    completions reach, its own and each with more of the free rows of the
+    high half set.  A block of per_block consecutive hi is kept when one of
+    them is flagged, and the screen returns the ascending numbers of the
+    kept blocks.  Pruning only uses bounds, so the depth at which the tree
+    ends changes the work, not the blocks that must stay.
 
     Margin.  Let T = sum |ay| and u = 2^-53.  Every value below is made by
     additions, subtractions and max(., 0) of float64 entries of ay; each
@@ -199,7 +198,7 @@ def _bound_screen(ay, per_block, total_abs):
     stop = int(np.argmax(free <= margin))
     kids_buf = np.empty((k + 1) * _SCREEN_FANOUT)
     work_buf = np.empty(2 * k * _SCREEN_FANOUT)
-    marks = np.full(1 << (k - l), -np.inf)
+    marks = np.zeros(1 << (k - l), dtype=bool)
     stack = [(0, np.zeros((k + 1, 1)))]
     while stack:
         depth, nodes = stack.pop()
@@ -220,13 +219,12 @@ def _bound_screen(ay, per_block, total_abs):
             if depth < stop:
                 stack.append((depth, nodes))
             else:
-                np.maximum.at(marks, nodes[k].astype(np.int64) >> l, bound[live])
+                marks[nodes[k].astype(np.int64) >> l] = True
     for j in order[stop:]:
         if j >= l:
             halves = marks.reshape(-1, 2, 1 << (j - l))
-            np.maximum(halves[:, 0], halves[:, 1], out=halves[:, 1])
-    marks = np.pad(marks, (0, -len(marks) % per_block), constant_values=-np.inf)
-    return np.flatnonzero(marks.reshape(-1, per_block).max(axis=1) >= cutoff)
+            halves[:, 1] |= halves[:, 0]
+    return np.flatnonzero(np.logical_or.reduceat(marks, np.arange(0, len(marks), per_block)))
 
 
 def _exact_cut_norm(ay):
@@ -404,17 +402,16 @@ def _thread_solver(core):
     """This thread's HiGHS solver and HiGHS's default primal feasibility tolerance.
 
     Built on the thread's first solve, with the options that
-    scipy.optimize.linprog(method="highs") passes: presolve on, the dual
-    simplex, no debug checks, no output.  The solver is the only state a
-    thread keeps: linprog sets presolve and the tolerance and passes a whole
-    model on every call.
+    scipy.optimize.linprog(method="highs") passes and linprog does not set
+    per call: the dual simplex, no debug checks, no output.  The solver is
+    the only state a thread keeps: linprog sets presolve and the tolerance
+    and passes a whole model on every call.
     """
     try:
         return _solvers.solver
     except AttributeError:
         pass
     options = core.HighsOptions()
-    options.presolve = "on"
     options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = options.output_flag = False

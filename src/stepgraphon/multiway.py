@@ -168,7 +168,8 @@ def _scaled_random(seed, count, row, col):
     (sample_multiway_set allows a drift of SCALING_TOL).  That step moves
     each column sum by at most the summed row residuals it removes (each
     below SCALING_TOL), so the column sums may miss `col` by about
-    SCALING_TOL; nothing checks them.  Raises ScalingDiverged with the
+    SCALING_TOL; MultiwayMatrixSet checks them against the part masses
+    within MATCH_TOL.  Raises ScalingDiverged with the
     largest residual still live if a plan has not converged after SCALING_CAP
     rounds.
     """

@@ -291,7 +291,7 @@ def waterfill_max(segments, mass):
     if mass >= total:
         return sum(length * 0.5 * (v0 + v1) for length, v0, v1 in segments)
     values = sorted({v for _, v0, v1 in segments for v in (v0, v1)}, reverse=True)
-    prev = values[0] + 1.0
+    prev, m_prev = values[0] + 1.0, 0.0
     for tau in values:
         m_tau, _ = _measure_and_integral_above(segments, tau)
         if m_tau >= mass:
@@ -300,20 +300,14 @@ def waterfill_max(segments, mass):
                 # mass boundary falls on the plateau at this level
                 return i_strict + (mass - m_strict) * tau
             # threshold lies strictly between tau and prev, where the measure
-            # of the level set is linear in the level: two-point solve
-            t1 = tau + (prev - tau) / 3.0
-            t2 = tau + 2.0 * (prev - tau) / 3.0
-            m1, _ = _measure_and_integral_above(segments, t1)
-            m2, _ = _measure_and_integral_above(segments, t2)
-            if m1 == m2:
-                tau_star = t1
-            else:
-                tau_star = t1 + (m1 - mass) * (t2 - t1) / (m1 - m2)
+            # of the level set is linear in the level, from m_strict just
+            # above tau to m_prev at prev, with m_prev < mass <= m_strict
+            tau_star = prev - (mass - m_prev) * (prev - tau) / (m_strict - m_prev)
             tau_star = min(max(tau_star, tau), prev)
             m_s, i_s = _measure_and_integral_above(segments, tau_star)
             # trade any float drift in the hit mass at the threshold value
             return i_s + (mass - m_s) * tau_star
-        prev = tau
+        prev, m_prev = tau, m_tau
 
 
 def sandwich_sup(eps):

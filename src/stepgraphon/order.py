@@ -1,15 +1,15 @@
 """Structuredness-order probes.
 
-The order itself has no finite certificate, so the comparison API is
-one-sided: it refutes "U at most as structured as W" through necessary
-conditions (density, range-frequency flatness, degree-frequency flatness) or
-reports the pair consistent.  Envelopes are approximated by finite clouds of
-rearrangement signatures at a fixed dyadic depth.
+The module checks necessary conditions only (a certificate of the order on
+step graphons is ROADMAP item 28), so the comparison API is one-sided: it
+refutes "U at most as structured as W" through density, range-frequency
+flatness and degree-frequency flatness, or reports the pair consistent.
+Envelopes are approximated by finite clouds of rearrangement signatures at
+a fixed dyadic depth.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -17,10 +17,10 @@ import numpy as np
 from .core import (
     ARRAY_CAP,
     PartitionSpec,
+    SignedStepKernel,
     StepGraphon,
     _canonical_cell_order,
     _dyadic_overlaps,
-    _freeze,
     _interlace_order,
     edge_density,
     grid_version,
@@ -91,8 +91,11 @@ def strictify(W, eps):
     diagonal quadrants gain eps and the off-diagonal quadrants lose eps.
     Degrees and the edge density are unchanged, while any strictly convex
     value functional strictly increases, so the result sits strictly above
-    the input in the structuredness order.
+    the input in the structuredness order.  A SignedStepKernel raises
+    StepGraphonError.
     """
+    if isinstance(W, SignedStepKernel):
+        raise StepGraphonError("strictify takes a graphon, not a signed kernel")
     if eps <= 0:
         raise NoInteriorValues("eps must be positive")
     a = W.weights
@@ -143,15 +146,12 @@ def _interlace_levels(n):
     return [level for level in range(1, n // 2 + 1) if n % (2 * level) == 0]
 
 
-@functools.lru_cache(maxsize=16)
 def _envelope_perms(seed, count, n):
-    """Read-only (rows, n) table of the cell orders an n-cell envelope samples.
+    """The (rows, n) table of the cell orders an n-cell envelope samples.
 
     Row idx < count is the uniform permutation drawn from the generator
     seeded (seed, idx); the rows after it are the interlacing orders at
     every level whose 2 * level slabs divide the grid, lowest level first.
-    The cache is bounded because a seed sweep would otherwise keep every
-    table: 200 seeds at count 500 on 64 cells hold 49 MiB.
     """
     levels = _interlace_levels(n)
     table = np.empty((count + len(levels), n), dtype=np.intp)
@@ -159,7 +159,7 @@ def _envelope_perms(seed, count, n):
         table[idx] = np.random.default_rng((seed, idx)).permutation(n)
     for row, level in enumerate(levels, start=count):
         table[row] = _interlace_order(n, level)
-    return _freeze(table)
+    return table
 
 
 def _check_envelope(n, count, depth):
@@ -198,16 +198,15 @@ def _check_envelope(n, count, depth):
             f"over the cap of {ARRAY_CAP}")
 
 
-def _envelope_cloud(base, count, depth, seed):
+def _envelope_cloud(base, perms, depth):
     """The signatures, one row each, of the envelope of a canonical n-cell base.
 
     Every rearrangement keeps the grid, so its signature is r @ V[P][:, P] @
     r.T for the grid's one dyadic overlap matrix r: all of them come from
-    stacked products over the table of cell orders P, in blocks of rows
-    that keep each gathered stack within _STACK_FLOATS values.
+    stacked products over the _envelope_perms table of cell orders P, in
+    blocks of rows that keep each gathered stack within _STACK_FLOATS values.
     """
     n = base.k
-    perms = _envelope_perms(seed, count, n)
     r = _dyadic_overlaps(base.cumulative(), depth)
     m = len(r)
     rows = len(perms)
@@ -233,7 +232,8 @@ def sample_envelope(W, n, count, depth, seed=0):
     envelope size are checked before anything is built.
     """
     _check_envelope(n, count, depth)
-    return EnvelopeSample(n, depth, _envelope_cloud(canonicalize(W, n), count, depth, seed))
+    return EnvelopeSample(n, depth, _envelope_cloud(canonicalize(W, n),
+                                                    _envelope_perms(seed, count, n), depth))
 
 
 def chi_estimate(U, W, n, count, depth, seed=0):
@@ -255,5 +255,6 @@ def chi_estimate(U, W, n, count, depth, seed=0):
     i, j = np.triu_indices(len(full))
     upper = i * len(full) + j
     weights = np.where(i == j, 1.0, 2.0) * full[i, j]
-    return l1_hausdorff(_envelope_cloud(bu, count, depth, seed)[:, upper],
-                        _envelope_cloud(bw, count, depth, seed)[:, upper], weights)
+    perms = _envelope_perms(seed, count, n)
+    return l1_hausdorff(_envelope_cloud(bu, perms, depth)[:, upper],
+                        _envelope_cloud(bw, perms, depth)[:, upper], weights)

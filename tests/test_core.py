@@ -443,3 +443,32 @@ def test_split_reconstruct_refuses_an_empty_grid():
     s = StepFunction1D([0.0, 1.0], [0.5])
     with pytest.raises(ResolutionIncompatible, match="grid resolution must be >= 1"):
         split_reconstruct(bipartite_graphon(), s, 0)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_grid_version_refuses_an_empty_grid(n):
+    with pytest.raises(ResolutionIncompatible, match="grid resolution must be >= 1"):
+        grid_version(bipartite_graphon(), n)
+
+
+# ----------------------------------------------------------------- kernel type
+
+SIGNED = SignedStepKernel([0.5, 0.5], [[-0.5, 0.0], [0.0, -0.5]])
+
+
+def test_stepping_keeps_a_signed_kernel_signed():
+    # the block average is -0.25, which a graphon's range would clip to 0
+    out = stepping(SIGNED, PartitionSpec([[0.5], [0.5]]))
+    assert type(out) is SignedStepKernel
+    assert out.weights.tolist() == [1.0] and out.values.tolist() == [[-0.25]]
+
+
+def test_reorder_and_split_reconstruct_keep_a_signed_kernel_signed():
+    kernel = SignedStepKernel([0.25, 0.75], [[-0.5, 0.25], [0.25, 1.0]])
+    swap = reorder_by_ordered_partition(kernel, PartitionSpec([[0.0, 0.25], [0.75, 0.0]]))
+    assert type(swap) is SignedStepKernel
+    assert swap.values.tolist() == [[1.0, 0.25], [0.25, -0.5]]
+    # every grid point mixes the quadrant values -0.5, 0, 0, -0.5 equally
+    out = split_reconstruct(SIGNED, StepFunction1D([0.0, 1.0], [0.5]), 4)
+    assert type(out) is SignedStepKernel
+    assert (out.values == -0.25).all()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stepgraphon import (
     StepFunction1D,
@@ -225,6 +226,24 @@ def test_waterfill_against_discretized_oracle():
         exact = waterfill_max(segments, mass)
         assert exact == pytest.approx(approx, abs=2e-4)
         assert exact >= approx - 2e-4
+
+
+def test_waterfill_solves_a_linear_piece_from_its_bracket():
+    # g is 1 on [0, 1/2) and rises from 0 to 1 on [1/2, 1); mass 3/4 takes the
+    # plateau and {g >= 1/2} of the linear piece, all in exact dyadic arithmetic
+    assert waterfill_max([(0.5, 1.0, 1.0), (0.5, 0.0, 1.0)], 0.75) == 0.6875
+
+
+@given(length=st.floats(0.05, 1.0), v0=st.floats(0.0, 1.0), v1=st.floats(0.0, 1.0),
+       share=st.floats(0.01, 0.99))
+def test_waterfill_on_one_linear_piece_is_the_closed_form(length, v0, v1, share):
+    # the top set of measure m has threshold t = hi - m (hi - lo) / length
+    # and integral m (hi + t) / 2
+    hi, lo = max(v0, v1), min(v0, v1)
+    mass = share * length
+    t = hi - mass * (hi - lo) / length
+    assert waterfill_max([(length, v0, v1)], mass) == pytest.approx(
+        mass * (hi + t) / 2, rel=1e-12, abs=1e-15)
 
 
 def test_sandwich_sup_closed_form():

@@ -6,6 +6,7 @@ from stepgraphon import (
     NoInteriorValues,
     PartitionSpec,
     ResolutionIncompatible,
+    SignedStepKernel,
     StepGraphon,
     StepGraphonError,
     chi_estimate,
@@ -23,6 +24,7 @@ from stepgraphon import (
 )
 from stepgraphon import core, measures, order
 from stepgraphon.metrics import rectangle_signature, signature_weights
+from stepgraphon.multiway import multiway_matrix
 from stepgraphon.named import bipartite_graphon, w1_graphon
 
 from conftest import (FLATNESS_DEFECT_PAIRS, canonical_cell_order_reference, chi_reference,
@@ -138,6 +140,12 @@ def test_strictify_needs_interior_values():
 def test_strictify_needs_a_positive_eps(eps):
     with pytest.raises(NoInteriorValues, match="eps must be positive"):
         strictify(StepGraphon([1.0], [[0.5]]), eps)
+
+
+def test_strictify_refuses_a_signed_kernel():
+    signed = SignedStepKernel([0.5, 0.5], [[-0.5, 0.5], [0.5, 0.25]])
+    with pytest.raises(StepGraphonError, match="strictify takes a graphon, not a signed kernel"):
+        strictify(signed, 0.1)
 
 
 def test_strictify_w1_perturbs_only_interior():
@@ -320,6 +328,47 @@ def test_envelope_size_is_checked_before_anything_is_built(monkeypatch):
         sample_envelope(g, 1025, 0, 0)
     with pytest.raises(StepGraphonError, match="on 100000 cells"):
         chi_estimate(g, g, 100_000, 0, 0)
+
+
+def test_envelope_cell_orders_are_drawn_once_per_call(monkeypatch):
+    # chi_estimate's two clouds share one table of cell orders
+    calls = []
+    draw = order._envelope_perms
+    monkeypatch.setattr(order, "_envelope_perms",
+                        lambda *args: calls.append(args) or draw(*args))
+    assert chi_estimate(bipartite_graphon(), HALF, 8, 5, 2, seed=1) > 0.0
+    assert calls == [(1, 5, 8)]
+    sample_envelope(bipartite_graphon(), 8, 5, 2, seed=1)
+    assert calls == [(1, 5, 8)] * 2
+
+
+def dyadic_lift(depth):
+    """The 0/1 map from the 2^depth finest dyadic intervals to those of every level."""
+    finest = np.arange(1 << depth)
+    return np.concatenate([finest >> (depth - level) == np.arange(1 << level)[:, None]
+                           for level in range(depth + 1)]).astype(float)
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from([1, 2, 4, 6, 8, 16]), depth=st.integers(0, 4),
+       equal_mass=st.booleans(), data=st.integers(0, 2 ** 32 - 1))
+def test_grid_version_signature_is_a_lifted_multiway_matrix(n, depth, equal_mass, data):
+    # ROADMAP item 9's identity: the version with cell order perm has the depth-d
+    # signature L M L^T, M the multiway cut matrix of the base under the plan that
+    # sends base cell perm[c] onto the finest dyadic overlaps of version cell c.
+    # Every entry of either side sums at most n^2 + 4^depth nonnegative products
+    # of values in [0, 1] with overlaps, to at most 1; so both are within a few
+    # (n^2 + 4^depth) 2^-53 of the exact integral
+    rng = np.random.default_rng(data)
+    base = grid_version(grid_graphon(rng, n, equal_mass), n)
+    perm = rng.permutation(n)
+    version = grid_version(base, n, perm)
+    plan = np.empty((n, 1 << depth))
+    plan[perm] = PartitionSpec.dyadic(version.weights, depth).assignment
+    lift = dyadic_lift(depth)
+    lifted = lift @ multiway_matrix(base, PartitionSpec(plan)) @ lift.T
+    gap = np.abs(rectangle_signature(version, depth) - lifted).max()
+    assert gap <= 4 * (n * n + 4 ** depth) * 2.0 ** -53
 
 
 # ----------------------------------------------------------------------- chi
