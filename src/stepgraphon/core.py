@@ -62,19 +62,6 @@ def _freeze(a):
     return a
 
 
-def _derived(cls, weights, values):
-    """A cls kernel on arrays that pass its checks by construction.
-
-    Freezes weights and values as given, without __init__'s copy and checks.
-    Only for kernels derived from validated ones, such as the refinements
-    inside the cut-distance search; public constructors and readers validate.
-    """
-    G = cls.__new__(cls)
-    G.weights = _freeze(weights)
-    G.values = _freeze(values)
-    return G
-
-
 def _mismatch(x, y):
     """Whether x and y differ in shape or by more than MATCH_TOL somewhere.
 
@@ -322,8 +309,10 @@ class PartitionSpec:
 def _derived_partition(assignment):
     """A PartitionSpec on an assignment that passes its checks by construction.
 
-    Freezes the assignment as given, as _derived does for kernels: only for
-    plans already checked and clipped, such as the sampled multiway plans.
+    Freezes the assignment as given, without __init__'s copy and checks: only
+    for plans already checked and clipped, the sampled multiway plans.  It is
+    the library's one constructor bypass, kept because the sampler keeps
+    thousands of plans and __init__ costs about seven times as much.
     """
     spec = PartitionSpec.__new__(PartitionSpec)
     spec.assignment = _freeze(assignment)
@@ -464,15 +453,15 @@ def common_refinement(U, W, C):
 
     The blocks are C's _coupling_cells, so the first output is a plain
     refinement of U while the second is a rearranged refinement of W carried
-    onto U's geometry.  Both outputs are index gathers of the validated
-    symmetric values, so they are built without re-running the checks.
+    onto U's geometry.  Each output has its input's type and passes its
+    constructor's checks.
     """
     if not isinstance(C, Coupling):
         raise MarginalMismatch("expected a Coupling")
     C.require_marginals(U.weights, W.weights)
     ii, jj, w_cells = _coupling_cells(C.matrix)
-    return (_derived(type(U), w_cells, U.values[np.ix_(ii, ii)]),
-            _derived(type(W), w_cells, W.values[np.ix_(jj, jj)]))
+    return (type(U)(w_cells, U.values[np.ix_(ii, ii)]),
+            type(W)(w_cells, W.values[np.ix_(jj, jj)]))
 
 
 def overlap_coupling(U, W):
@@ -509,15 +498,17 @@ def grid_version(W, n, perm=None):
 
     The result has value W(perm[c], perm[d]) on cell pair (c, d); it is a
     measure-preserving rearrangement, so the multiset of cell values (and
-    every rearrangement-invariant functional) is unchanged.
+    every rearrangement-invariant functional) is unchanged.  A perm that is
+    not an integer array holding each cell once raises ResolutionIncompatible.
     """
     if n < 1:
         raise ResolutionIncompatible("grid resolution must be >= 1")
     cell_block = _grid_cells(W.weights, n)
     if perm is None:
         perm = np.arange(n)
-    perm = np.asarray(perm, dtype=int)
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+    perm = np.asarray(perm)
+    if (perm.shape != (n,) or perm.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(perm), np.arange(n))):
         raise ResolutionIncompatible(f"perm is not a permutation of {n} cells")
     src = cell_block[perm]
     vals = W.values[np.ix_(src, src)]

@@ -13,12 +13,11 @@ from .errors import StepGraphonError
 
 
 def save(obj, path):
-    """Write obj's `to_dict()`, or a plain dict, as JSON: sorted keys, indent 2, a newline.
+    """Write obj's `to_dict()` as JSON: sorted keys, indent 2, a newline.
 
     An unwritable path raises StepGraphonError.
     """
-    payload = obj.to_dict() if hasattr(obj, "to_dict") else obj
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(obj.to_dict(), sort_keys=True, indent=2)
     try:
         with open(path, "w") as fh:
             fh.write(text)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import fsum, isfinite, log2
+from math import fsum, log2
 from operator import mul
 
 import numpy as np
@@ -99,27 +99,27 @@ class FlatnessWitness:
     `residual` is the largest violation of the marginal and barycenter
     equations by the returned coupling.  The last column sum is not among
     them (it is implied by the others); Coupling checks it on construction.
-    A refusal keeps the residual inf, which `to_dict` writes as None, so
-    JSON output has null where JSON has no infinity.
+    A refusal has no coupling and no residual: both are None.
     """
 
-    def __init__(self, feasible, coupling=None, residual=float("inf"), reason=""):
+    def __init__(self, feasible, coupling=None, residual=None, reason=""):
         self.feasible = bool(feasible)
         self.coupling = coupling
-        self.residual = float(residual)
+        self.residual = residual
         self.reason = reason
 
     def to_dict(self):
         return {
             "feasible": self.feasible,
-            "residual": self.residual if isfinite(self.residual) else None,
+            "residual": self.residual,
             "reason": self.reason,
             "coupling": self.coupling.to_dict() if self.coupling else None,
         }
 
     def __repr__(self):
         tag = "feasible" if self.feasible else f"infeasible ({self.reason})"
-        return f"FlatnessWitness({tag}, residual={self.residual:.3g})"
+        residual = "None" if self.residual is None else f"{self.residual:.3g}"
+        return f"FlatnessWitness({tag}, residual={residual})"
 
 
 def range_frequencies(W):

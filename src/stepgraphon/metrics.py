@@ -32,7 +32,6 @@ from .core import (
     _canonical_cell_order,
     _check_stack,
     _coupling_cells,
-    _derived,
     _dyadic_overlaps,
     _freeze,
     _grid_cells,
@@ -352,14 +351,15 @@ def cut_norm_distance(U, W, C, mode=None):
     """Cut norm of U - W overlaid by the coupling C, heuristic starts at seed 0.
 
     mode None is exact up to EXACT_BLOCK_CAP refined cells and heuristic
-    past it.  With a shared partition and the diagonal coupling this is the
-    plain cut norm distance on the common ground space.  U and W are
-    graphons; a SignedStepKernel raises StepGraphonError.
+    past it, where the value is an achieved box sum and so a lower bound on
+    the cut norm under C.  With a shared partition and the diagonal coupling
+    this is the plain cut norm distance on the common ground space.  U and W
+    are graphons; a SignedStepKernel raises StepGraphonError.
     """
     if isinstance(U, SignedStepKernel) or isinstance(W, SignedStepKernel):
         raise StepGraphonError("cut_norm_distance takes two graphons, not a signed kernel")
     ru, rw = common_refinement(U, W, C)
-    kernel = _derived(SignedStepKernel, ru.weights, np.subtract(ru.values, rw.values))
+    kernel = SignedStepKernel(ru.weights, ru.values - rw.values)
     if mode is None:
         mode = "exact" if kernel.k <= EXACT_BLOCK_CAP else "heuristic"
     return cut_norm(kernel, mode=mode).value

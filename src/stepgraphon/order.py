@@ -10,8 +10,6 @@ a fixed dyadic depth.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
@@ -62,7 +60,7 @@ def order_check(U, W):
     default tolerance.  Returns refuted with the failing certificates, or
     consistent.  A consistent verdict is not a proof of the order relation;
     the conditions are necessary only.  A flatness detail carries the
-    witness's residual, None for a refusal (whose residual is inf).
+    witness's residual, None for a refusal.
     """
     reasons = []
     du, dw = edge_density(U), edge_density(W)
@@ -76,8 +74,7 @@ def order_check(U, W):
         reasons.append({
             "condition": f"{name}-frequency-flatness",
             "passed": wit.feasible,
-            "detail": {"residual": wit.residual if math.isfinite(wit.residual) else None,
-                       "reason": wit.reason},
+            "detail": {"residual": wit.residual, "reason": wit.reason},
         })
     status = "consistent" if all(r["passed"] for r in reasons) else "refuted"
     return OrderVerdict(status, reasons)

@@ -428,7 +428,7 @@ def test_require_marginals_refuses_other_shapes_and_column_masses():
         c.require_marginals([0.5, 0.5], [0.25, 0.75])
 
 
-@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4]])
+@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4], [0.9, 1.2, 2.5, 3.1]])
 def test_grid_version_refuses_a_bad_perm(perm):
     with pytest.raises(ResolutionIncompatible, match="not a permutation of 4 cells"):
         grid_version(bipartite_graphon(), 4, perm)
@@ -437,6 +437,14 @@ def test_grid_version_refuses_a_bad_perm(perm):
 def test_interlace_version_refuses_level_zero():
     with pytest.raises(ResolutionIncompatible, match="interlacing level must be >= 1"):
         interlace_version(bipartite_graphon(), 0)
+
+
+def test_interlace_version_refuses_weights_off_every_searched_grid():
+    # 0.1234567 is a multiple of 1/m for no m up to the search's 2 * 4096 cells
+    g = StepGraphon([0.1234567, 0.8765433], [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ResolutionIncompatible,
+                       match="no grid refining both 1/2 slabs and the block weights"):
+        interlace_version(g, 1)
 
 
 def test_split_reconstruct_refuses_an_empty_grid():

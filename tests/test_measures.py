@@ -557,6 +557,16 @@ def test_exact_flatness_reasons_carry_the_exact_suffix():
     assert w.reason == "no coupling satisfies the barycenter constraints (exact)"
 
 
+def test_measure_and_witness_reprs():
+    assert repr(ENDS) == "DiscreteMeasure(n=2, total=1)"
+    exact = check_flatter(DIRAC_HALF, ENDS, exact=True)
+    assert repr(exact) == "FlatnessWitness(feasible, residual=0)"
+    refused = check_flatter(ENDS, DIRAC_HALF)
+    assert refused.residual is None and refused.coupling is None
+    assert repr(refused) == ("FlatnessWitness(infeasible (no coupling satisfies the "
+                             "barycenter constraints), residual=None)")
+
+
 def test_exact_flatness_on_empty_measures():
     empty = DiscreteMeasure([], [])
     w = check_flatter(empty, empty, exact=True)

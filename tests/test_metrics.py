@@ -1268,6 +1268,30 @@ def test_linprog_raises_on_a_solver_fault(monkeypatch, capfd, fault):
     assert capfd.readouterr() == ("", "")
 
 
+def test_a_refused_option_set_raises_and_caches_no_solver():
+    # a core whose solver refuses scipy's options; a fresh thread has no solver yet
+    refused = object()
+    fake = types.SimpleNamespace(
+        HighsOptions=types.SimpleNamespace,
+        simplex_constants=types.SimpleNamespace(
+            SimplexStrategy=types.SimpleNamespace(kSimplexStrategyDual=1)),
+        HighsDebugLevel=types.SimpleNamespace(kHighsDebugLevelNone=0),
+        HighsStatus=types.SimpleNamespace(kError=refused),
+        _Highs=lambda: types.SimpleNamespace(passOptions=lambda options: refused))
+    seen = []
+
+    def build():
+        with pytest.raises(SolverFailure, match="HiGHS refused the options of scipy's linprog"):
+            metrics._thread_solver(fake)
+        seen.append(hasattr(metrics._solvers, "solver"))
+
+    thread = threading.Thread(target=build)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert seen == [False]
+
+
 def test_each_thread_solves_on_its_own_solver():
     cost, a, b, _ = check = transport_system(16, 64, 1, "ties")
     solvers, results = [], []
@@ -1322,6 +1346,11 @@ def test_weak_star_zero_and_constants():
         got = weak_star_distance(StepGraphon([1.0], [[p]]),
                                  StepGraphon([1.0], [[q]]), depth)
         assert got == pytest.approx(total, rel=1e-12)
+
+
+def test_weak_star_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        weak_star_distance(HALF, HALF, -1)
 
 
 def test_weak_star_enumeration_order():
@@ -1742,8 +1771,9 @@ def test_cut_distance_memory_does_not_grow_with_refined_cells():
 
 
 def test_cut_distance_search_does_not_revalidate(monkeypatch):
-    # no kernel is rechecked, and a Coupling is built only for the product
-    # start, each LP plan and the answer, not for each scored candidate
+    # kernels are checked only by the answer's exact re-score (its two
+    # refinements and their difference), and a Coupling is built only for the
+    # product start, each LP plan and the answer, not for each scored candidate
     rng = np.random.default_rng(7)
     U, W = random_graphon(rng, k=5), random_graphon(rng, k=6)
     checks, built = [], []
@@ -1755,9 +1785,11 @@ def test_cut_distance_search_does_not_revalidate(monkeypatch):
                         lambda self, *args: built.append(args) or init(self, *args))
     evals = _count_calls(monkeypatch, "_search_eval")
     plans = _count_calls(monkeypatch, "_min_cost_transport")
-    val, _ = cut_distance(U, W)
+    val, coupling = cut_distance(U, W)
     assert val > 0.0 and len(evals) > len(built)
-    assert checks == []
+    cells = np.count_nonzero(coupling.matrix > 0)
+    assert cells <= metrics.EXACT_BLOCK_CAP
+    assert [args[1:] for args in checks] == [(cells, 0.0, 1.0)] * 2 + [(cells, -1.0, 1.0)]
     assert len(built) == 1 + len(plans) + 1
 
 

@@ -366,6 +366,11 @@ def test_cut_set_is_invariant_under_cell_permutations(k, q, data):
     assert multiway_hausdorff(su, sv) <= 1e-12
 
 
+def test_sampler_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        sample_multiway_set(bipartite_graphon(), [0.5, 0.5], count=-1)
+
+
 def test_sampler_rejects_nan_part_masses():
     with pytest.raises(MarginalMismatch):
         sample_multiway_set(bipartite_graphon(), [float("nan"), float("nan")], count=1)

@@ -228,6 +228,12 @@ def test_waterfill_against_discretized_oracle():
         assert exact >= approx - 2e-4
 
 
+@pytest.mark.parametrize("mass, expected", [(0.0, 0.0), (-0.25, 0.0), (1.0, 0.75), (2.0, 0.75)])
+def test_waterfill_takes_nothing_or_everything_past_the_mass_range(mass, expected):
+    # no mass takes nothing; the total mass 1 and more take the whole integral
+    assert waterfill_max([(0.5, 1.0, 1.0), (0.5, 0.0, 1.0)], mass) == expected
+
+
 def test_waterfill_solves_a_linear_piece_from_its_bracket():
     # g is 1 on [0, 1/2) and rises from 0 to 1 on [1/2, 1); mass 3/4 takes the
     # plateau and {g >= 1/2} of the linear piece, all in exact dyadic arithmetic

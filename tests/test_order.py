@@ -85,6 +85,12 @@ def test_density_mismatch_refutes():
     assert "edge-density" in verdict.failed_conditions()
 
 
+def test_verdict_repr_names_the_failed_conditions():
+    assert repr(order_check(HALF, bipartite_graphon())) == "OrderVerdict(consistent, failed=[])"
+    assert repr(order_check(bipartite_graphon(), HALF)) == (
+        "OrderVerdict(refuted, failed=['range-frequency-flatness'])")
+
+
 @st.composite
 def padded_kernels(draw):
     """A random kernel, and the same kernel with zero-weight blocks among its blocks."""

@@ -58,6 +58,24 @@ def _imported(tree):
                 yield alias.asname or alias.name
 
 
+def _new_calls(node, scope):
+    """The enclosing scope of each `X.__new__(...)` call below node, dotted."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+              and child.func.attr == "__new__"):
+            yield scope
+        yield from _new_calls(child, inner)
+
+
+def test_every_object_passes_its_constructor():
+    """No code builds an object past its __init__ checks, but the sampled multiway plans."""
+    bypasses = [scope for name, tree in MODULES.items() for scope in _new_calls(tree, name[:-3])]
+    assert sorted(bypasses) == ["core._derived_partition"]
+
+
 def test_every_import_is_used():
     unused = []
     for name, tree in MODULES.items():
