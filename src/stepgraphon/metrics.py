@@ -274,20 +274,20 @@ def _exact_cut_norm(ay):
 def _alternating_max(s0, times, times_transpose):
     """Batched alternating 0/1 maximization of a bilinear form x K y on both signs.
 
-    times(x) is x @ K and times_transpose(x) is x @ K^T, for a stack x of
-    row vectors.  Each row of s0 is an independent start, run once on K and
-    once on -K; rows stop updating once their objective stalls.  The two
-    signs are the two halves of a (2, n, k) stack.  A product applies K to
-    each half in its own call, as a single sign would, and then negates the
+    times(x) is x @ K and times_transpose(x) is x @ K^T, for a stack x of row
+    vectors.  Each row of s0 is an independent start, run once on K and once on
+    -K; a row steps only to a strictly larger value, so the loop ends and a
+    power-of-two scale of K, exact in every compared value, keeps the witness.
+    The two signs are the two halves of a (2, n, k) stack.  A product applies K
+    to each half in its own call, as a single sign would, and then negates the
     second half; negation is exact, so it equals the product with -K bit for
     bit, without a copy of the kernel.  (One BLAS call on all 2n rows would
-    not: BLAS may sum a row in another order when the number of rows
-    changes.)  For the same reason the column sums s_new @ K that score an
-    iteration are bitwise those the next one would compute from its s, so
-    they are kept, row by row, instead of recomputed, and the first
-    product, where both halves are s0, is taken on one half and stacked
-    with its negation.  Returns the (s, t) of the larger of the best value
-    of K and that of -K, K on a tie.
+    not: BLAS may sum a row in another order when the number of rows changes.)
+    For the same reason the column sums s_new @ K that score an iteration are
+    bitwise those the next one would compute from its s, so they are kept, row
+    by row, instead of recomputed, and the first product, where both halves are
+    s0, is taken on one half and stacked with its negation.  Returns copies of
+    the (s, t) of the larger of the best value of K and that of -K, K on a tie.
     """
     def product(f, x):
         out = f(x)
@@ -303,7 +303,7 @@ def _alternating_max(s0, times, times_transpose):
         s_new = (product(times_transpose, t) > 0).astype(float)
         new_cols = product(times, s_new)
         new_vals = np.einsum("hri,hri->hr", new_cols, t)
-        improved = new_vals > vals + 1e-15
+        improved = new_vals > vals
         if not improved.any():
             break
         s = np.where(improved[..., None], s_new, s)
@@ -313,7 +313,7 @@ def _alternating_max(s0, times, times_transpose):
     vals = np.einsum("hri,hri->hr", cols, t)
     best = vals.argmax(axis=1)
     h = int(vals[1, best[1]] > vals[0, best[0]])
-    return s[h, best[h]], t[h, best[h]]
+    return s[h, best[h]].copy(), t[h, best[h]].copy()
 
 
 def cut_norm(Y, mode="exact", seed=0):
@@ -552,17 +552,17 @@ def _min_cost_transport(cost, row, col):
     return np.clip(x.reshape(n, m), 0.0, None)
 
 
-def _witness_gradient(U, W, cmat, res):
-    """Gradient of the witnessed box integral as a function of the coupling.
+def _witness_gradient(U, W, cmat, s, t):
+    """Gradient of the box integral of the witness (s, t) as a function of the coupling.
 
-    The cut-norm witness lives on core._coupling_cells of cmat.
+    The witness lives on core._coupling_cells of cmat, in their order.
     """
     ku, kw = cmat.shape
     s_grid = np.zeros((ku, kw))
     t_grid = np.zeros((ku, kw))
     ii, jj, _ = _coupling_cells(cmat)
-    s_grid[ii, jj] = res.witness_s
-    t_grid[ii, jj] = res.witness_t
+    s_grid[ii, jj] = s
+    t_grid[ii, jj] = t
     tc = t_grid * cmat
     sc = s_grid * cmat
     su, sw = sc.sum(axis=1), sc.sum(axis=0)
@@ -590,8 +590,8 @@ def _factored_cut_norm(U, W, ii, jj, a, seed):
     products through k_U + k_W columns, and, the kernel being symmetric, it
     serves both sides of the bilinear form.  The alternating heuristic runs
     on it with cut_norm's loop and starts, SEARCH_RESTARTS of them.  The
-    value is |(s L) D (t L)^T|, the witness's box integral, so a lower bound;
-    the witness is on those cells, in their order.
+    value is |(s L) D (t L)^T|, the witness's box integral, so a lower bound.
+    Returns (value, s, t), the witness on those cells, in their order.
     """
     n, ku = len(a), U.k
     ell = np.zeros((n, ku + W.k))
@@ -604,24 +604,33 @@ def _factored_cut_norm(U, W, ii, jj, a, seed):
         return (x @ ell_d) @ ell.T
 
     s, t = _alternating_max(_heuristic_starts(seed, SEARCH_RESTARTS, n), times, times)
-    return CutNormResult(abs(s @ ell_d @ (t @ ell)), s, t, "heuristic")
+    return float(abs(s @ ell_d @ (t @ ell))), s, t
+
+
+def _cells_exact(U, W, ii, jj, a):
+    """Exact cut norm of a a^T (U[ii][:, ii] - W[jj][:, jj]) on coupling cells.
+
+    Returns (value, s, t), bitwise cut_norm's value and witness on the
+    refinement; the cells and masses are core._coupling_cells's.
+    """
+    ay = np.outer(a, a) * (U.values[ii][:, ii] - W.values[jj][:, jj])
+    s, t = _exact_cut_norm(ay)
+    return float(abs(s @ ay @ t)), s, t
 
 
 def _search_eval(U, W, cmat, seed, memo):
-    """Cut norm of U - W under the coupling matrix cmat, memoized by cmat's bytes.
+    """Score (value, s, t) of U - W under the coupling matrix cmat, memoized by cmat's bytes.
 
     cmat is unchecked (_search_plan checks the LP plans; the rest are exact
-    starts or convex combinations).  Up to SEARCH_EXACT_CAP cells it gets the
-    exact cut norm of a a^T (U[ii][:, ii] - W[jj][:, jj]) on core._coupling_cells,
-    bitwise cut_norm's on the refinement; past that _factored_cut_norm's heuristic.
+    starts or convex combinations).  Up to SEARCH_EXACT_CAP cells the score
+    is _cells_exact's, past that _factored_cut_norm's heuristic; s and t are
+    the witness on core._coupling_cells of cmat.
     """
     key = ("eval", cmat.tobytes())
     if key not in memo:
         ii, jj, a = _coupling_cells(cmat)
         if len(a) <= SEARCH_EXACT_CAP:
-            ay = np.outer(a, a) * (U.values[ii][:, ii] - W.values[jj][:, jj])
-            s, t = _exact_cut_norm(ay)
-            memo[key] = CutNormResult(abs(s @ ay @ t), s, t, "exact")
+            memo[key] = _cells_exact(U, W, ii, jj, a)
         else:
             memo[key] = _factored_cut_norm(U, W, ii, jj, a, seed)
     return memo[key]
@@ -644,30 +653,29 @@ def _search_plan(U, W, grad, memo):
 
 
 def _local_search(U, W, c0, max_iters, seed, memo):
-    """Frank-Wolfe-style descent from c0; returns (value, coupling matrix).
+    """Frank-Wolfe-style descent from c0; returns (score, coupling matrix).
 
+    A step is the first of the line search toward the transport plan on the
+    witness's gradient that lowers the score by more than SEARCH_TOL.
     memo caches both steps, which are pure in (U, W, seed) and the array
     they are given; share one dict only between searches on the same pair
     and seed, and a hit returns what the step would have computed.
     """
     cmat = c0
-    res = _search_eval(U, W, cmat, seed, memo)
-    val = res.value
+    val, s, t = _search_eval(U, W, cmat, seed, memo)
     for _ in range(max_iters):
-        c_star = _search_plan(U, W, _witness_gradient(U, W, cmat, res), memo)
+        c_star = _search_plan(U, W, _witness_gradient(U, W, cmat, s, t), memo)
         if c_star is None:
             break
-        improved = False
         for gamma in (1.0, 0.5, 0.25, 0.1):
             cand = (1.0 - gamma) * cmat + gamma * c_star
             if np.count_nonzero(cand > 0) > SUPPORT_CAP:
                 continue
-            res2 = _search_eval(U, W, cand, seed, memo)
-            if res2.value < val - SEARCH_TOL:
-                cmat, res, val = cand, res2, res2.value
-                improved = True
+            score = _search_eval(U, W, cand, seed, memo)
+            if score[0] < val - SEARCH_TOL:
+                cmat, (val, s, t) = cand, score
                 break
-        if not improved:
+        else:
             break
     return val, cmat
 
@@ -746,8 +754,10 @@ def cut_distance(U, W, budget=None, seed=0):
     corner-rule vertices through an alternating local search, and a
     permutation sweep when both sides refine to at most 8 equal-mass cells
     and neither has a single cell (one cell leaves one coupling, the
-    product, and it is a start).  The returned coupling is the one with the
-    least score over everything evaluated.  The sweep is exact over
+    product, and it is a start).  A start's winner replaces the incumbent
+    only when lower, by its exact cut norm past SEARCH_EXACT_CAP and up to
+    EXACT_BLOCK_CAP cells: its heuristic score, a lower bound, could displace
+    a better coupling.  The sweep is exact over
     cell permutations only: its minimum is the permutation distance
     delta-hat of the two grids, an upper bound on the cut distance, and a
     fractional coupling from the search can be lower.
@@ -796,10 +806,13 @@ def cut_distance(U, W, budget=None, seed=0):
     if iso is not None:
         # its difference kernel is exactly 0, and this is its exact cut norm;
         # factored products, which sum U and W apart, would round
-        memo[("eval", iso.tobytes())] = CutNormResult(0.0, np.zeros(Ap.k), np.zeros(Ap.k),
-                                                      "exact")
+        memo[("eval", iso.tobytes())] = (0.0, np.zeros(Ap.k), np.zeros(Ap.k))
     for c0 in starts:
         val, cmat = _local_search(Ap, Bp, c0, cfg["max_iters"], seed, memo)
+        if val < best_val:  # a score is a lower bound: only a lower winner needs its exact value
+            ii, jj, mass = _coupling_cells(cmat)
+            if SEARCH_EXACT_CAP < len(mass) <= EXACT_BLOCK_CAP:
+                val = _cells_exact(Ap, Bp, ii, jj, mass)[0]
         if val < best_val:
             best_val, best_c = val, cmat
         if best_val == 0.0:

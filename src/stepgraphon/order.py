@@ -20,6 +20,7 @@ from .core import (
     _canonical_cell_order,
     _dyadic_overlaps,
     _interlace_order,
+    _mismatch,
     edge_density,
     grid_version,
     stepping,
@@ -29,7 +30,6 @@ from .measures import check_flatter, degree_frequencies, range_frequencies
 from .metrics import l1_hausdorff, rectangle_signature, signature_weights
 
 _STACK_FLOATS = 1 << 20  # cap on an envelope's base and on the values one stacked product gathers
-TOL = 1e-9  # order_check's density match
 
 
 class OrderVerdict:
@@ -56,7 +56,7 @@ class OrderVerdict:
 def order_check(U, W):
     """Run the necessary conditions for U being at most as structured as W.
 
-    Densities must agree within TOL; flatness runs at check_flatter's
+    Densities must match (core._mismatch); flatness runs at check_flatter's
     default tolerance.  Returns refuted with the failing certificates, or
     consistent.  A consistent verdict is not a proof of the order relation;
     the conditions are necessary only.  A flatness detail carries the
@@ -66,7 +66,7 @@ def order_check(U, W):
     du, dw = edge_density(U), edge_density(W)
     reasons.append({
         "condition": "edge-density",
-        "passed": bool(abs(du - dw) <= TOL),
+        "passed": not _mismatch(du, dw),
         "detail": {"density_u": du, "density_w": dw},
     })
     for name, frequencies in (("range", range_frequencies), ("degree", degree_frequencies)):

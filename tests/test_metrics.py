@@ -1612,6 +1612,24 @@ def test_heuristic_batch_equals_per_sign_reference(kind, k):
             assert np.array_equal(s, ref_s[idx]) and np.array_equal(t, ref_t[idx])
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+@example(6, 11)  # under an absolute 1e-15 step margin its witness moves at 2^-44
+@example(0, 40)
+def test_cut_norm_does_not_depend_on_a_power_of_two_scale(seed, k):
+    # the cut norm is homogeneous, and 2^-j Y is exact in float64: every compared
+    # value scales exactly, so the witness stays and the value scales by 2^-j
+    Y = random_kernel(np.random.default_rng(seed), k)
+    modes = ("heuristic", "exact") if k <= metrics.EXACT_BLOCK_CAP else ("heuristic",)
+    for mode in modes:
+        ref = cut_norm(Y, mode=mode)
+        for j in range(61):
+            res = cut_norm(SignedStepKernel(Y.weights, np.ldexp(Y.values, -j)), mode=mode)
+            assert res.value == math.ldexp(ref.value, -j), (mode, j)
+            assert np.array_equal(res.witness_s, ref.witness_s), (mode, j)
+            assert np.array_equal(res.witness_t, ref.witness_t), (mode, j)
+
+
 @settings(max_examples=60)
 @given(graphon_pairs(max_k=8, min_count=0), st.data())
 def test_search_refinements_equal_validated_copies(pair, data):
@@ -1677,12 +1695,11 @@ def test_search_eval_equals_the_public_exact_path_bit_for_bit(pair, data):
     gamma = data.draw(st.sampled_from([1.0, 0.5, 0.25, 0.1]))
     cmat = data.draw(st.sampled_from([first, (1.0 - gamma) * first + gamma * second]))
     assume(np.count_nonzero(cmat > 0) <= metrics.SEARCH_EXACT_CAP)
-    res = metrics._search_eval(U, W, cmat, 0, {})
+    value, s, t = metrics._search_eval(U, W, cmat, 0, {})
     ref = cut_norm(difference_kernel(U, W, cmat), mode="exact")
-    assert res.mode == ref.mode == "exact"
-    assert res.value == ref.value
-    assert np.array_equal(res.witness_s, ref.witness_s)
-    assert np.array_equal(res.witness_t, ref.witness_t)
+    assert value == ref.value
+    assert np.array_equal(s, ref.witness_s)
+    assert np.array_equal(t, ref.witness_t)
 
 
 @st.composite
@@ -1709,14 +1726,15 @@ def test_factored_search_eval_is_its_witness_on_the_refinement(case):
     # past the exact cap the search scores the factored kernel; its value is
     # the witness's box integral on the built refinement, so a lower bound
     U, W, cmat = case
-    res = metrics._search_eval(U, W, cmat, 0, {})
+    value, s, t = metrics._search_eval(U, W, cmat, 0, {})
     kernel = difference_kernel(U, W, cmat)
     a = kernel.weights
     ay = np.outer(a, a) * kernel.values
-    assert res.mode == "heuristic" and res.witness_s.shape == (kernel.k,)
-    assert math.isclose(res.value, abs(res.witness_s @ ay @ res.witness_t), rel_tol=1e-12)
+    assert s.shape == t.shape == (kernel.k,)
+    assert s.base is None and t.base is None  # a memoized witness holds no loop stack
+    assert math.isclose(value, abs(s @ ay @ t), rel_tol=1e-12)
     if kernel.k <= 20:
-        assert res.value <= cut_norm(kernel, mode="exact").value * (1.0 + 1e-12)
+        assert value <= cut_norm(kernel, mode="exact").value * (1.0 + 1e-12)
 
 
 def stepping_pair():
@@ -1742,7 +1760,7 @@ def test_cut_distance_builds_no_refinement_past_the_exact_cap(monkeypatch):
                         events.append(C.matrix) or refine(A, B, C))
     factored = _count_calls(monkeypatch, "_factored_cut_norm")
     for (U, W), budget, cells in ((stepping_pair(), {"restarts": 2, "max_iters": 4}, 64),
-                                  (unrelated_pair(8), None, 20)):
+                                  (unrelated_pair(8), None, 10)):
         events.clear()
         factored.clear()
         val, coupling = cut_distance(U, W, budget=budget)
@@ -1829,7 +1847,31 @@ def test_a_plan_that_misses_its_marginals_raises(monkeypatch):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
-@example(8)  # 20 cells; the search's heuristic score was 0.1263799, the exact 0.1268606
+@example(1380)  # a 17-cell winner scores 0.06176 < its exact 0.06215; another is 0.06197
+def test_cut_distance_is_at_most_the_exact_value_of_every_start_winner(seed):
+    # a heuristic score past SEARCH_EXACT_CAP is a lower bound, so the start
+    # loop ranks each winner of at most EXACT_BLOCK_CAP cells by its exact value;
+    # a score is a box sum in another summation order, so it can round above it
+    U, W = unrelated_pair(seed)
+    search, winners = metrics._local_search, []
+
+    def recorded(A, B, *args):
+        val, cmat = search(A, B, *args)
+        winners.append((A, B, cmat))
+        return val, cmat
+
+    with mock.patch.object(metrics, "_local_search", recorded):
+        val, _ = cut_distance(U, W)
+    assert winners
+    for A, B, cmat in winners:
+        if np.count_nonzero(cmat > 0) <= metrics.EXACT_BLOCK_CAP:
+            coupling = Coupling(cmat, A.weights, B.weights)
+            assert val <= cut_norm_distance(A, B, coupling, mode="exact") * (1.0 + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+@example(8)  # a start's 20-cell winner: heuristic score 0.1263799, exact 0.1268606
 def test_cut_distance_is_the_exact_cut_norm_under_its_coupling(seed):
     U, W = unrelated_pair(seed)
     val, coupling = cut_distance(U, W)

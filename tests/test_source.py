@@ -235,3 +235,19 @@ def test_every_reader_has_a_command():
         frontier = (called & readers) - reached
         reached = reached | frontier
     assert sorted(readers - reached) == []
+
+
+def _inline_tolerances(tree):
+    """(line, value) of each float literal with 0 < |x| < 1e-6 inside a comparison."""
+    for compare in (node for node in ast.walk(tree) if isinstance(node, ast.Compare)):
+        for node in ast.walk(compare):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0.0 < abs(node.value) < 1e-6):
+                yield node.lineno, node.value
+
+
+def test_no_comparison_has_an_inline_tolerance():
+    """A tolerance is a named constant or a parameter, with its direction stated there."""
+    inline = [f"{name}:{line}: {value!r}" for name, tree in MODULES.items()
+              for line, value in _inline_tolerances(tree)]
+    assert inline == []
