@@ -8,7 +8,7 @@ overlaps (_overlaps), the block holding a point (_locate), the blocks that
 carry mass (_support), the overlay of two kernels (overlap_coupling), the
 cells of a coupling (_coupling_cells), the dyadic interval family
 (dyadic_intervals) and its overlaps with the blocks (_dyadic_overlaps).  It
-also decides when two mass vectors match (_mismatch, within MATCH_TOL).  All
+also decides when two mass vectors match (_mismatch, _mismatches).  All
 operations are pure; arrays are frozen after construction.
 """
 
@@ -63,11 +63,22 @@ def _freeze(a):
 
 
 def _mismatch(x, y):
-    """Whether x and y differ in shape or by more than MATCH_TOL somewhere.
+    """Whether x and y differ in shape or by more than MATCH_TOL * max(1, sum |y|) somewhere.
 
     Written as a negated <=, so a NaN on either side is a mismatch.
     """
-    return np.shape(x) != np.shape(y) or not (np.abs(x - y).max(initial=0.0) <= MATCH_TOL)
+    if np.shape(x) != np.shape(y):
+        return True
+    gap = np.abs(x - y).max(initial=0.0)
+    return not (gap <= MATCH_TOL or gap <= MATCH_TOL * np.maximum(1.0, np.abs(y).sum()))
+
+
+def _mismatches(x, y):
+    """_mismatch for each vector along the last axis of x and y, which broadcast."""
+    gap = np.abs(x - y)
+    if gap.max(initial=0.0) <= MATCH_TOL:  # all match: no row-wise max or sum
+        return np.zeros(gap.shape[:-1], dtype=bool)
+    return ~(gap.max(axis=-1) <= MATCH_TOL * np.maximum(1.0, np.abs(y).sum(axis=-1)))
 
 
 def _nonnegative(r):
@@ -96,8 +107,7 @@ def _require_source(r, weights):
     if n != len(weights):
         raise PartitionMismatch(
             f"partition has {n} source blocks, graphon has {len(weights)}")
-    rows = r.sum(axis=-1)
-    if _mismatch(rows, np.broadcast_to(weights, rows.shape)):
+    if _mismatches(r.sum(axis=-1), weights).any():
         raise PartitionMismatch("partition row sums do not match block weights")
 
 
@@ -499,10 +509,12 @@ def grid_version(W, n, perm=None):
     The result has value W(perm[c], perm[d]) on cell pair (c, d); it is a
     measure-preserving rearrangement, so the multiset of cell values (and
     every rearrangement-invariant functional) is unchanged.  A perm that is
-    not an integer array holding each cell once raises ResolutionIncompatible.
+    not an integer array holding each cell once raises ResolutionIncompatible,
+    and a grid of more than ARRAY_CAP values StepGraphonError.
     """
     if n < 1:
         raise ResolutionIncompatible("grid resolution must be >= 1")
+    _check_stack(1, n, n, "grid")
     cell_block = _grid_cells(W.weights, n)
     if perm is None:
         perm = np.arange(n)
@@ -615,10 +627,12 @@ def split_reconstruct(Wt, s, n):
     cumulative maps of s (mass moved left, mass moved right) at midpoints of
     the n-cell grid.  Midpoint evaluation is exact once every breakpoint of s
     is a multiple of 1/n and the composed maps land inside single blocks.
-    The result has Wt's type, its values clipped to Wt's range.
+    The result has Wt's type, its values clipped to Wt's range; a grid of
+    more than ARRAY_CAP values raises StepGraphonError before it is built.
     """
     if n < 1:
         raise ResolutionIncompatible("grid resolution must be >= 1")
+    _check_stack(1, n, n, "grid")
     for b in s.breakpoints:
         if abs(b * n - round(b * n)) > MATCH_TOL:
             raise ResolutionIncompatible(

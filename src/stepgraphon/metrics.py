@@ -347,22 +347,19 @@ def cut_norm(Y, mode="exact", seed=0):
     return CutNormResult(value, full_s, full_t, mode)
 
 
-def cut_norm_distance(U, W, C, mode=None):
-    """Cut norm of U - W overlaid by the coupling C, heuristic starts at seed 0.
+def cut_norm_distance(U, W, C, mode="exact"):
+    """Cut norm of U - W overlaid by the coupling C, in cut_norm's mode, seed 0.
 
-    mode None is exact up to EXACT_BLOCK_CAP refined cells and heuristic
-    past it, where the value is an achieved box sum and so a lower bound on
-    the cut norm under C.  With a shared partition and the diagonal coupling
+    Past EXACT_BLOCK_CAP refined cells exact mode raises TooManyBlocksForExact,
+    as cut_norm does; heuristic mode gives an achieved box sum, a lower bound
+    on the cut norm under C.  With a shared partition and the diagonal coupling
     this is the plain cut norm distance on the common ground space.  U and W
     are graphons; a SignedStepKernel raises StepGraphonError.
     """
     if isinstance(U, SignedStepKernel) or isinstance(W, SignedStepKernel):
         raise StepGraphonError("cut_norm_distance takes two graphons, not a signed kernel")
     ru, rw = common_refinement(U, W, C)
-    kernel = SignedStepKernel(ru.weights, ru.values - rw.values)
-    if mode is None:
-        mode = "exact" if kernel.k <= EXACT_BLOCK_CAP else "heuristic"
-    return cut_norm(kernel, mode=mode).value
+    return cut_norm(SignedStepKernel(ru.weights, ru.values - rw.values), mode=mode).value
 
 
 @functools.cache
@@ -757,11 +754,11 @@ def cut_distance(U, W, budget=None, seed=0):
     product, and it is a start).  A start's winner replaces the incumbent
     only when lower, by its exact cut norm past SEARCH_EXACT_CAP and up to
     EXACT_BLOCK_CAP cells: its heuristic score, a lower bound, could displace
-    a better coupling.  The sweep is exact over
-    cell permutations only: its minimum is the permutation distance
-    delta-hat of the two grids, an upper bound on the cut distance, and a
-    fractional coupling from the search can be lower.
-    Only a value of 0 is claimed exact.  When the pruned sides are bitwise
+    a better coupling, and a score that ties the incumbent can round above
+    its exact value.  The sweep is exact over cell permutations only: its
+    minimum is the permutation distance delta-hat of the two grids, an upper
+    bound on the cut distance, and a fractional coupling from the search can
+    be lower.  Only a value of 0 is claimed exact.  When the pruned sides are bitwise
     equal up to a cell permutation, found by matching their canonical cell
     orders, that permutation's coupling is the first start; its difference
     kernel is exactly 0, so the value is exactly 0.0 at any number of cells.
@@ -809,7 +806,7 @@ def cut_distance(U, W, budget=None, seed=0):
         memo[("eval", iso.tobytes())] = (0.0, np.zeros(Ap.k), np.zeros(Ap.k))
     for c0 in starts:
         val, cmat = _local_search(Ap, Bp, c0, cfg["max_iters"], seed, memo)
-        if val < best_val:  # a score is a lower bound: only a lower winner needs its exact value
+        if val <= best_val:  # a score is a lower bound up to rounding: a tie can be lower too
             ii, jj, mass = _coupling_cells(cmat)
             if SEARCH_EXACT_CAP < len(mass) <= EXACT_BLOCK_CAP:
                 val = _cells_exact(Ap, Bp, ii, jj, mass)[0]

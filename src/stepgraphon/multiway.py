@@ -17,12 +17,12 @@ import math
 import numpy as np
 
 from .core import (
-    MATCH_TOL,
     PartitionSpec,
     _check_stack,
     _derived_partition,
     _freeze,
     _mismatch,
+    _mismatches,
     _nonnegative,
     _require_source,
     corner_rule,
@@ -49,7 +49,7 @@ class MultiwayMatrixSet:
     Entries are finite and lie in [0, a_l*a_m].  Each matrix has one
     provenance partition.  Every partition sends its mass onto parts with
     masses a, and all of them split one source weight vector.  All three
-    hold within core.MATCH_TOL.
+    hold as core._mismatches decides.
     """
 
     def __init__(self, a, matrices, provenance):
@@ -62,7 +62,7 @@ class MultiwayMatrixSet:
         # raises, as a check of one item at a time would
         n = _first(m.shape != (q, q) for m in self.matrices)
         stack = np.array(self.matrices[:n]).reshape(n, q, q)
-        if not ((stack >= -MATCH_TOL) & (stack <= np.outer(self.a, self.a) + MATCH_TOL)).all():
+        if _mismatches(stack, np.clip(stack, 0.0, np.outer(self.a, self.a))).any():
             raise StepGraphonError("cut matrix entry is not a number in [0, a_l*a_m]")
         if n < len(self.matrices):
             raise DimensionMismatch(f"matrix shape {self.matrices[n].shape} != ({q}, {q})")
@@ -74,9 +74,7 @@ class MultiwayMatrixSet:
             n = _first(spec.assignment.shape != (k, q) for spec in self.provenance)
             r = np.array([spec.assignment for spec in self.provenance[:n]]).reshape(n, k, q)
             targets, sources = r.sum(axis=1), r.sum(axis=2)
-            held = ((np.abs(targets - self.a).max(axis=1, initial=0.0) <= MATCH_TOL)
-                    & (np.abs(sources - sources[:1]).max(axis=1, initial=0.0) <= MATCH_TOL))
-            idx = _first(~held)
+            idx = _first(_mismatches(targets, self.a) | _mismatches(sources, sources[:1]))
             if idx < len(self.provenance):
                 self._check_partition(idx)
 
@@ -168,10 +166,9 @@ def _scaled_random(seed, count, row, col):
     (sample_multiway_set allows a drift of SCALING_TOL).  That step moves
     each column sum by at most the summed row residuals it removes (each
     below SCALING_TOL), so the column sums may miss `col` by about
-    SCALING_TOL; MultiwayMatrixSet checks them against the part masses
-    within MATCH_TOL.  Raises ScalingDiverged with the
-    largest residual still live if a plan has not converged after SCALING_CAP
-    rounds.
+    SCALING_TOL; MultiwayMatrixSet checks them against the part masses.
+    Raises ScalingDiverged with the largest residual still live if a plan
+    has not converged after SCALING_CAP rounds.
     """
     k, q = len(row), len(col)
     plans = np.empty((count, k, q))
@@ -232,7 +229,7 @@ def sample_multiway_set(W, a, count, seed=0):
     a = np.asarray(a, dtype=float)
     if count < 0:
         raise ValueError("count must be >= 0")
-    if not (abs(a.sum() - 1.0) <= MATCH_TOL and (a >= 0).all()):
+    if _mismatch(a.sum(), 1.0) or not (a >= 0).all():
         raise MarginalMismatch("part masses must be nonnegative and sum to 1")
     w = W.weights
     k, q = len(w), len(a)

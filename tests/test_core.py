@@ -13,6 +13,7 @@ from stepgraphon import (
     SignedStepKernel,
     StepFunction1D,
     StepGraphon,
+    StepGraphonError,
     ValueOutOfRange,
     WeightsNotNormalized,
     common_refinement,
@@ -27,7 +28,8 @@ from stepgraphon import (
     split_reconstruct,
     stepping,
 )
-from stepgraphon.core import _cumulative, _overlaps
+from stepgraphon import core
+from stepgraphon.core import MATCH_TOL, _cumulative, _mismatch, _mismatches, _overlaps
 from stepgraphon.multiway import multiway_matrix
 from stepgraphon.named import bipartite_graphon, u1_graphon
 
@@ -280,6 +282,29 @@ def test_common_refinement_marginal_mismatch():
         common_refinement(w, w, None)
 
 
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.integers(-60, 60))
+def test_a_coupling_stays_valid_under_a_power_of_two_scale(k, q, seed, j):
+    # marginals off by up to MATCH_TOL / 2 around a total of 1; scaling every
+    # mass by 2**j is exact, and past a total of 1 masses match relative to it
+    rng = np.random.default_rng(seed)
+    m = rng.random((k, q))
+    m /= m.sum()
+    row = m.sum(axis=1) + rng.uniform(-0.5, 0.5, k) * MATCH_TOL
+    col = m.sum(axis=0) + rng.uniform(-0.5, 0.5, q) * MATCH_TOL
+    Coupling(m, row, col)
+    scaled = Coupling(np.ldexp(m, j), np.ldexp(row, j), np.ldexp(col, j))
+    assert np.array_equal(scaled.matrix, np.ldexp(m, j))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(-60, 60))
+def test_row_wise_mismatches_decide_as_one_vector_at_a_time(seed, j):
+    rng = np.random.default_rng(seed)
+    y = np.ldexp(rng.random(4), j)
+    rel = rng.choice([0.0, 1e-10, -5e-10, 3e-9, np.nan], (6, 4))
+    x = y * (1.0 + rel) + rng.choice([0.0, 5e-10, -2e-9], (6, 4))
+    assert _mismatches(x, y).tolist() == [_mismatch(row, y) for row in x]
+
+
 # ------------------------------------------------------------------- versions
 
 def test_grid_version_identity_refines():
@@ -457,6 +482,17 @@ def test_split_reconstruct_refuses_an_empty_grid():
 def test_grid_version_refuses_an_empty_grid(n):
     with pytest.raises(ResolutionIncompatible, match="grid resolution must be >= 1"):
         grid_version(bipartite_graphon(), n)
+
+
+def test_grids_past_the_array_cap_are_refused(monkeypatch):
+    monkeypatch.setattr(core, "ARRAY_CAP", 15)
+    g, s = bipartite_graphon(), StepFunction1D([0.0, 1.0], [0.5])
+    assert grid_version(g, 2).k == interlace_version(g, 1).k == split_reconstruct(g, s, 2).k == 2
+    refusal = "^1 grid of 4x4 hold 16 values, over the cap of 15$"
+    for build in (lambda: grid_version(g, 4), lambda: interlace_version(g, 2),
+                  lambda: split_reconstruct(g, s, 4)):
+        with pytest.raises(StepGraphonError, match=refusal):
+            build()
 
 
 # ----------------------------------------------------------------- kernel type

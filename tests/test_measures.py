@@ -549,6 +549,15 @@ def test_exact_flatness_ignores_tol():
         assert w.feasible and w.residual == 0.0
 
 
+def test_exact_flatness_certifies_a_total_past_2_to_the_24():
+    # the float witness misses l1's mass by 2**-28, above MATCH_TOL but
+    # within MATCH_TOL times the total, so Coupling accepts it
+    l1 = DiscreteMeasure([0.5], [2.0 ** 24 + 2.0 ** -28])
+    l2 = DiscreteMeasure([0.25, 0.5, 0.75], [2.0 ** -29, 2.0 ** 24, 2.0 ** -29])
+    w = check_flatter(l1, l2, exact=True)
+    assert w.feasible and w.residual == 0.0
+
+
 def test_exact_flatness_reasons_carry_the_exact_suffix():
     w = check_flatter(DIRAC_HALF, DiscreteMeasure([0.5], [0.75]), exact=True)
     assert not w.feasible and w.reason == "total mass mismatch (exact)"

@@ -58,22 +58,40 @@ def _imported(tree):
                 yield alias.asname or alias.name
 
 
-def _new_calls(node, scope):
-    """The enclosing scope of each `X.__new__(...)` call below node, dotted."""
+def _scopes(node, hit, scope):
+    """The enclosing scope, dotted, of each node below node that hit accepts."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}"
-        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-              and child.func.attr == "__new__"):
+        elif hit(child):
             yield scope
-        yield from _new_calls(child, inner)
+        yield from _scopes(child, hit, inner)
+
+
+def _new_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__")
 
 
 def test_every_object_passes_its_constructor():
     """No code builds an object past its __init__ checks, but the sampled multiway plans."""
-    bypasses = [scope for name, tree in MODULES.items() for scope in _new_calls(tree, name[:-3])]
+    bypasses = [scope for name, tree in MODULES.items()
+                for scope in _scopes(tree, _new_call, name[:-3])]
     assert sorted(bypasses) == ["core._derived_partition"]
+
+
+def _reads_match_tol(node):
+    return ((isinstance(node, ast.Name) and node.id == "MATCH_TOL"
+             and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == "MATCH_TOL"))
+
+
+def test_only_core_matches_masses():
+    """core decides when masses match; check_flatter's LP tolerance is the one other reader."""
+    readers = {scope for name, tree in MODULES.items() if name != "core.py"
+               for scope in _scopes(tree, _reads_match_tol, name[:-3])}
+    assert sorted(readers) == ["measures.check_flatter"]
 
 
 def test_every_import_is_used():
