@@ -568,13 +568,15 @@ def interlace_version(W, n):
     produces the 2n-cell chessboard, and constants are fixed.  At n = 1 the
     map degenerates to the identity.  The result lives on the smallest grid
     that refines both the 1/(2n) slabs and W's blocks; the map acts on such
-    a grid by cell translation.
+    a grid by cell translation.  The search refuses the first candidate
+    grid of more than ARRAY_CAP values (StepGraphonError) before probing it.
     """
     if n < 1:
         raise ResolutionIncompatible("interlacing level must be >= 1")
     slabs = 2 * n
     for mult in range(1, 4097):
         m = slabs * mult
+        _check_stack(1, m, m, "grid")
         try:
             _grid_cells(W.weights, m)
         except ResolutionIncompatible:

@@ -24,8 +24,8 @@ from operator import mul
 import numpy as np
 
 from .errors import SolverFailure, StepGraphonError, ValueOutOfRange
-from .core import MATCH_TOL, Coupling, _freeze, _support
-from .metrics import HIGHS_TOL_FLOOR, _marginal_rows, linprog
+from .core import MATCH_TOL, Coupling, _freeze, _mismatch, _support
+from .metrics import _marginal_rows, linprog
 
 ATOM_DEDUP_TOL = 1e-12
 NO_COUPLING = "no coupling satisfies the barycenter constraints"
@@ -157,24 +157,24 @@ def _flatness_system(l1, l2):
     return a, b
 
 
-def check_flatter(l1, l2, tol=1e-9, exact=False):
+def check_flatter(l1, l2, exact=False):
     """Decide whether l1 is at least as flat as l2, returning a witness.
 
-    The float route fast-fails on total-mass or first-moment mismatch (both
-    are forced by the coupling constraints), then refutes by Strassen's
-    call functions C(t) = sum p (x - t)_+, compared at every atom of l2,
-    and solves the feasibility LP only for pairs that pass.  The LP has the
-    transport cost |x - y| as objective, which pins the witness to the
-    diagonal whenever the measures coincide.  HiGHS is held to a primal
-    feasibility tolerance of min(tol, MATCH_TOL), the marginal tolerance
-    Coupling then enforces on the witness; a tol below HiGHS's floor
-    HIGHS_TOL_FLOOR raises StepGraphonError.  The masses are divided by
-    s = 2**round(log2(total mass)) for the solve and the witness is
-    multiplied back: the scaling is exact, 1 for totals near 1, and lets
-    extreme totals reach the solver near 1.
+    The float route fast-fails when the total masses or the first moments
+    (both forced by the coupling constraints) differ as core._mismatch
+    decides: by more than MATCH_TOL up to a total of 1, relative to the
+    total past it.  It then refutes by Strassen's call functions C(t) =
+    sum p (x - t)_+, compared at every atom of l2, and solves the
+    feasibility LP only for pairs that pass.  The LP has the transport cost
+    |x - y| as objective, which pins the witness to the diagonal whenever
+    the measures coincide.  HiGHS is held to a primal feasibility tolerance
+    of MATCH_TOL, the marginal tolerance Coupling then enforces on the
+    witness.  The masses are divided by s = 2**round(log2(total mass)) for
+    the solve and the witness is multiplied back: the scaling is exact, 1
+    for totals near 1, and lets extreme totals reach the solver near 1.
 
     The screen refutes only what that LP cannot satisfy.  Let e =
-    min(tol, MATCH_TOL) * s and let psi >= 0 meet the 2n + m - 1 equations
+    MATCH_TOL * s and let psi >= 0 meet the 2n + m - 1 equations
     within e, with row sums r_i and barycenters b_i.  The dropped last
     column sum then misses q_m by at most (n + m - 1) e + |T1 - T2|.  For
     t in [0, 1], Jensen's inequality on each row gives
@@ -187,7 +187,7 @@ def check_flatter(l1, l2, tol=1e-9, exact=False):
     sides.  A pair above the sum of both, both taken in units of s (exact,
     and finite at any total), gets the LP's own refusal.
 
-    The exact mode alone decides, ignoring tol, over the exact binary
+    The exact mode alone decides, with no tolerance, over the exact binary
     expansions of the inputs with Strassen's convex-order test and returns
     the shadow coupling as witness (see _check_flatter_exact).  It decides
     the floats as given, so it can refute measures that were computed in
@@ -196,28 +196,24 @@ def check_flatter(l1, l2, tol=1e-9, exact=False):
     """
     if exact:
         return _check_flatter_exact(l1, l2)
-    if not tol >= HIGHS_TOL_FLOOR:
-        raise StepGraphonError(
-            f"tol {tol!r} is below HiGHS's primal feasibility floor {HIGHS_TOL_FLOOR!r}; "
-            "use exact=True for a tighter decision")
     t1, t2 = l1.total_mass(), l2.total_mass()
-    if abs(t1 - t2) > tol:
+    if _mismatch(t1, t2):
         return FlatnessWitness(False, reason="total mass mismatch")
     if l1.n == 0 or l2.n == 0:
-        # the mass check leaves the other total at most tol
+        # the mass check leaves the other total at most MATCH_TOL
         return FlatnessWitness(True, None, residual=max(t1, t2),
                                reason="effectively empty measures")
-    if abs(l1.first_moment() - l2.first_moment()) > tol:
+    if _mismatch(l1.first_moment(), l2.first_moment()):
         return FlatnessWitness(False, reason="first moment mismatch")
     scale = 2.0 ** min(round(log2(t1)), 1023)  # 2.0 ** 1024 overflows
     n, m = l1.n, l2.n
-    margin = ((3 * n + 2 * m - 2) * min(tol, MATCH_TOL) + abs(t1 - t2) / scale
+    margin = ((3 * n + 2 * m - 2) * MATCH_TOL + abs(t1 - t2) / scale
               + (n + m + 4) * (t1 / scale + t2 / scale) * np.finfo(float).eps)
     if ((_calls(l1, l2.atoms) - _calls(l2, l2.atoms)) / scale).max() > margin:
         return FlatnessWitness(False, reason=NO_COUPLING)
     a, b = _flatness_system(l1, l2)
     cost = np.abs(np.subtract.outer(l1.atoms, l2.atoms)).ravel()
-    x = linprog(cost, a, b / scale, primal_feasibility_tolerance=min(tol, MATCH_TOL))
+    x = linprog(cost, a, b / scale, primal_feasibility_tolerance=MATCH_TOL)
     if x is None:
         return FlatnessWitness(False, reason=NO_COUPLING)
     x = np.clip(x, 0.0, None) * scale

@@ -26,6 +26,7 @@ import threading
 import numpy as np
 
 from .core import (
+    ARRAY_CAP,
     WEIGHT_TOL,
     Coupling,
     SignedStepKernel,
@@ -876,15 +877,23 @@ def l1_hausdorff(points_a, points_b, weights):
 
     Points are rows; x and y lie |x - y| @ weights apart.  The distance
     matrix is filled one row of points_a at a time, through one difference
-    buffer the size of points_b that every row reuses.
+    buffer the size of points_b that every row reuses, in row blocks of at
+    most ARRAY_CAP distances (one row if a row is longer).  Each block
+    keeps its row minima and folds its column minima into a running
+    minimum; min and max are exact, so the block size leaves the value.
     """
     a = np.asarray(points_a, dtype=float)
     b = np.asarray(points_b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("hausdorff distance needs nonempty sets")
-    d = np.empty((len(a), len(b)))
+    rows = max(1, ARRAY_CAP // len(b))
     diff = np.empty_like(b)
-    for i in range(len(a)):
-        np.abs(np.subtract(b, a[i], out=diff), out=diff)
-        np.matmul(diff, weights, out=d[i])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    row_min, col_min = np.empty(len(a)), np.full(len(b), np.inf)
+    for lo in range(0, len(a), rows):
+        d = np.empty((min(rows, len(a) - lo), len(b)))
+        for i, out in enumerate(d, lo):
+            np.abs(np.subtract(b, a[i], out=diff), out=diff)
+            np.matmul(diff, weights, out=out)
+        row_min[lo:lo + len(d)] = d.min(axis=1)
+        np.minimum(col_min, d.min(axis=0), out=col_min)
+    return float(max(row_min.max(), col_min.max()))

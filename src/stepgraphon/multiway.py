@@ -127,16 +127,23 @@ def _safe_ratio(target, current):
                      where=current > 0)
 
 
+def _vertex_count(k, q):
+    """(count, whether all pairs) of the vertex plans of _vertex_orders(k, q):
+    all q! * k! order pairs up to VERTEX_ENUM_CAP, else 2kq extreme points."""
+    pairs = math.factorial(q) * math.factorial(k)
+    return (pairs, True) if pairs <= VERTEX_ENUM_CAP else (2 * k * q, False)
+
+
 @functools.lru_cache(maxsize=16)
 def _vertex_orders(k, q):
     """Read-only (n, k) row orders and (n, q) column orders of the vertex plans.
 
-    When q! * k! is at most VERTEX_ENUM_CAP these are all pairs, row order
-    outermost, each in itertools.permutations order.  Otherwise they are
-    the 2kq extreme-point orders: for each row i and column l, row i first,
-    then column l first (the entry's max) and column l last (its min).
+    When _vertex_count takes all pairs, they come row order outermost, each
+    in itertools.permutations order.  Otherwise they are the 2kq
+    extreme-point orders: for each row i and column l, row i first, then
+    column l first (the entry's max) and column l last (its min).
     """
-    if math.factorial(q) * math.factorial(k) <= VERTEX_ENUM_CAP:
+    if _vertex_count(k, q)[1]:
         rows = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
         cols = np.array(list(itertools.permutations(range(q))), dtype=np.intp)
         row_orders = np.repeat(rows, len(cols), axis=0)
@@ -233,9 +240,9 @@ def sample_multiway_set(W, a, count, seed=0):
         raise MarginalMismatch("part masses must be nonnegative and sum to 1")
     w = W.weights
     k, q = len(w), len(a)
-    orders = _vertex_orders(k, q)
-    _check_stack(len(orders[0]) + count, k, q, "plans")
-    plans = np.concatenate((corner_rule(w, a, *orders), _scaled_random(seed, count, w, a)))
+    _check_stack(_vertex_count(k, q)[0] + count, k, q, "plans")
+    plans = np.concatenate((corner_rule(w, a, *_vertex_orders(k, q)),
+                            _scaled_random(seed, count, w, a)))
     rows = plans.reshape(len(plans), k * q)
     _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * k * q))).ravel(),
                          return_index=True)

@@ -56,8 +56,8 @@ class OrderVerdict:
 def order_check(U, W):
     """Run the necessary conditions for U being at most as structured as W.
 
-    Densities must match (core._mismatch); flatness runs at check_flatter's
-    default tolerance.  Returns refuted with the failing certificates, or
+    Densities must match (core._mismatch); flatness runs check_flatter's
+    float route.  Returns refuted with the failing certificates, or
     consistent.  A consistent verdict is not a proof of the order relation;
     the conditions are necessary only.  A flatness detail carries the
     witness's residual, None for a refusal.

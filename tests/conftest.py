@@ -17,7 +17,7 @@ from stepgraphon import (
     interlace_version,
     stepping,
 )
-from stepgraphon.core import MATCH_TOL, Coupling, _support
+from stepgraphon.core import MATCH_TOL, Coupling, _mismatch, _support
 from stepgraphon.measures import FlatnessWitness, _flatness_system
 from stepgraphon.metrics import (_BLOCK_FLOATS, _heuristic_starts, _pattern_table,
                                  l1_hausdorff, rectangle_signature, signature_weights)
@@ -205,9 +205,10 @@ def chi_reference(U, W, n, count, depth, seed=0):
                         signature_weights(depth).ravel())
 
 
-def flatness_lp_reference(l1, l2, tol=1e-9):
+def flatness_lp_reference(l1, l2):
     """Float check_flatter with no call-function screen: every pair that
-    passes the fast-fails goes to the HiGHS LP.
+    passes the fast-fails goes to the HiGHS LP.  Totals and first moments
+    match as core._mismatch decides, and HiGHS is held to MATCH_TOL.
 
     Returns (witness, LP status), the status None when no LP was solved.
     Solves through scipy.optimize.linprog, not the library's own HiGHS call,
@@ -215,20 +216,20 @@ def flatness_lp_reference(l1, l2, tol=1e-9):
     of measures.linprog calls sees only that route.
     """
     t1, t2 = l1.total_mass(), l2.total_mass()
-    if abs(t1 - t2) > tol:
+    if _mismatch(t1, t2):
         return FlatnessWitness(False, reason="total mass mismatch"), None
     if l1.n == 0 or l2.n == 0:
-        if max(t1, t2) <= tol:
+        if max(t1, t2) <= MATCH_TOL:
             return FlatnessWitness(True, None, residual=max(t1, t2),
                                    reason="effectively empty measures"), None
         return FlatnessWitness(False, reason="empty versus nonempty measure"), None
-    if abs(l1.first_moment() - l2.first_moment()) > tol:
+    if _mismatch(l1.first_moment(), l2.first_moment()):
         return FlatnessWitness(False, reason="first moment mismatch"), None
     a, b = _flatness_system(l1, l2)
     scale = 2.0 ** round(log2(t1))
     cost = np.abs(np.subtract.outer(l1.atoms, l2.atoms)).ravel()
     res = linprog(cost, A_eq=a, b_eq=b / scale, bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": min(tol, MATCH_TOL)})
+                  options={"primal_feasibility_tolerance": MATCH_TOL})
     if res.status == 2:
         return FlatnessWitness(
             False, reason="no coupling satisfies the barycenter constraints"), 2

@@ -181,6 +181,28 @@ def test_flatness_keeps_the_diagonal_witness_at_extreme_masses(tmp_path, capsys)
         assert witness["coupling"]["matrix"] == [[mass, 0.0], [0.0, mass]]
 
 
+def test_flatness_decides_huge_totals_as_unit_totals(tmp_path, capsys):
+    # a contraction and its spread, both scaled by 3e100: the float totals
+    # and first moments match relative to the total, where an absolute
+    # tolerance refused the pair as a total mass mismatch; the rounded
+    # masses are no longer exactly in convex order
+    l1 = {0.5: 1.875e99, 0.75: 6.5625e99, 0.953125: 7.5e99}
+    l2 = {0.34375: 9.375e98, 0.53125: 3.28125e99, 0.65625: 9.375e98, 0.9375: 3.75e99,
+          0.96875: 7.031249999999999e99}
+    paths = []
+    for name, measure in (("l1", l1), ("l2", l2)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"atoms": list(measure), "masses": list(measure.values())}))
+        paths.append(str(path))
+    code, out = run_cli(["flatness", "--l1", paths[0], "--l2", paths[1], "--json"], capsys)
+    assert code == 0 and json.loads(out)["feasible"]
+    code, _ = run_cli(["flatness", "--l1", paths[1], "--l2", paths[0]], capsys)
+    assert code == 3
+    code, _ = run_cli(["flatness", "--l1", paths[0], "--l2", paths[1], "--exact-rational"],
+                      capsys)
+    assert code == 3
+
+
 def test_order_envelope_and_chi(tmp_path, capsys):
     bip = tmp_path / "bip.json"
     out = tmp_path / "env.json"

@@ -495,6 +495,21 @@ def test_grids_past_the_array_cap_are_refused(monkeypatch):
             build()
 
 
+def test_interlace_version_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(core, "ARRAY_CAP", 100)
+    built = []
+    for name in ("_grid_cells", "_interlace_order"):
+        def record(*args, _name=name, _build=getattr(core, name)):
+            built.append(_name)
+            return _build(*args)
+        monkeypatch.setattr(core, name, record)
+    with pytest.raises(StepGraphonError, match="^1 grid of 16x16 hold 256 values, over the cap"):
+        interlace_version(bipartite_graphon(), 8)
+    assert built == []
+    assert interlace_version(bipartite_graphon(), 2).k == 4
+    assert built == ["_grid_cells", "_interlace_order", "_grid_cells"]
+
+
 # ----------------------------------------------------------------- kernel type
 
 SIGNED = SignedStepKernel([0.5, 0.5], [[-0.5, 0.0], [0.0, -0.5]])

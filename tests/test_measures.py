@@ -20,6 +20,7 @@ from stepgraphon import (
     ValueOutOfRange,
 )
 from stepgraphon import measures
+from stepgraphon.core import MATCH_TOL
 from stepgraphon.named import bipartite_graphon, w1_graphon
 
 from conftest import (dyadic_measure, flatness_lp_reference, random_graphon, spread_measure,
@@ -296,8 +297,23 @@ def test_additivity_of_witnesses(rng):
                                np.concatenate((a1.masses, a2.masses)))
         csum = DiscreteMeasure(np.concatenate((c1.atoms, c2.atoms)),
                                np.concatenate((c1.masses, c2.masses)))
-        w = check_flatter(asum, csum, tol=1e-7)
+        w = check_flatter(asum, csum)
         assert w.feasible
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["contraction", "spread"])
+def test_huge_totals_keep_the_verdict_of_unit_totals(reverse):
+    # totals and first moments near 3e100 match relative to the total, so
+    # scaling both measures alike leaves the float verdict as it is at x1
+    def scaled(measure):
+        return DiscreteMeasure(measure.atoms, measure.masses * 3e100)
+
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        base = dyadic_measure(rng)
+        l1, l2 = (base, spread_measure(rng, base))[::-1 if reverse else 1]
+        unit, huge = check_flatter(l1, l2), check_flatter(scaled(l1), scaled(l2))
+        assert (huge.feasible, huge.reason) == (unit.feasible, unit.reason), seed
 
 
 # -------------------------------------------------------------- measures
@@ -370,8 +386,7 @@ def test_float_route_accepts_steppings(k, seed, cuts):
         assert witness_residual(w, l1, l2) <= 1e-9
 
 
-@pytest.mark.parametrize("tol, held", [(1e-9, 1e-9), (1e-10, 1e-10), (1e-6, 1e-9)])
-def test_float_route_is_one_solve_held_to_tol(monkeypatch, tol, held):
+def test_float_route_is_one_solve_held_to_match_tol(monkeypatch):
     calls = []
     solve = measures.linprog
 
@@ -382,19 +397,8 @@ def test_float_route_is_one_solve_held_to_tol(monkeypatch, tol, held):
     monkeypatch.setattr(measures, "linprog", capture)
     g = random_graphon(np.random.default_rng(5), k=6)
     stepped = stepping(g, PartitionSpec.dyadic(g.weights, 1))
-    assert check_flatter(range_frequencies(stepped), range_frequencies(g), tol=tol).feasible
-    assert calls == [held]
-
-
-@pytest.mark.parametrize("tol", [1e-12, 5e-11, 0.0, -1.0, float("nan")])
-def test_float_route_refuses_tol_below_the_highs_floor(monkeypatch, tol):
-    # HiGHS would reject such a tolerance and refuse the solve with it
-    calls = []
-    monkeypatch.setattr(measures, "linprog", lambda *args, **kwargs: calls.append(kwargs))
-    with pytest.raises(StepGraphonError, match=r"floor 1e-10; use exact=True"):
-        check_flatter(DIRAC_HALF, ENDS, tol=tol)
-    assert calls == []
-    assert check_flatter(DIRAC_HALF, ENDS, tol=tol, exact=True).feasible
+    assert check_flatter(range_frequencies(stepped), range_frequencies(g)).feasible
+    assert calls == [MATCH_TOL]
 
 
 def split_atom(measure, i, delta):
@@ -422,7 +426,7 @@ def test_call_function_screen_keeps_the_lp_outcome(seed, max_atoms, reverse, del
     # contractions (a measure against a spread of it), spreads (the reverse)
     # and near-boundary perturbations of both: one atom of l1 split by up to
     # delta, masses scaled to totals near 1e+-100, l2's totals moved by eta
-    # within tol; the outcome is the LP-only route's, and a refusal made
+    # within MATCH_TOL; the outcome is the LP-only route's, and a refusal made
     # without a solve is one the LP makes too
     rng = np.random.default_rng(seed)
     base = dyadic_measure(rng, max_atoms)
@@ -544,9 +548,13 @@ def test_exact_flatness_ignores_tol():
     l1 = DiscreteMeasure([0.5], [1.0 + 2.0 ** -52])
     l2 = DiscreteMeasure([0.25, 0.5, 0.75], [2.0 ** -53, 1.0, 2.0 ** -53])
     assert l1.total_mass() != l2.total_mass()
-    for tol in (1e-20, 1e-9, -1.0):
-        w = check_flatter(l1, l2, tol=tol, exact=True)
-        assert w.feasible and w.residual == 0.0
+    w = check_flatter(l1, l2, exact=True)
+    assert w.feasible and w.residual == 0.0
+    # totals 2**-40 apart match within MATCH_TOL, but not exactly
+    off = DiscreteMeasure([0.5], [1.0 + 2.0 ** -40])
+    assert check_flatter(off, DIRAC_HALF).feasible
+    w = check_flatter(off, DIRAC_HALF, exact=True)
+    assert not w.feasible and w.reason == "total mass mismatch (exact)"
 
 
 def test_exact_flatness_certifies_a_total_past_2_to_the_24():

@@ -1110,7 +1110,6 @@ def test_linprog_refuses_a_tolerance_below_the_highs_floor_without_output(capfd,
     x = metrics.linprog(cost, a, b, primal_feasibility_tolerance=metrics.HIGHS_TOL_FLOOR)
     assert isinstance(x, np.ndarray) and x.shape == (6,)
     assert capfd.readouterr() == ("", "")
-    assert measures.HIGHS_TOL_FLOOR is metrics.HIGHS_TOL_FLOOR
 
 
 def scipy_bits(system):
@@ -1452,6 +1451,25 @@ def test_hausdorff_of_chi_clouds_matches_row_formula(rng):
         for i in range(len(a)):
             assert l1_hausdorff(a[i:i + 1], b, weights) == d[i].max()
         assert (a == a0).all() and (b == b0).all()
+
+
+@pytest.mark.parametrize("cap", [1, 7, 24, 100])
+def test_l1_hausdorff_in_blocks_equals_the_full_matrix(monkeypatch, cap):
+    # at a patched cap the distances come in several row blocks (one row
+    # each below a row's length); min and max are exact, so the value keeps
+    # its bits, a NaN included
+    monkeypatch.setattr(metrics, "ARRAY_CAP", cap)
+    rng = np.random.default_rng(cap)
+    weights = rng.random(3)
+    for na, nb in ((1, 9), (13, 8), (40, 5)):
+        a, b = rng.random((na, 3)), rng.random((nb, 3))
+        if cap == 7 and na > 1:
+            a[na // 2, 1] = np.nan
+        d = np.array([np.abs(b - x) @ weights for x in a])
+        expected = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+        for x, y in ((a, b), (b, a)):
+            got = l1_hausdorff(x, y, weights)
+            assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 @st.composite

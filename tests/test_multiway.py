@@ -22,7 +22,7 @@ from stepgraphon import (
     sample_multiway_set,
     stepping,
 )
-from stepgraphon import multiway
+from stepgraphon import core, multiway
 from stepgraphon.named import bipartite_graphon
 from stepgraphon.order import chi_estimate
 
@@ -295,6 +295,17 @@ def _one_round_residual(rng, row, col):
     with pytest.raises(ScalingDiverged) as info:
         scaled_random_reference(rng, row, col, cap=1)
     return info.value.residual
+
+
+def test_sampler_refuses_the_plan_stack_before_building_vertex_orders(monkeypatch):
+    # an 8-cell kernel at two parts takes the 2kq = 32 extreme-point orders
+    monkeypatch.setattr(core, "ARRAY_CAP", 100)
+    orders = []
+    monkeypatch.setattr(multiway, "_vertex_orders", lambda k, q: orders.append((k, q)))
+    g = grid_version(random_graphon(np.random.default_rng(3), k=2, equal_mass=True), 8)
+    with pytest.raises(StepGraphonError, match="^34 plans of 8x2 hold 544 values, over the cap"):
+        sample_multiway_set(g, [0.5, 0.5], 2)
+    assert orders == []
 
 
 def test_scaling_cap_raises_with_the_live_residual(monkeypatch):

@@ -15,11 +15,6 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 # split_reconstruct's split-density input
 ACCEPTANCE_ONLY = {"split_reconstruct", "strictify", "reorder_by_ordered_partition",
                    "compose_couplings", "StepFunction1D"}
-# defaulted parameters that no package or perfbench call sets, kept on purpose
-UNSET_DEFAULTS = {
-    # the public flatness tolerance, kept for library callers (ROADMAP item 4)
-    "measures.check_flatter.tol",
-}
 # methods that no package, perfbench or criteria code reads, kept on purpose
 UNREAD_METHODS = {
     # argparse calls it on a parse error
@@ -219,8 +214,7 @@ def test_every_default_is_set_by_some_caller():
             target = owner if function == "__init__" else function
             if not any(callee(c) == target and _passes(c, name, position) for c in calls):
                 unset.add(".".join(filter(None, (module[:-3], owner, function, name))))
-    assert sorted(unset - UNSET_DEFAULTS) == []
-    assert UNSET_DEFAULTS <= unset
+    assert sorted(unset) == []
 
 
 def test_every_reader_has_a_command():
