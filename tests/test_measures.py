@@ -19,7 +19,7 @@ from stepgraphon import (
     PartitionSpec,
     ValueOutOfRange,
 )
-from stepgraphon import measures
+from stepgraphon import measures, metrics
 from stepgraphon.core import MATCH_TOL
 from stepgraphon.named import bipartite_graphon, w1_graphon
 
@@ -386,7 +386,12 @@ def test_float_route_accepts_steppings(k, seed, cuts):
         assert witness_residual(w, l1, l2) <= 1e-9
 
 
-def test_float_route_is_one_solve_held_to_match_tol(monkeypatch):
+@pytest.mark.parametrize("tol, held", [(1e-9, 1e-9), (1e-10, 1e-10), (1e-6, 1e-9)])
+def test_float_route_is_one_solve_held_to_tol(monkeypatch, tol, held):
+    # check_flatter has no tolerance of its own: a direct solve on this
+    # thread's HiGHS solver held to tol comes first, and the float route's
+    # one solve is held to MATCH_TOL all the same, never to the looser tol
+    # left on the solver, so the tightest hold of the two is min(tol, MATCH_TOL)
     calls = []
     solve = measures.linprog
 
@@ -395,10 +400,14 @@ def test_float_route_is_one_solve_held_to_match_tol(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(measures, "linprog", capture)
+    assert measures.linprog(np.zeros(2), np.ones((1, 2)), np.ones(1),
+                            primal_feasibility_tolerance=tol) is not None
     g = random_graphon(np.random.default_rng(5), k=6)
     stepped = stepping(g, PartitionSpec.dyadic(g.weights, 1))
     assert check_flatter(range_frequencies(stepped), range_frequencies(g)).feasible
-    assert calls == [MATCH_TOL]
+    assert calls == [tol, MATCH_TOL] and min(calls) == held
+    highs, _ = metrics._thread_solver(metrics._highs_core())
+    assert highs.getOptions().primal_feasibility_tolerance == MATCH_TOL
 
 
 def split_atom(measure, i, delta):
